@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, NonConvergenceError
-from .solvers import SolverConfig, SystemSpec, Trajectory, gl_weights, solve
+from .solvers import SolverConfig, SystemSpec, Trajectory, gl_history, solve
 from .systems import Equilibrium, find_equilibria
 
 __all__ = [
@@ -292,12 +292,8 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
     transient_discarded = skip_blocks * renorm_every * h
     reset_blocks = history_reset_blocks or n_blocks
     stretch_steps = min(reset_blocks * renorm_every, n_steps)
-    window = stretch_steps if config.memory_window is None else min(
-        config.memory_window, stretch_steps)
-    c = gl_weights(alpha, window + 1)
-    nz = np.nonzero(c[1:])[0]
-    window = int(nz[-1]) + 1 if len(nz) else 0
-    cr = np.ascontiguousarray(c[window:0:-1])   # [c_window, ..., c_1]
+    hist = gl_history(alpha, stretch_steps if config.memory_window is None
+                      else min(config.memory_window, stretch_steps))
     ha = h ** alpha
 
     jac = system.jacobian
@@ -316,9 +312,7 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
             s = steps_done + 1
             i += 1
             d = ha * (np.asarray(jac(t[s - 1], x[s - 1])) @ v_prev)
-            w = min(i - 1, window)
-            if w > 0:
-                d -= (cr[window - w:] @ dev[i - w:i]).reshape(dim, m)
+            d -= hist(dev, i, i - 1).reshape(dim, m)
             dev[i] = d.ravel()
             v_prev = v_base + d
             steps_done = s
@@ -340,7 +334,7 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
             # exact push-through: rescale the anchor and the reachable
             # history by the same triangular factor
             v_base = v_base @ rinv
-            lo = max(0, i - window)
+            lo = max(0, i - hist.window)
             span = dev[lo:i + 1].reshape(-1, dim, m)
             dev[lo:i + 1] = (span @ rinv).reshape(-1, dim * m)
         if block >= skip_blocks:

@@ -14,8 +14,7 @@ Configuration precedence is flags > config document (--config JSON) >
 catalog defaults.  All file writes are atomic (temp file + rename), JSON
 reports carry ``schema_version`` and fixed field order, and repeated
 identical invocations produce byte-identical files.  Exit codes: 0 on
-success, 1 on domain errors, 2 on usage errors.  ``FRACDYN_THREADS`` caps
-how many sub-analyses ``reproduce`` runs concurrently.
+success, 1 on domain errors, 2 on usage errors.
 """
 
 import argparse
@@ -23,8 +22,6 @@ import json
 import math
 import os
 import sys
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,6 +36,7 @@ from .geometry import box_dimension
 from .mlf import ml_two
 from .solvers import (
     SolverConfig,
+    atomic_write,
     read_trajectory_csv,
     solve,
     write_trajectory_csv,
@@ -51,19 +49,6 @@ SCHEMA_VERSION = 1
 
 
 # --------------------------------------------------------------- plumbing
-
-def _atomic_write(path, text):
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
 
 def _jsonable(value):
     if isinstance(value, dict):
@@ -84,7 +69,7 @@ def _jsonable(value):
 
 
 def _write_json(path, report):
-    _atomic_write(path, json.dumps(_jsonable(report), indent=2) + "\n")
+    atomic_write(path, json.dumps(_jsonable(report), indent=2) + "\n")
 
 
 def _load_config_doc(path):
@@ -117,7 +102,11 @@ def _parse_params(pairs, doc):
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise ConfigError(f"--param needs NAME=VALUE, got {pair!r}")
-        params[name] = float(value)
+        try:
+            params[name] = float(value)
+        except ValueError:
+            raise ConfigError(
+                f"--param {name} needs a number, got {value!r}") from None
     return params
 
 
@@ -204,9 +193,22 @@ def _equilibrium_entries(report):
     return entries
 
 
-def _lyapunov_report(system, config, result, renorm_every, reset_blocks):
-    stab = stability_report(system, config.alpha)
+def _stability_doc(system, alpha, stab):
     equilibria = _equilibrium_entries(stab)
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": "stability",
+        "system": system.name,
+        "alpha": alpha,
+        "equilibria": equilibria,
+        "criteria": {
+            "spectral_chaos": any(e["spectral"]["flag"] for e in equilibria),
+        },
+    }
+
+
+def _lyapunov_report(system, config, result, renorm_every, reset_blocks,
+                     stab_doc):
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "lyapunov",
@@ -226,9 +228,9 @@ def _lyapunov_report(system, config, result, renorm_every, reset_blocks):
         "classification": classify_attractor(result),
         "converged": result.converged,
         "drift": result.drift,
-        "equilibria": equilibria,
+        "equilibria": stab_doc["equilibria"],
         "criteria": {
-            "spectral_chaos": any(e["spectral"]["flag"] for e in equilibria),
+            "spectral_chaos": stab_doc["criteria"]["spectral_chaos"],
             "dimension_instability": dimension_instability_check(
                 result.d_ky, result.exponents.size),
         },
@@ -250,7 +252,10 @@ def _cmd_lyapunov(args):
         transient=_resolve(args, doc, "transient"),
         history_reset_blocks=reset,
     )
-    report = _lyapunov_report(system, config, result, renorm, reset)
+    stab_doc = _stability_doc(system, config.alpha,
+                              stability_report(system, config.alpha))
+    report = _lyapunov_report(system, config, result, renorm, reset,
+                              stab_doc)
     _write_json(args.out, report)
     lams = ", ".join(f"{v:.4f}" for v in result.exponents)
     print(f"{system.name}: exponents ({lams}), d_ky={result.d_ky:.4f}, "
@@ -272,6 +277,9 @@ def _parse_columns(text, dim):
 
 
 def _cmd_dimension(args):
+    if not 0.0 <= args.transient < 1.0:
+        raise ConfigError(
+            f"transient must be a fraction in [0, 1), got {args.transient}")
     traj = read_trajectory_csv(args.input)
     cols = _parse_columns(args.columns, traj.x.shape[1])
     skip = int(round(args.transient * traj.x.shape[0]))
@@ -308,7 +316,7 @@ def _cmd_dimension(args):
     lines = ["# log(1/eps) logN"]
     for eps, count in zip(res.scales, res.counts):
         lines.append("%.17g %.17g" % (math.log(1.0 / eps), math.log(count)))
-    _atomic_write(plot_out, "\n".join(lines) + "\n")
+    atomic_write(plot_out, "\n".join(lines) + "\n")
     print(f"d_f={res.slope:.4f} (r2={res.r2:.5f}, {pts.shape[0]} points) "
           f"-> {args.out}, {plot_out}")
     return 0
@@ -321,18 +329,9 @@ def _cmd_stability(args):
         return _usage_error("--system is required (flag or config document)")
     alpha = float(_resolve(args, doc, "sector_alpha",
                            system.params["default_alpha"]))
-    rep = stability_report(system, alpha, t=args.t)
-    equilibria = _equilibrium_entries(rep)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "stability",
-        "system": system.name,
-        "alpha": alpha,
-        "equilibria": equilibria,
-        "criteria": {
-            "spectral_chaos": any(e["spectral"]["flag"] for e in equilibria),
-        },
-    }
+    report = _stability_doc(system, alpha,
+                            stability_report(system, alpha, t=args.t))
+    equilibria = report["equilibria"]
     if args.out:
         _write_json(args.out, report)
     n_stable = sum(e["classification"] == "stable" for e in equilibria)
@@ -345,8 +344,10 @@ def _cmd_stability(args):
 
 def _cmd_mlf(args):
     z = complex(args.z)
-    value = ml_two(args.alpha, args.beta, z)
-    value = complex(value)
+    try:
+        value = complex(ml_two(args.alpha, args.beta, z))
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     if args.out:
         _write_json(args.out, {
             "schema_version": SCHEMA_VERSION,
@@ -486,31 +487,15 @@ def _cmd_reproduce(args):
     traj = solve(system, config)
     write_trajectory_csv(traj, os.path.join(args.out_dir, "trajectory.csv"))
 
-    threads = int(os.environ.get("FRACDYN_THREADS", os.cpu_count() or 1))
     renorm = spec["renorm_every"]
+    result = lyapunov_spectrum(system, config, renorm_every=renorm,
+                               base_trajectory=traj)
+    dim_res = box_dimension(traj.x[int(0.2 * traj.x.shape[0]):, list(
+        system.observables or range(system.dim))])
+    stab_doc = _stability_doc(system, config.alpha,
+                              stability_report(system, config.alpha))
 
-    def run_lyapunov():
-        return lyapunov_spectrum(system, config, renorm_every=renorm,
-                                 base_trajectory=traj)
-
-    def run_dimension():
-        rows = traj.x.shape[0]
-        pts = traj.x[int(0.2 * rows):, list(system.observables or
-                                            range(system.dim))]
-        return box_dimension(pts)
-
-    def run_stability():
-        return stability_report(system, config.alpha)
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        f_lyap = pool.submit(run_lyapunov)
-        f_dim = pool.submit(run_dimension)
-        f_stab = pool.submit(run_stability)
-        result = f_lyap.result()
-        dim_res = f_dim.result()
-        stab = f_stab.result()
-
-    report = _lyapunov_report(system, config, result, renorm, 1)
+    report = _lyapunov_report(system, config, result, renorm, 1, stab_doc)
     _write_json(os.path.join(args.out_dir, "lyapunov.json"), report)
     _write_json(os.path.join(args.out_dir, "dimension.json"), {
         "schema_version": SCHEMA_VERSION,
@@ -522,20 +507,10 @@ def _cmd_reproduce(args):
         "counts": dim_res.counts,
         "window": list(dim_res.window),
     })
-    equilibria = _equilibrium_entries(stab)
-    _write_json(os.path.join(args.out_dir, "stability.json"), {
-        "schema_version": SCHEMA_VERSION,
-        "command": "stability",
-        "system": system.name,
-        "alpha": config.alpha,
-        "equilibria": equilibria,
-        "criteria": {
-            "spectral_chaos": any(e["spectral"]["flag"] for e in equilibria),
-        },
-    })
+    _write_json(os.path.join(args.out_dir, "stability.json"), stab_doc)
     rows = _verdict_rows(example_id, result, report["classification"])
     _format = _format_table(example_id, system.name, rows)
-    _atomic_write(os.path.join(args.out_dir, "comparison.txt"), _format)
+    atomic_write(os.path.join(args.out_dir, "comparison.txt"), _format)
 
     verdicts = [r[3] for r in rows]
     print(f"case {example_id} ({system.name}): 4 artifacts in "
@@ -568,6 +543,16 @@ def _add_solver_flags(sp):
                     help="history truncation length (default: full memory)")
     sp.add_argument("--corrector-iters", type=int, dest="corrector_iters",
                     help="corrector sweeps for the abm scheme (default 1)")
+
+
+def _complex_text(text):
+    """argparse type: a real or complex literal, kept as typed for display."""
+    try:
+        complex(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a real or complex number: {text!r}") from None
+    return text
 
 
 def build_parser():
@@ -629,7 +614,7 @@ def build_parser():
     sp = sub.add_parser("mlf", help="evaluate E_[alpha,beta](z)")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--beta", type=float, default=1.0)
-    sp.add_argument("--z", required=True,
+    sp.add_argument("--z", required=True, type=_complex_text,
                     help="argument, real or complex ('1.5', '-2+0.5j')")
     sp.add_argument("--out", help="optional output JSON path")
     sp.set_defaults(func=_cmd_mlf)

@@ -31,15 +31,6 @@ def _gamma(x):
     return math.gamma(x)
 
 
-def _recip_gamma(x):
-    """1/Gamma(x), pole-safe: reflection keeps it finite (and ~0 near poles)."""
-    if x >= 0.5:
-        if x > 171.0:
-            return math.exp(-math.lgamma(x))
-        return 1.0 / math.gamma(x)
-    return math.sin(math.pi * x) * math.exp(math.lgamma(1.0 - x)) / math.pi
-
-
 def _validate(alpha, beta, z):
     if not (alpha > 0.0):
         raise ValueError(f"alpha must be positive, got {alpha}")

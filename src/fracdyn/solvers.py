@@ -12,9 +12,9 @@ Both reduce to their classical counterparts (Euler, Heun/trapezoid) at
 alpha = 1.  ``multi_term_to_system`` rewrites a scalar equation with several
 derivative orders as a commensurate first-order-in-D^alpha chain.
 
-Per-step cost is one BLAS dot of the reversed-weight vector against the
-contiguous block of stored history, so a full-memory run over N steps costs
-O(N^2 * dim) flops in vectorized form.
+Per-step cost is one call of the shared history kernel ``HistorySum`` (two
+for ABM), a BLAS dot against the contiguous block of stored history, so a
+full-memory run over N steps costs O(N^2 * dim) flops in vectorized form.
 """
 
 import io
@@ -121,6 +121,38 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
     return c
 
 
+class HistorySum:
+    """History convolution shared by the GL, ABM and tangent-frame steppers.
+
+    ``hist(buf, end, lags)`` returns sum_{k=1}^{min(lags, window, end)}
+    w_k * buf[end - k], with ``weights[k - 1]`` = w_k and one (possibly
+    flattened) state per row of ``buf``.  Trailing zero weights are
+    dropped, so ``window`` is the longest contributing lag (one lag for GL
+    at alpha = 1).  Reversed, contiguous weights make each call one BLAS
+    dot against ``buf[end - n:end]``; with no lag in range it returns a
+    zero row.
+    """
+
+    __slots__ = ("window", "_rev")
+
+    def __init__(self, weights):
+        w = np.asarray(weights, dtype=float)
+        nz = np.nonzero(w)[0]
+        self.window = int(nz[-1]) + 1 if len(nz) else 0
+        self._rev = np.ascontiguousarray(w[:self.window][::-1])
+
+    def __call__(self, buf, end, lags):
+        n = min(lags, self.window, end)
+        if n <= 0:
+            return np.zeros(buf.shape[1:])
+        return self._rev[self.window - n:] @ buf[end - n:end]
+
+
+def gl_history(alpha: float, window: int) -> HistorySum:
+    """GL kernel with lag weights c_1 .. c_window (see ``gl_weights``)."""
+    return HistorySum(gl_weights(alpha, window + 1)[1:])
+
+
 def _check_state(x, step, t, bound):
     if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > bound:
         raise DivergenceError(
@@ -155,13 +187,8 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
     h, alpha = config.h, config.alpha
     window = n_steps if config.memory_window is None else min(
         config.memory_window, n_steps)
-
-    c = gl_weights(alpha, window + 1)
-    # drop trailing zero weights: at alpha = 1 only c_1 = -1 survives and
-    # the update collapses to the classical Euler step automatically
-    nz = np.nonzero(c[1:])[0]
-    window = int(nz[-1]) + 1 if len(nz) else 0
-    cr = np.ascontiguousarray(c[window:0:-1])  # [c_window, ..., c_1]
+    # at alpha = 1 only c_1 = -1 survives: the classical Euler step
+    hist = gl_history(alpha, window)
 
     ha = h ** alpha
     t = config.t0 + h * np.arange(n_steps + 1)
@@ -171,9 +198,7 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
     bound = config.diverge_bound
     for m in range(1, n_steps + 1):
         d = ha * np.asarray(f(t[m - 1], x_prev), dtype=float)
-        w = min(m - 1, window)  # d_0 = 0, so lag m contributes nothing
-        if w > 0:
-            d -= cr[window - w:] @ dev[m - w:m]
+        d -= hist(dev, m, m - 1)  # d_0 = 0, so lag m contributes nothing
         dev[m] = d
         x_prev = x0 + d
         _check_state(x_prev, m, t[m], bound)
@@ -201,8 +226,8 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     pw1 = r ** (alpha + 1.0)
     b = pw[1:] - pw[:-1]                      # b_r = (r+1)^a - r^a, r >= 0
     a = pw1[2:] - 2.0 * pw1[1:-1] + pw1[:-2]  # a_r for r >= 1
-    br = np.ascontiguousarray(b[window - 1::-1])  # [b_{window-1}, ..., b_0]
-    ar = np.ascontiguousarray(a[window - 1::-1])  # [a_window, ..., a_1]
+    predictor = HistorySum(b[:window])        # lag k weighs b_{k-1}
+    corrector = HistorySum(a[:window])        # lag k weighs a_k
 
     cp = h ** alpha / gamma(alpha + 1.0)      # predictor scale
     cc = h ** alpha / gamma(alpha + 2.0)      # corrector scale
@@ -215,12 +240,9 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     fx[0] = np.asarray(f(t[0], x0), dtype=float)
     bound = config.diverge_bound
     for m in range(1, n_steps + 1):
-        # predictor: lags 1..w over f_{m-w} .. f_{m-1}
-        w = min(m, window)
-        pred = x0 + cp * (br[window - w:] @ fx[m - w:m])
+        pred = x0 + cp * predictor(fx, m, m)
         # corrector history: interior weights plus boundary weight of f_0
-        w2 = min(m - 1, window)
-        hist = ar[window - w2:] @ fx[m - w2:m] if w2 > 0 else 0.0
+        hist = corrector(fx, m, m - 1)
         if m <= window:
             # weight of f_0: (m-1)^{a+1} - (m-1-a) m^a
             hist = hist + ((m - 1.0) ** (alpha + 1.0)
@@ -366,6 +388,20 @@ def multi_term_to_system(spec: MultiTermSpec):
 # ---------------------------------------------------------------------------
 # trajectory serialization
 
+def atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and ``os.replace``."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     """Write a trajectory as CSV, losslessly (%.17g) and atomically.
 
@@ -385,16 +421,7 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
         buf.write("%.17g," % ti)
         buf.write(",".join("%.17g" % v for v in row))
         buf.write("\n")
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(buf.getvalue())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, buf.getvalue())
 
 
 def read_trajectory_csv(path: str) -> Trajectory:

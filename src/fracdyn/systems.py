@@ -98,13 +98,7 @@ class BenchmarkId:
 
 def default_initial_state(name: str) -> np.ndarray:
     """Catalog default initial condition (chain-padded for duffing)."""
-    if name not in BENCHMARK_NAMES:
-        raise ConfigError(f"unknown system {name!r}")
-    if name == "duffing":
-        x0 = np.zeros(9)
-        x0[0] = _DEFAULT_X0["duffing"][0]
-        return x0
-    return np.array(_DEFAULT_X0[name])
+    return np.array(make_system(name).params["default_x0"], dtype=float)
 
 
 def _lorenz(p):

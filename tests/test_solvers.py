@@ -16,11 +16,13 @@ from fracdyn.errors import (
 )
 from fracdyn.mlf import ml_one
 from fracdyn.solvers import (
+    HistorySum,
     MultiTermSpec,
     SolverConfig,
     SystemSpec,
     Trajectory,
     commensurate_order,
+    gl_history,
     gl_weights,
     multi_term_to_system,
     read_trajectory_csv,
@@ -73,6 +75,58 @@ def test_gl_weights_validation():
         gl_weights(1.2, 5)
     with pytest.raises(ConfigError):
         gl_weights(0.5, 0)
+
+
+# -- history kernel ------------------------------------------------------
+
+
+def naive_history(weights, buf, end, lags):
+    """sum_{k=1}^{lags} w_k buf[end - k] as a plain double loop; lags past
+    the weights or before buf[0] contribute nothing."""
+    acc = np.zeros(buf.shape[1:])
+    for k in range(1, lags + 1):
+        if k > len(weights) or end - k < 0:
+            continue
+        for idx in np.ndindex(*buf.shape[1:]):
+            acc[idx] += weights[k - 1] * buf[end - k][idx]
+    return acc
+
+
+@pytest.mark.parametrize("row_shape", [(), (3,)])
+@pytest.mark.parametrize("window", [0, 1, 5, 15])
+@pytest.mark.parametrize("trailing_zeros", [0, 3])
+def test_history_sum_matches_naive_loop(row_shape, window, trailing_zeros):
+    rng = np.random.default_rng(window * 10 + trailing_zeros)
+    weights = np.concatenate([rng.normal(size=window),
+                              np.zeros(trailing_zeros)])
+    if window:
+        weights[window - 1] = 0.5   # last nonzero weight sits at lag window
+    hist = HistorySum(weights)
+    assert hist.window == window
+    buf = rng.normal(size=(12,) + row_shape)
+    end = 8
+    for lags in (0, 1, 5, end, 20):
+        got = hist(buf, end, lags)
+        assert got.shape == row_shape
+        assert_allclose(got, naive_history(weights, buf, end, lags),
+                        rtol=1e-13, atol=1e-13)
+
+
+def test_history_sum_accepts_flattened_tangent_rows():
+    # the Lyapunov frame stores (dim, m) blocks flattened to dim*m per row
+    rng = np.random.default_rng(7)
+    weights = rng.normal(size=6)
+    blocks = rng.normal(size=(10, 3, 2))
+    got = HistorySum(weights)(blocks.reshape(10, 6), 9, 9).reshape(3, 2)
+    ref = sum(weights[k - 1] * blocks[9 - k] for k in range(1, 7))
+    assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
+
+
+def test_gl_history_alpha_one_keeps_one_lag():
+    assert gl_history(1.0, 50).window == 1
+    assert gl_history(0.9, 50).window == 50
+    buf = np.arange(6.0).reshape(3, 2)
+    assert_allclose(gl_history(1.0, 50)(buf, 3, 3), -buf[2], rtol=0, atol=0)
 
 
 # -- linear relaxation against the Mittag-Leffler solution ---------------
