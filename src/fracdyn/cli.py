@@ -11,10 +11,15 @@ list-systems  one line per catalog system with defaults
 reproduce     run the full pipeline for a documented benchmark case
 
 Configuration precedence is flags > config document (--config JSON) >
-catalog defaults.  All file writes are atomic (temp file + rename), JSON
-reports carry ``schema_version`` and fixed field order, and repeated
-identical invocations produce byte-identical files.  Exit codes: 0 on
-success, 1 on domain errors, 2 on usage errors.
+catalog defaults.  ``reproduce N`` passes case N's row of ``_CASES`` as the
+config document, so it writes exactly what ``simulate``, ``lyapunov``,
+``dimension --transient 0.2`` (on its own ``trajectory.csv``) and
+``stability`` write for the case's settings, plus ``comparison.txt``.
+
+All file writes are atomic (temp file + rename), JSON reports carry
+``schema_version`` and fixed field order, and repeated identical
+invocations produce byte-identical files.  Exit codes: 0 on success, 1 on
+domain errors, 2 on usage errors.
 """
 
 import argparse
@@ -113,12 +118,12 @@ def _parse_params(pairs, doc):
 def _build_system(args, doc):
     name = _resolve(args, doc, "system")
     if name is None:
-        return None, None
+        return None
     params = _parse_params(getattr(args, "param", None), doc)
     alpha = _resolve(args, doc, "alpha")
-    bid = BenchmarkId(name=name, params=params,
-                      **({} if alpha is None else {"alpha": alpha}))
-    return bid, make_system(bid)
+    return make_system(BenchmarkId(
+        name=name, params=params,
+        **({} if alpha is None else {"alpha": alpha})))
 
 
 def _parse_x0(text, system):
@@ -164,7 +169,7 @@ def _solver_config(args, doc, system):
 
 def _cmd_simulate(args):
     doc = _load_config_doc(args.config)
-    bid, system = _build_system(args, doc)
+    system = _build_system(args, doc)
     if system is None:
         return _usage_error("--system is required (flag or config document)")
     config = _solver_config(args, doc, system)
@@ -193,8 +198,9 @@ def _equilibrium_entries(report):
     return entries
 
 
-def _stability_doc(system, alpha, stab):
-    equilibria = _equilibrium_entries(stab)
+def _stability_doc(system, alpha, t=0.0):
+    """The ``stability`` report: equilibria and both eigenvalue criteria."""
+    equilibria = _equilibrium_entries(stability_report(system, alpha, t=t))
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "stability",
@@ -207,9 +213,20 @@ def _stability_doc(system, alpha, stab):
     }
 
 
-def _lyapunov_report(system, config, result, renorm_every, reset_blocks,
-                     stab_doc):
-    return {
+def _lyapunov_run(args, doc, system, config, base_trajectory=None):
+    """Run the spectrum; return it with its stability and lyapunov reports."""
+    renorm = int(_resolve(args, doc, "renorm_every", 10))
+    reset = _resolve(args, doc, "history_reset_blocks", 1)
+    reset = None if reset in (None, "none") else int(reset)
+    result = lyapunov_spectrum(
+        system, config,
+        renorm_every=renorm,
+        transient=_resolve(args, doc, "transient"),
+        history_reset_blocks=reset,
+        base_trajectory=base_trajectory,
+    )
+    stab_doc = _stability_doc(system, config.alpha)
+    report = {
         "schema_version": SCHEMA_VERSION,
         "command": "lyapunov",
         "system": system.name,
@@ -219,8 +236,8 @@ def _lyapunov_report(system, config, result, renorm_every, reset_blocks,
             "t_end": config.t_end,
             "t0": config.t0,
             "scheme": config.scheme,
-            "renorm_every": renorm_every,
-            "history_reset_blocks": reset_blocks,
+            "renorm_every": renorm,
+            "history_reset_blocks": reset,
             "transient_discarded": result.transient_discarded,
         },
         "exponents": result.exponents,
@@ -235,27 +252,16 @@ def _lyapunov_report(system, config, result, renorm_every, reset_blocks,
                 result.d_ky, result.exponents.size),
         },
     }
+    return result, stab_doc, report
 
 
 def _cmd_lyapunov(args):
     doc = _load_config_doc(args.config)
-    bid, system = _build_system(args, doc)
+    system = _build_system(args, doc)
     if system is None:
         return _usage_error("--system is required (flag or config document)")
     config = _solver_config(args, doc, system)
-    renorm = int(_resolve(args, doc, "renorm_every", 10))
-    reset = _resolve(args, doc, "history_reset_blocks", 1)
-    reset = None if reset in (None, "none") else int(reset)
-    result = lyapunov_spectrum(
-        system, config,
-        renorm_every=renorm,
-        transient=_resolve(args, doc, "transient"),
-        history_reset_blocks=reset,
-    )
-    stab_doc = _stability_doc(system, config.alpha,
-                              stability_report(system, config.alpha))
-    report = _lyapunov_report(system, config, result, renorm, reset,
-                              stab_doc)
+    result, _, report = _lyapunov_run(args, doc, system, config)
     _write_json(args.out, report)
     lams = ", ".join(f"{v:.4f}" for v in result.exponents)
     print(f"{system.name}: exponents ({lams}), d_ky={result.d_ky:.4f}, "
@@ -276,30 +282,23 @@ def _parse_columns(text, dim):
     return cols
 
 
-def _cmd_dimension(args):
-    if not 0.0 <= args.transient < 1.0:
+def _dimension_report(traj, input_name, cols, transient, **box_kwargs):
+    """The ``dimension`` report: box-count state columns ``cols`` (0-based)
+    after dropping the leading ``transient`` fraction of rows."""
+    if not 0.0 <= transient < 1.0:
         raise ConfigError(
-            f"transient must be a fraction in [0, 1), got {args.transient}")
-    traj = read_trajectory_csv(args.input)
-    cols = _parse_columns(args.columns, traj.x.shape[1])
-    skip = int(round(args.transient * traj.x.shape[0]))
+            f"transient must be a fraction in [0, 1), got {transient}")
+    skip = int(round(transient * traj.x.shape[0]))
     pts = traj.x[skip:, cols]
     if pts.shape[0] == 0:
         raise ConfigError("transient fraction discards every row")
-    kwargs = {}
-    if args.eps_max is not None:
-        kwargs["eps_max"] = args.eps_max
-    if args.eps_min is not None:
-        kwargs["eps_min"] = args.eps_min
-    if args.levels is not None:
-        kwargs["levels"] = args.levels
-    res = box_dimension(pts, **kwargs)
-    report = {
+    res = box_dimension(pts, **box_kwargs)
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": "dimension",
-        "input": args.input,
+        "input": input_name,
         "columns": [c + 2 for c in cols],
-        "transient": args.transient,
+        "transient": transient,
         "n_points": pts.shape[0],
         "scales": res.scales,
         "counts": res.counts,
@@ -308,29 +307,37 @@ def _cmd_dimension(args):
         "r2": res.r2,
         "window": list(res.window),
     }
+
+
+def _cmd_dimension(args):
+    traj = read_trajectory_csv(args.input)
+    cols = _parse_columns(args.columns, traj.x.shape[1])
+    box_kwargs = {k: getattr(args, k) for k in ("eps_max", "eps_min", "levels")
+                  if getattr(args, k) is not None}
+    report = _dimension_report(traj, args.input, cols, args.transient,
+                               **box_kwargs)
     _write_json(args.out, report)
     plot_out = args.plot_out
     if plot_out is None:
         stem = args.out[:-5] if args.out.endswith(".json") else args.out
         plot_out = stem + ".plot.txt"
     lines = ["# log(1/eps) logN"]
-    for eps, count in zip(res.scales, res.counts):
+    for eps, count in zip(report["scales"], report["counts"]):
         lines.append("%.17g %.17g" % (math.log(1.0 / eps), math.log(count)))
     atomic_write(plot_out, "\n".join(lines) + "\n")
-    print(f"d_f={res.slope:.4f} (r2={res.r2:.5f}, {pts.shape[0]} points) "
-          f"-> {args.out}, {plot_out}")
+    print(f"d_f={report['d_f']:.4f} (r2={report['r2']:.5f}, "
+          f"{report['n_points']} points) -> {args.out}, {plot_out}")
     return 0
 
 
 def _cmd_stability(args):
     doc = _load_config_doc(args.config)
-    bid, system = _build_system(args, doc)
+    system = _build_system(args, doc)
     if system is None:
         return _usage_error("--system is required (flag or config document)")
     alpha = float(_resolve(args, doc, "sector_alpha",
                            system.params["default_alpha"]))
-    report = _stability_doc(system, alpha,
-                            stability_report(system, alpha, t=args.t))
+    report = _stability_doc(system, alpha, t=args.t)
     equilibria = report["equilibria"]
     if args.out:
         _write_json(args.out, report)
@@ -377,28 +384,27 @@ def _cmd_list_systems(args):
 
 # --------------------------------------------------------------- reproduce
 
-_EXAMPLES = {
-    1: {"system": "lorenz", "h": 0.005, "t_end": 500.0, "renorm_every": 20},
-    2: {"system": "duffing", "h": 0.01, "t_end": 300.0, "renorm_every": 10},
-    3: {"system": "chen", "h": 0.002, "t_end": 200.0, "renorm_every": 20},
-    4: {"system": "rossler", "h": 0.005, "t_end": 500.0, "renorm_every": 20},
-    5: {"system": "chua", "h": 0.002, "t_end": 200.0, "renorm_every": 20},
+# documented cases: each row is the config document of its run, plus the
+# target values and qualitative claims that comparison.txt checks
+_CASES = {
+    1: {"system": "lorenz", "h": 0.005, "t_end": 500.0, "renorm_every": 20,
+        "claims": [("classification", "strange"), ("d_ky_in", (2.0, 3.0))]},
+    2: {"system": "duffing", "h": 0.01, "t_end": 300.0, "renorm_every": 10,
+        "claims": [("lambda", 0, 0.143), ("lambda", 1, -0.245),
+                   ("d_ky_near", 1.584)]},
+    3: {"system": "chen", "h": 0.002, "t_end": 200.0, "renorm_every": 20,
+        "claims": [("sign_pattern", None), ("d_ky_noninteger", None)]},
+    4: {"system": "rossler", "h": 0.005, "t_end": 500.0, "renorm_every": 20,
+        "claims": [("sign_pattern", None), ("d_ky_noninteger", None)]},
+    5: {"system": "chua", "h": 0.002, "t_end": 200.0, "renorm_every": 20,
+        "claims": [("sign_pattern", None), ("d_ky_noninteger", None)]},
 }
 
-# documented target values and qualitative claims per benchmark case
-_CLAIMS = {
-    1: [("classification", "strange"), ("d_ky_in", (2.0, 3.0))],
-    2: [("lambda", 0, 0.143), ("lambda", 1, -0.245), ("d_ky_near", 1.584)],
-    3: [("sign_pattern", None), ("d_ky_noninteger", None)],
-    4: [("sign_pattern", None), ("d_ky_noninteger", None)],
-    5: [("sign_pattern", None), ("d_ky_noninteger", None)],
-}
 
-
-def _verdict_rows(example_id, result, classification):
+def _verdict_rows(claims, result, classification):
     lam = result.exponents
     rows = []
-    for claim in _CLAIMS[example_id]:
+    for claim in claims:
         kind = claim[0]
         if kind == "classification":
             expected = claim[1]
@@ -467,53 +473,32 @@ def _format_table(example_id, system_name, rows):
 
 def _cmd_reproduce(args):
     example_id = args.example
-    if example_id not in _EXAMPLES:
+    if example_id not in _CASES:
         return _usage_error(f"example must be 1..5, got {example_id}")
-    spec = dict(_EXAMPLES[example_id])
-    if args.h is not None:
-        spec["h"] = args.h
-    if args.t_end is not None:
-        spec["t_end"] = args.t_end
+    case = _CASES[example_id]
     os.makedirs(args.out_dir, exist_ok=True)
+    written = []
 
-    bid = BenchmarkId(name=spec["system"])
-    system = make_system(bid)
-    config = SolverConfig(
-        alpha=float(system.params["default_alpha"]),
-        h=spec["h"],
-        t_end=spec["t_end"],
-        x0=np.asarray(system.params["default_x0"], dtype=float),
-    )
+    def out(name):
+        written.append(name)
+        return os.path.join(args.out_dir, name)
+
+    system = _build_system(args, case)
+    config = _solver_config(args, case, system)
     traj = solve(system, config)
-    write_trajectory_csv(traj, os.path.join(args.out_dir, "trajectory.csv"))
-
-    renorm = spec["renorm_every"]
-    result = lyapunov_spectrum(system, config, renorm_every=renorm,
-                               base_trajectory=traj)
-    dim_res = box_dimension(traj.x[int(0.2 * traj.x.shape[0]):, list(
-        system.observables or range(system.dim))])
-    stab_doc = _stability_doc(system, config.alpha,
-                              stability_report(system, config.alpha))
-
-    report = _lyapunov_report(system, config, result, renorm, 1, stab_doc)
-    _write_json(os.path.join(args.out_dir, "lyapunov.json"), report)
-    _write_json(os.path.join(args.out_dir, "dimension.json"), {
-        "schema_version": SCHEMA_VERSION,
-        "command": "dimension",
-        "system": system.name,
-        "d_f": dim_res.slope,
-        "r2": dim_res.r2,
-        "scales": dim_res.scales,
-        "counts": dim_res.counts,
-        "window": list(dim_res.window),
-    })
-    _write_json(os.path.join(args.out_dir, "stability.json"), stab_doc)
-    rows = _verdict_rows(example_id, result, report["classification"])
-    _format = _format_table(example_id, system.name, rows)
-    atomic_write(os.path.join(args.out_dir, "comparison.txt"), _format)
+    write_trajectory_csv(traj, out("trajectory.csv"))
+    result, stab_doc, report = _lyapunov_run(args, case, system, config, traj)
+    _write_json(out("lyapunov.json"), report)
+    cols = list(system.observables or range(system.dim))
+    _write_json(out("dimension.json"),
+                _dimension_report(traj, "trajectory.csv", cols, 0.2))
+    _write_json(out("stability.json"), stab_doc)
+    rows = _verdict_rows(case["claims"], result, report["classification"])
+    atomic_write(out("comparison.txt"),
+                 _format_table(example_id, system.name, rows))
 
     verdicts = [r[3] for r in rows]
-    print(f"case {example_id} ({system.name}): 4 artifacts in "
+    print(f"case {example_id} ({system.name}): {len(written)} artifacts in "
           f"{args.out_dir}; claims: {verdicts.count('pass')} pass, "
           f"{verdicts.count('soft-pass')} soft-pass, "
           f"{verdicts.count('fail')} fail")
@@ -553,6 +538,18 @@ def _complex_text(text):
         raise argparse.ArgumentTypeError(
             f"not a real or complex number: {text!r}") from None
     return text
+
+
+def _bind_z_values(argv):
+    """Join ``--z -2+0.5j`` into ``--z=-2+0.5j``: argparse takes a separate
+    value that starts with '-' and is not a plain real for an option."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] == "--z" and arg.startswith("-"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 def build_parser():
@@ -635,7 +632,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _bind_z_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except FracdynError as err:

@@ -168,7 +168,7 @@ def _series_mp(alpha, beta, z, log_peak, k_stop):
     dps = int(25 + peak_digits)
     for _attempt in range(5):
         with mpmath.workdps(dps):
-            zz = mpmath.mpmathify(z)
+            zz = mpmath.mpmathify(z if is_complex else z.real)
             # the gamma argument must be formed in working precision: a float
             # product alpha*k is ~1e-16 off, which the peak terms amplify
             aa = mpmath.mpf(alpha)

@@ -417,10 +417,8 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     mw = "" if traj.memory_window is None else str(traj.memory_window)
     buf.write(f"# memory_window={mw}\n")
     buf.write("t," + ",".join(f"x{i}" for i in range(dim)) + "\n")
-    for ti, row in zip(traj.t, traj.x):
-        buf.write("%.17g," % ti)
-        buf.write(",".join("%.17g" % v for v in row))
-        buf.write("\n")
+    np.savetxt(buf, np.column_stack((traj.t, traj.x)), fmt="%.17g",
+               delimiter=",")
     atomic_write(path, buf.getvalue())
 
 

@@ -42,6 +42,7 @@ def lorenz_csv(tmp_path_factory):
       "--out", "unused.csv"], 1),
     (["simulate", "--out", "unused.csv"], 2),
     (["reproduce", "7", "--out-dir", "unused"], 2),
+    (["mlf", "--alpha", "0.5", "--z", "-2+0.5j"], 0),
 ])
 def test_exit_codes(argv, code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -63,22 +64,44 @@ def test_dimension_transient_must_be_a_fraction(lorenz_csv, tmp_path,
 # -- reproduce -----------------------------------------------------------
 
 
-def test_reproduce_is_byte_identical_and_leaves_no_temp_files(tmp_path):
+def test_reproduce_is_byte_identical_and_leaves_no_temp_files(tmp_path,
+                                                              capsys):
     blobs = []
     for name in ("first", "second"):
         out_dir = tmp_path / name
         assert run(["reproduce", "1", "--t-end", "5",
                     "--out-dir", str(out_dir)]) == 0
         assert sorted(p.name for p in out_dir.iterdir()) == list(ARTIFACTS)
+        assert f" {len(ARTIFACTS)} artifacts in " in capsys.readouterr().out
         blobs.append([(out_dir / n).read_bytes() for n in ARTIFACTS])
     assert blobs[0] == blobs[1]
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-def test_stability_command_and_reproduce_share_one_report(tmp_path):
-    assert run(["reproduce", "1", "--t-end", "5",
-                "--out-dir", str(tmp_path / "case1")]) == 0
-    out = tmp_path / "stability.json"
-    assert run(["stability", "--system", "lorenz", "--out", str(out)]) == 0
-    assert out.read_bytes() == (tmp_path / "case1" / "stability.json"
-                                ).read_bytes()
+@pytest.fixture(scope="module")
+def case2_dir(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("case2")
+    assert run(["reproduce", "2", "--t-end", "20",
+                "--out-dir", str(out_dir)]) == 0
+    return out_dir
+
+
+# the single command, at case 2's settings, that writes each artifact;
+# duffing's 9-d chain exercises the observable columns 2 and 10
+CASE2 = ["--system", "duffing", "--h", "0.01", "--t-end", "20"]
+SINGLE_COMMANDS = {
+    "trajectory.csv": ["simulate", *CASE2],
+    "lyapunov.json": ["lyapunov", *CASE2, "--renorm-every", "10"],
+    "dimension.json": ["dimension", "--input", "trajectory.csv",
+                       "--columns", "2,10", "--transient", "0.2"],
+    "stability.json": ["stability", "--system", "duffing"],
+}
+
+
+@pytest.mark.parametrize("artifact", list(SINGLE_COMMANDS))
+def test_reproduce_artifact_is_what_its_command_writes(case2_dir, artifact,
+                                                       tmp_path, monkeypatch):
+    monkeypatch.chdir(case2_dir)
+    out = tmp_path / artifact
+    assert run(SINGLE_COMMANDS[artifact] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (case2_dir / artifact).read_bytes()

@@ -157,6 +157,15 @@ def test_complex_argument():
             assert abs(mirrored - got.conjugate()) <= 1e-12 * abs(got)
 
 
+def test_complex_argument_on_the_real_axis():
+    # the extended-precision route (E_{1/2}(-2), E_{1/2}(-3)) once raised
+    # TypeError for a complex z with zero imaginary part
+    for z in [-3.0, -2.0, -0.5, 1.5]:
+        got = ml_two(0.5, 1.0, complex(z))
+        assert isinstance(got, complex)
+        assert got == ml_two(0.5, 1.0, z)
+
+
 def test_recurrence_identity():
     # E_{a,b}(z) = 1/Gamma(b) + z * E_{a,a+b}(z)
     for alpha in [0.3, 0.5, 0.8, 1.0, 1.5]:
