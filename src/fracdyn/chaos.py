@@ -293,7 +293,8 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
     reset_blocks = history_reset_blocks or n_blocks
     stretch_steps = min(reset_blocks * renorm_every, n_steps)
     hist = gl_history(alpha, stretch_steps if config.memory_window is None
-                      else min(config.memory_window, stretch_steps))
+                      else min(config.memory_window, stretch_steps),
+                      stretch_steps, (dim * m,))
     ha = h ** alpha
 
     jac = system.jacobian
@@ -312,7 +313,7 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
             s = steps_done + 1
             i += 1
             d = ha * (np.asarray(jac(t[s - 1], x[s - 1])) @ v_prev)
-            d -= hist(dev, i, i - 1).reshape(dim, m)
+            d -= hist(dev, i).reshape(dim, m)
             dev[i] = d.ravel()
             v_prev = v_base + d
             steps_done = s
@@ -330,13 +331,16 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
             # restart the convolution history from the orthonormal frame
             v_base = v_prev
             i = 0
+            hist.reset()
         else:
-            # exact push-through: rescale the anchor and the reachable
-            # history by the same triangular factor
+            # exact push-through: rescale the anchor, the reachable
+            # history and the kernel's pending far sums by the same
+            # triangular factor
             v_base = v_base @ rinv
             lo = max(0, i - hist.window)
-            span = dev[lo:i + 1].reshape(-1, dim, m)
-            dev[lo:i + 1] = (span @ rinv).reshape(-1, dim * m)
+            for span in (dev[lo:i + 1], hist.pending(i)):
+                span[:] = (span.reshape(-1, dim, m) @ rinv).reshape(
+                    span.shape)
         if block >= skip_blocks:
             logs += np.log(np.abs(diag))
             elapsed = (block - skip_blocks + 1) * renorm_every * h

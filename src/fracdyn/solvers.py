@@ -12,14 +12,15 @@ Both reduce to their classical counterparts (Euler, Heun/trapezoid) at
 alpha = 1.  ``multi_term_to_system`` rewrites a scalar equation with several
 derivative orders as a commensurate first-order-in-D^alpha chain.
 
-Per-step cost is one call of the shared history kernel ``HistorySum`` (two
-for ABM), a BLAS dot against the contiguous block of stored history, so a
-full-memory run over N steps costs O(N^2 * dim) flops in vectorized form.
+Per-step cost is one call of the shared history kernel ``HistoryKernel``
+(two for ABM): a direct dot over the last ``BASE`` - 1 lags, plus FFT tiles
+for the longer lags that run once per completed block of history, so a
+full-memory run over N steps costs O(N log^2 N * dim) flops.
 """
 
-import io
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gamma, gcd, isfinite
@@ -121,40 +122,106 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
     return c
 
 
-class HistorySum:
-    """History convolution shared by the GL, ABM and tangent-frame steppers.
+# Lags below BASE are summed by a direct dot; longer ones by FFT tiles of
+# BASE * 2^l rows.
+BASE = 64
 
-    ``hist(buf, end, lags)`` returns sum_{k=1}^{min(lags, window, end)}
-    w_k * buf[end - k], with ``weights[k - 1]`` = w_k and one (possibly
-    flattened) state per row of ``buf``.  Trailing zero weights are
-    dropped, so ``window`` is the longest contributing lag (one lag for GL
-    at alpha = 1).  Reversed, contiguous weights make each call one BLAS
-    dot against ``buf[end - n:end]``; with no lag in range it returns a
-    zero row.
+
+class HistoryKernel:
+    """Streaming history convolution for the GL, ABM and tangent steppers.
+
+    Called once per step with ``end`` = 1, 2, ..., ``hist(buf, end)``
+    returns sum_{k=1}^{min(end, window)} w_k * buf[end - k], with
+    ``weights[k - 1]`` = w_k and one (possibly flattened) state of shape
+    ``row_shape`` per row of ``buf``.  It may assume that rows below ``end``
+    are final: a call reads them, and later calls read only rows at or
+    above ``end - window``.  Trailing zero weights are dropped, so
+    ``window`` is the longest contributing lag (one lag for GL at
+    alpha = 1).
+
+    The sum is split by lag.  Lags below ``BASE`` are the *near* part: one
+    BLAS dot of the reversed weights against ``buf[end - n:end]``, so a
+    window shorter than ``BASE`` is summed exactly as a plain direct dot.
+    Lags in [s, 2s), for each tile size s = BASE * 2^l <= window, are the
+    *far* part: when an aligned input block ``buf[end - s:end]`` is
+    complete (``end`` % s == 0), one FFT tile convolves it with
+    w_s .. w_{2s-1} and adds the result into the pending far rows of the
+    2s - 1 outputs it reaches.  Every (row, lag >= BASE) pair falls into
+    exactly one tile, which runs before its output is asked for.  Over N
+    steps this costs O(N log^2 N) instead of O(N * window).
+
+    The far rows are linear in the stored history: a caller that rescales
+    the history in place must rescale ``pending(end)`` the same way, and
+    one that restarts it from ``end`` = 1 must call ``reset()``.
     """
 
-    __slots__ = ("window", "_rev")
+    __slots__ = ("window", "_near", "_rev", "_tiles", "_far", "_reach",
+                 "_spec", "_out")
 
-    def __init__(self, weights):
+    def __init__(self, weights, horizon, row_shape=()):
         w = np.asarray(weights, dtype=float)
         nz = np.nonzero(w)[0]
         self.window = int(nz[-1]) + 1 if len(nz) else 0
-        self._rev = np.ascontiguousarray(w[:self.window][::-1])
+        self._near = min(self.window, BASE - 1)
+        self._rev = np.ascontiguousarray(w[:self._near][::-1])
+        lifted = (1,) * len(row_shape)
+        self._tiles = []
+        s = BASE
+        while s <= min(self.window, horizon):
+            lags = np.zeros(2 * s)
+            part = w[s - 1:min(2 * s - 1, self.window)]   # w_s .. w_{2s-1}
+            lags[:len(part)] = part
+            self._tiles.append((s, np.fft.rfft(lags).reshape((s + 1,)
+                                                             + lifted)))
+            s *= 2
+        top = self._tiles[-1][0] if self._tiles else 0
+        # outputs a tile of the largest size can still owe: end .. end+2s-2
+        self._reach = 2 * top - 1
+        self._far = np.zeros(((horizon + 1) if top else 0,) + row_shape)
+        # work buffers of the largest tile; smaller tiles use their heads
+        self._spec = np.empty((top + 1,) + row_shape, dtype=complex)
+        self._out = np.empty((2 * top,) + row_shape)
 
-    def __call__(self, buf, end, lags):
-        n = min(lags, self.window, end)
-        if n <= 0:
-            return np.zeros(buf.shape[1:])
-        return self._rev[self.window - n:] @ buf[end - n:end]
+    def __call__(self, buf, end):
+        n = min(end, self._near)
+        acc = self._rev[self._near - n:] @ buf[end - n:end]
+        if not self._tiles:
+            return acc
+        if end % BASE == 0:
+            self._run_tiles(buf, end)
+        return acc + self._far[end]
+
+    def _run_tiles(self, buf, end):
+        far = self._far
+        for s, spectrum in self._tiles:
+            if end % s:
+                break
+            spec = np.fft.rfft(buf[end - s:end], n=2 * s, axis=0,
+                               out=self._spec[:s + 1])
+            spec *= spectrum
+            out = np.fft.irfft(spec, n=2 * s, axis=0, out=self._out[:2 * s])
+            stop = min(end + 2 * s - 1, len(far))
+            far[end:stop] += out[:stop - end]
+
+    def pending(self, end):
+        """Far rows already added for the outputs after ``end`` (a view)."""
+        return self._far[end + 1:end + self._reach]
+
+    def reset(self):
+        """Forget every pending far row, before restarting at ``end`` = 1."""
+        self._far.fill(0.0)
 
 
-def gl_history(alpha: float, window: int) -> HistorySum:
+def gl_history(alpha: float, window: int, horizon: int,
+               row_shape=()) -> HistoryKernel:
     """GL kernel with lag weights c_1 .. c_window (see ``gl_weights``)."""
-    return HistorySum(gl_weights(alpha, window + 1)[1:])
+    return HistoryKernel(gl_weights(alpha, window + 1)[1:], horizon,
+                         row_shape)
 
 
 def _check_state(x, step, t, bound):
-    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > bound:
+    # NaN compares False, so NaN and +-inf fail the one test as well
+    if not np.abs(x).max() <= bound:
         raise DivergenceError(
             f"state left the trust region at step {step} (t = {t:.6g})",
             step=step, t=t)
@@ -188,7 +255,7 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
     window = n_steps if config.memory_window is None else min(
         config.memory_window, n_steps)
     # at alpha = 1 only c_1 = -1 survives: the classical Euler step
-    hist = gl_history(alpha, window)
+    hist = gl_history(alpha, window, n_steps, (system.dim,))
 
     ha = h ** alpha
     t = config.t0 + h * np.arange(n_steps + 1)
@@ -198,7 +265,7 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
     bound = config.diverge_bound
     for m in range(1, n_steps + 1):
         d = ha * np.asarray(f(t[m - 1], x_prev), dtype=float)
-        d -= hist(dev, m, m - 1)  # d_0 = 0, so lag m contributes nothing
+        d -= hist(dev, m)  # d_0 = 0, so lag m contributes nothing
         dev[m] = d
         x_prev = x0 + d
         _check_state(x_prev, m, t[m], bound)
@@ -226,8 +293,9 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     pw1 = r ** (alpha + 1.0)
     b = pw[1:] - pw[:-1]                      # b_r = (r+1)^a - r^a, r >= 0
     a = pw1[2:] - 2.0 * pw1[1:-1] + pw1[:-2]  # a_r for r >= 1
-    predictor = HistorySum(b[:window])        # lag k weighs b_{k-1}
-    corrector = HistorySum(a[:window])        # lag k weighs a_k
+    row = (system.dim,)
+    predictor = HistoryKernel(b[:window], n_steps, row)  # lag k: b_{k-1}
+    corrector = HistoryKernel(a[:window], n_steps, row)  # lag k: a_k
 
     cp = h ** alpha / gamma(alpha + 1.0)      # predictor scale
     cc = h ** alpha / gamma(alpha + 2.0)      # corrector scale
@@ -240,13 +308,14 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     fx[0] = np.asarray(f(t[0], x0), dtype=float)
     bound = config.diverge_bound
     for m in range(1, n_steps + 1):
-        pred = x0 + cp * predictor(fx, m, m)
-        # corrector history: interior weights plus boundary weight of f_0
-        hist = corrector(fx, m, m - 1)
+        pred = x0 + cp * predictor(fx, m)
+        hist = corrector(fx, m)
         if m <= window:
-            # weight of f_0: (m-1)^{a+1} - (m-1-a) m^a
+            # f_0 takes the boundary weight (m-1)^{a+1} - (m-1-a) m^a in
+            # place of the lag-m weight a_m that the kernel summed
             hist = hist + ((m - 1.0) ** (alpha + 1.0)
-                           - (m - 1.0 - alpha) * m ** alpha) * fx[0]
+                           - (m - 1.0 - alpha) * m ** alpha
+                           - a[m - 1]) * fx[0]
         cur = pred
         for _ in range(config.corrector_iters):
             cur = x0 + cc * (hist + np.asarray(f(t[m], cur), dtype=float))
@@ -388,18 +457,29 @@ def multi_term_to_system(spec: MultiTermSpec):
 # ---------------------------------------------------------------------------
 # trajectory serialization
 
-def atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file and ``os.replace``."""
+@contextmanager
+def atomic_open(path: str):
+    """Open a text temp file beside ``path`` for writing.
+
+    A clean exit from the ``with`` block moves it onto ``path`` with
+    ``os.replace``; an exception deletes it and leaves ``path`` as it was.
+    """
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through ``atomic_open``."""
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
@@ -409,17 +489,16 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     read back into an identical Trajectory.
     """
     dim = traj.x.shape[1]
-    buf = io.StringIO()
-    buf.write(f"# system={traj.system_name}\n")
-    buf.write(f"# scheme={traj.scheme}\n")
-    buf.write(f"# alpha={traj.alpha!r}\n")
-    buf.write(f"# h={traj.h!r}\n")
     mw = "" if traj.memory_window is None else str(traj.memory_window)
-    buf.write(f"# memory_window={mw}\n")
-    buf.write("t," + ",".join(f"x{i}" for i in range(dim)) + "\n")
-    np.savetxt(buf, np.column_stack((traj.t, traj.x)), fmt="%.17g",
-               delimiter=",")
-    atomic_write(path, buf.getvalue())
+    with atomic_open(path) as fh:
+        fh.write(f"# system={traj.system_name}\n")
+        fh.write(f"# scheme={traj.scheme}\n")
+        fh.write(f"# alpha={traj.alpha!r}\n")
+        fh.write(f"# h={traj.h!r}\n")
+        fh.write(f"# memory_window={mw}\n")
+        fh.write("t," + ",".join(f"x{i}" for i in range(dim)) + "\n")
+        np.savetxt(fh, np.column_stack((traj.t, traj.x)), fmt="%.17g",
+                   delimiter=",")
 
 
 def read_trajectory_csv(path: str) -> Trajectory:

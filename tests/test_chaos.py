@@ -19,7 +19,7 @@ from fracdyn.chaos import (
     stability_report,
 )
 from fracdyn.errors import ConfigError, NonConvergenceError
-from fracdyn.solvers import SolverConfig, SystemSpec, solve
+from fracdyn.solvers import SolverConfig, SystemSpec, gl_weights, solve
 from fracdyn.systems import find_equilibria, make_system
 
 
@@ -331,6 +331,56 @@ def test_lyapunov_explicit_base_trajectory_matches():
     direct = lyapunov_spectrum(system, cfg)
     supplied = lyapunov_spectrum(system, cfg, base_trajectory=base)
     npt.assert_array_equal(direct.exponents, supplied.exponents)
+
+
+def naive_tangent_history(system, cfg, base, renorm_every, reset_blocks):
+    """The tangent loop of ``lyapunov_spectrum`` with every history sum a
+    direct dot over all lags and the push-through applied to every row."""
+    n_steps, h, alpha, dim = cfg.n_steps, cfg.h, cfg.alpha, system.dim
+    n_blocks = n_steps // renorm_every
+    skip = math.ceil(0.2 * (cfg.t_end - cfg.t0) / (h * renorm_every))
+    reset_blocks = reset_blocks or n_blocks
+    c = gl_weights(alpha, n_steps + 1)
+    dev = np.zeros((n_steps + 1, dim, dim))
+    v_base = v_prev = np.eye(dim)
+    logs, history, s, i = np.zeros(dim), [], 0, 0
+    for block in range(n_blocks):
+        for _ in range(renorm_every):
+            s, i = s + 1, i + 1
+            d = h ** alpha * (system.jacobian(base.t[s - 1], base.x[s - 1])
+                              @ v_prev)
+            d -= np.tensordot(c[1:i][::-1], dev[1:i], axes=1)
+            dev[i] = d
+            v_prev = v_base + d
+        q, r = np.linalg.qr(v_prev)
+        diag = np.diag(r).copy()
+        rinv = np.linalg.inv(r * np.sign(diag)[:, None])
+        v_prev = v_prev @ rinv
+        if (block + 1) % reset_blocks == 0:
+            v_base, i = v_prev, 0
+        else:
+            v_base = v_base @ rinv
+            dev[:i + 1] = dev[:i + 1] @ rinv
+        if block >= skip:
+            logs += np.log(np.abs(diag))
+            history.append(logs / ((block - skip + 1) * renorm_every * h))
+    return np.array(history)
+
+
+@pytest.mark.parametrize("reset_blocks", [None, 10])
+def test_lyapunov_long_stretch_matches_direct_sum(reset_blocks):
+    # 500 steps: the full-memory tangent history reaches the 64..256-row
+    # FFT tiles, and pushes every QR factor through their pending sums
+    system = make_system("lorenz")
+    cfg = SolverConfig(alpha=0.95, h=0.01, t_end=5.0,
+                       x0=system.params["default_x0"])
+    base = solve(system, cfg)
+    got = lyapunov_spectrum(system, cfg, renorm_every=10,
+                            history_reset_blocks=reset_blocks,
+                            base_trajectory=base).history
+    ref = naive_tangent_history(system, cfg, base, 10, reset_blocks)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_lyapunov_fractional_observable_subframe():

@@ -1,5 +1,6 @@
 """Tests for the history-sum and predictor-corrector fractional solvers."""
 
+import io
 import math
 import os
 from fractions import Fraction
@@ -16,7 +17,8 @@ from fracdyn.errors import (
 )
 from fracdyn.mlf import ml_one
 from fracdyn.solvers import (
-    HistorySum,
+    BASE,
+    HistoryKernel,
     MultiTermSpec,
     SolverConfig,
     SystemSpec,
@@ -30,6 +32,7 @@ from fracdyn.solvers import (
     solve_gl,
     write_trajectory_csv,
 )
+from fracdyn.systems import make_system
 
 RELAX = SystemSpec(name="relax", dim=1, field=lambda t, x: -x)
 ROTATE = SystemSpec(name="rotate", dim=2,
@@ -92,6 +95,23 @@ def naive_history(weights, buf, end, lags):
     return acc
 
 
+def stream(kernel, buf, n):
+    """Call ``kernel`` once per step with end = 1 .. n, as the solvers do."""
+    return [kernel(buf, end) for end in range(1, n + 1)]
+
+
+def direct_dot(weights, buf, end):
+    """The plain direct dot over lags 1 .. min(end, len(weights))."""
+    n = min(end, len(weights))
+    return np.ascontiguousarray(weights[:n][::-1]) @ buf[end - n:end]
+
+
+def rounding_scale(weights, buf, end):
+    """sum_k |w_k| |buf[end - k]|, the scale of the sum's rounding error."""
+    n = min(end, len(weights))
+    return np.abs(weights[:n][::-1]) @ np.abs(buf[end - n:end])
+
+
 @pytest.mark.parametrize("row_shape", [(), (3,)])
 @pytest.mark.parametrize("window", [0, 1, 5, 15])
 @pytest.mark.parametrize("trailing_zeros", [0, 3])
@@ -101,15 +121,61 @@ def test_history_sum_matches_naive_loop(row_shape, window, trailing_zeros):
                               np.zeros(trailing_zeros)])
     if window:
         weights[window - 1] = 0.5   # last nonzero weight sits at lag window
-    hist = HistorySum(weights)
-    assert hist.window == window
     buf = rng.normal(size=(12,) + row_shape)
-    end = 8
-    for lags in (0, 1, 5, end, 20):
-        got = hist(buf, end, lags)
-        assert got.shape == row_shape
-        assert_allclose(got, naive_history(weights, buf, end, lags),
+    hist = HistoryKernel(weights, 12, row_shape)
+    assert hist.window == window
+    for end, got in enumerate(stream(hist, buf, 12), start=1):
+        assert np.shape(got) == row_shape
+        assert_allclose(got, naive_history(weights, buf, end, end),
                         rtol=1e-13, atol=1e-13)
+        # below BASE the kernel is the direct dot, bit for bit
+        assert np.array_equal(got, direct_dot(weights[:window], buf, end))
+
+
+@pytest.mark.parametrize("row_shape", [(), (3,), (6,)],
+                         ids=["scalar", "state", "tangent"])
+@pytest.mark.parametrize("n", [50, 777, 2100])
+@pytest.mark.parametrize("window", [1, 63, 64, 65, 200, 1000])
+def test_history_kernel_matches_naive_loop(window, n, row_shape):
+    rng = np.random.default_rng(window + 7 * n + len(row_shape))
+    weights = rng.normal(size=window)
+    buf = rng.normal(size=(n,) + row_shape)
+    got = stream(HistoryKernel(weights, n, row_shape), buf, n)
+    checked = {1, 2, n} | {e for e in (63, 64, 65, 127, 128, 129, 500, 1024,
+                                       1025, 1100, 2048, 2049) if e <= n}
+    for end, value in enumerate(got, start=1):
+        ref = direct_dot(weights, buf, end)
+        if window < BASE:
+            assert np.array_equal(value, ref)
+        scale = rounding_scale(weights, buf, end)
+        assert np.all(np.abs(value - ref) <= 1e-13 * scale)
+        if end in checked:
+            naive = naive_history(weights, buf, end, end)
+            assert np.all(np.abs(value - naive) <= 1e-13 * scale)
+
+
+def test_history_kernel_pushes_through_and_resets():
+    # the tangent frame rescales its stored history by a triangular factor
+    # in place; the pending far sums must follow, and a reset clears them
+    rng = np.random.default_rng(3)
+    dim, m, n, window = 3, 2, 1500, 300
+    weights = rng.normal(size=window)
+    buf = rng.normal(size=(n + 1, dim * m))
+    hist = HistoryKernel(weights, n, (dim * m,))
+    rinv = np.eye(m) + np.triu(rng.normal(size=(m, m)), 1)
+    for end in range(1, n + 1):
+        value = hist(buf, end)
+        assert np.all(np.abs(value - direct_dot(weights, buf, end))
+                      <= 1e-13 * rounding_scale(weights, buf, end))
+        if end % 70 == 0:
+            for span in (buf[:end + 1], hist.pending(end)):
+                span[:] = (span.reshape(-1, dim, m) @ rinv).reshape(
+                    span.shape)
+    hist.reset()
+    fresh = rng.normal(size=buf.shape)
+    for end in range(1, 200):
+        assert_allclose(hist(fresh, end), direct_dot(weights, fresh, end),
+                        rtol=1e-12, atol=1e-12)
 
 
 def test_history_sum_accepts_flattened_tangent_rows():
@@ -117,16 +183,18 @@ def test_history_sum_accepts_flattened_tangent_rows():
     rng = np.random.default_rng(7)
     weights = rng.normal(size=6)
     blocks = rng.normal(size=(10, 3, 2))
-    got = HistorySum(weights)(blocks.reshape(10, 6), 9, 9).reshape(3, 2)
+    got = stream(HistoryKernel(weights, 9, (6,)), blocks.reshape(10, 6),
+                 9)[-1].reshape(3, 2)
     ref = sum(weights[k - 1] * blocks[9 - k] for k in range(1, 7))
     assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
 
 
 def test_gl_history_alpha_one_keeps_one_lag():
-    assert gl_history(1.0, 50).window == 1
-    assert gl_history(0.9, 50).window == 50
+    assert gl_history(1.0, 50, 50).window == 1
+    assert gl_history(0.9, 50, 50).window == 50
     buf = np.arange(6.0).reshape(3, 2)
-    assert_allclose(gl_history(1.0, 50)(buf, 3, 3), -buf[2], rtol=0, atol=0)
+    got = stream(gl_history(1.0, 50, 3, (2,)), buf, 3)[-1]
+    assert_allclose(got, -buf[2], rtol=0, atol=0)
 
 
 # -- linear relaxation against the Mittag-Leffler solution ---------------
@@ -213,6 +281,68 @@ def test_gl_error_shrinks_when_step_halves():
     assert 1.2 < errs[0] / errs[1] < 3.0
 
 
+# -- accuracy against the direct O(N^2) sums ----------------------------
+
+
+def direct_gl(system, cfg):
+    """Full-memory GL update with every lag summed by one direct dot."""
+    n, h, alpha, x0 = cfg.n_steps, cfg.h, cfg.alpha, cfg.x0
+    c = gl_weights(alpha, n + 1)
+    t = cfg.t0 + h * np.arange(n + 1)
+    dev = np.zeros((n + 1, system.dim))
+    for m in range(1, n + 1):
+        d = h ** alpha * np.asarray(system.field(t[m - 1], x0 + dev[m - 1]))
+        dev[m] = d - c[1:m][::-1] @ dev[1:m]
+    return dev + x0
+
+
+def direct_abm(system, cfg):
+    """Full-memory ABM predictor-corrector with direct-dot history sums."""
+    n, h, alpha, x0 = cfg.n_steps, cfg.h, cfg.alpha, cfg.x0
+    r = np.arange(n + 2, dtype=float)
+    pw, pw1 = r ** alpha, r ** (alpha + 1.0)
+    b = pw[1:] - pw[:-1]
+    a = pw1[2:] - 2.0 * pw1[1:-1] + pw1[:-2]
+    cp = h ** alpha / math.gamma(alpha + 1.0)
+    cc = h ** alpha / math.gamma(alpha + 2.0)
+    t = cfg.t0 + h * np.arange(n + 1)
+    x = np.empty((n + 1, system.dim))
+    fx = np.empty((n + 1, system.dim))
+    x[0] = x0
+    fx[0] = system.field(t[0], x0)
+    for m in range(1, n + 1):
+        pred = x0 + cp * (b[:m][::-1] @ fx[:m])
+        hist = a[:m - 1][::-1] @ fx[1:m] + (
+            (m - 1.0) ** (alpha + 1.0)
+            - (m - 1.0 - alpha) * m ** alpha) * fx[0]
+        x[m] = x0 + cc * (hist + system.field(t[m], pred))
+        fx[m] = system.field(t[m], x[m])
+    return x
+
+
+# Lorenz stays short: by t ~ 25 chaos amplifies last-bit differences
+# between any two summation orders to ~1e-7
+LORENZ = make_system("lorenz")
+ACCURACY_CASES = {
+    "lorenz": (LORENZ, dict(alpha=0.995, h=0.005, t_end=10.0,
+                            x0=LORENZ.params["default_x0"])),
+    "relax": (RELAX, dict(alpha=0.5, h=0.001, t_end=3.0, x0=[1.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCURACY_CASES))
+@pytest.mark.parametrize("scheme", ["gl", "abm"])
+def test_full_memory_matches_direct_sum(case, scheme):
+    system, kwargs = ACCURACY_CASES[case]
+    cfg = SolverConfig(scheme=scheme, **kwargs)
+    assert cfg.n_steps >= 2000      # tiles of 64 .. 1024 rows take part
+    solver, direct = ((solve_gl, direct_gl) if scheme == "gl"
+                      else (solve_abm, direct_abm))
+    got = solver(system, cfg).x
+    ref = direct(system, cfg)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 # -- memory window -------------------------------------------------------
 
 
@@ -268,14 +398,22 @@ def test_dimension_mismatch_rejected():
         solve_gl(RELAX, cfg)
 
 
-def test_divergence_reports_step_and_time():
-    blow = SystemSpec(name="blow", dim=1, field=lambda t, x: x * x)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e9],
+                         ids=["nan", "inf", "-inf", "past-bound"])
+@pytest.mark.parametrize("solver, step", [(solve_gl, 6), (solve_abm, 5)],
+                         ids=["gl", "abm"])
+def test_divergence_reports_step_and_time(solver, step, value):
+    # the field is zero until t = 0.45, then returns `value`; GL feels it
+    # one step later than ABM, whose corrector evaluates f at t_m
+    def field(t, x):
+        return np.full(1, value if t > 0.45 else 0.0)
+
     cfg = SolverConfig(alpha=1.0, h=0.1, t_end=100.0, x0=[1.0],
                        diverge_bound=1e6)
     with pytest.raises(DivergenceError) as exc:
-        solve_gl(blow, cfg)
-    assert exc.value.step is not None
-    assert exc.value.t == pytest.approx(exc.value.step * 0.1)
+        solver(SystemSpec(name="blow", dim=1, field=field), cfg)
+    assert exc.value.step == step
+    assert exc.value.t == pytest.approx(step * 0.1)
 
 
 def test_deterministic_across_runs():
@@ -394,3 +532,44 @@ def test_csv_full_memory_roundtrips_as_none(tmp_path):
     path = tmp_path / "full.csv"
     write_trajectory_csv(solve_gl(RELAX, cfg), str(path))
     assert read_trajectory_csv(str(path)).memory_window is None
+
+
+def string_buffer_csv(traj):
+    """The CSV text as a writer that builds it in memory first would."""
+    buf = io.StringIO()
+    buf.write(f"# system={traj.system_name}\n# scheme={traj.scheme}\n"
+              f"# alpha={traj.alpha!r}\n# h={traj.h!r}\n")
+    mw = "" if traj.memory_window is None else str(traj.memory_window)
+    buf.write(f"# memory_window={mw}\n")
+    buf.write("t," + ",".join(f"x{i}" for i in range(traj.x.shape[1]))
+              + "\n")
+    np.savetxt(buf, np.column_stack((traj.t, traj.x)), fmt="%.17g",
+               delimiter=",")
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("window", [None, 40])
+def test_csv_streamed_write_matches_in_memory_text(tmp_path, window):
+    cfg = SolverConfig(alpha=0.9, h=1e-2, t_end=3.0, x0=[1.0, 0.0],
+                       memory_window=window)
+    traj = solve_abm(ROTATE, cfg)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, str(path))
+    assert path.read_bytes() == string_buffer_csv(traj)
+
+
+def test_csv_write_failure_keeps_old_file(tmp_path, monkeypatch):
+    cfg = SolverConfig(alpha=0.9, h=0.1, t_end=1.0, x0=[1.0])
+    path = tmp_path / "out.csv"
+    write_trajectory_csv(solve_gl(RELAX, cfg), str(path))
+    first = path.read_bytes()
+
+    def savetxt_then_fail(fh, rows, **kwargs):
+        fh.write("0,1\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savetxt", savetxt_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_trajectory_csv(solve_gl(RELAX, cfg), str(path))
+    assert path.read_bytes() == first
+    assert os.listdir(tmp_path) == ["out.csv"]
