@@ -16,8 +16,8 @@ the tangent drowns in cancellation.  ``history_reset_blocks`` bounds the
 damage by restarting the convolution history every so many blocks with the
 current orthonormal frame as a fresh initial condition.  The default of
 one block per reset is the classical Benettin restart, exact at alpha = 1
-(one-step memory); systems with weak contraction and long-memory orders
-benefit from much longer stretches between resets.
+(one-step memory), where it is always used; systems with weak contraction
+and long-memory orders benefit from much longer stretches between resets.
 
 For chain lifts of scalar equations (``system.observables`` set) the frame
 holds one tangent column per observable and the QR acts on the observable
@@ -216,20 +216,6 @@ def stability_report(system: SystemSpec, alpha: float, guesses=None,
     return StabilityReport(alpha=alpha, equilibria=tuple(assessments))
 
 
-def _orthonormal_frame(dim, rows, rng=None):
-    """Seed frame: unit vectors along the observable rows, or random."""
-    frame = np.zeros((dim, len(rows)))
-    if rng is None:
-        for j, r in enumerate(rows):
-            frame[r, j] = 1.0
-        return frame
-    gauss = rng.normal(size=(len(rows), len(rows)))
-    q, r = np.linalg.qr(gauss)
-    q *= np.sign(np.diag(r))
-    frame[list(rows), :] = q
-    return frame
-
-
 def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
                       renorm_every: int = 10,
                       transient: Optional[float] = None,
@@ -250,7 +236,9 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
     tangent convolution history survives before being restarted from the
     current frame (None: never).  Within a stretch the QR factors are
     pushed through the stored history exactly; see the module docstring
-    for the conditioning trade-off.
+    for the conditioning trade-off.  At alpha = 1 the history is the one
+    lag c_1 = -1 and a restart is exact, so it runs at every block: every
+    ``history_reset_blocks`` gives the one-block result bit for bit.
 
     For systems with ``observables`` set, one tangent column is seeded per
     observable coordinate and QR normalization acts on the observable rows,
@@ -277,8 +265,8 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
     dim = system.dim
     rows = list(system.observables) if system.observables else list(range(dim))
     m = len(rows)
-    v0 = tangent_seed.copy() if tangent_seed is not None \
-        else _orthonormal_frame(dim, rows)
+    # seed frame: unit vectors along the observable rows
+    v0 = np.eye(dim)[:, rows] if tangent_seed is None else tangent_seed
     if v0.shape != (dim, m):
         raise ConfigError(f"tangent_seed must have shape ({dim}, {m})")
 
@@ -290,39 +278,38 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
     skip_blocks = min(int(math.ceil(transient / (h * renorm_every))),
                       n_blocks - 1)
     transient_discarded = skip_blocks * renorm_every * h
-    reset_blocks = history_reset_blocks or n_blocks
+    # at alpha = 1 the history is the one lag c_1 = -1, so a restart at
+    # every block is exact
+    reset_blocks = 1 if alpha == 1.0 else history_reset_blocks or n_blocks
     stretch_steps = min(reset_blocks * renorm_every, n_steps)
+    dev = np.zeros((stretch_steps + 1, dim, m))  # history within a stretch
     hist = gl_history(alpha, stretch_steps if config.memory_window is None
-                      else min(config.memory_window, stretch_steps),
-                      stretch_steps, (dim * m,))
+                      else min(config.memory_window, stretch_steps), dev)
     ha = h ** alpha
 
     jac = system.jacobian
     x = traj.x
     t = traj.t
-    dev = np.zeros((stretch_steps + 1, dim * m))  # history within a stretch
-    v_base = v0.copy()               # Caputo anchor of the current stretch
-    v_prev = v0.copy()
+    v_base = v_prev = v0             # v_base: Caputo anchor of the stretch
     logs = np.zeros(m)
     history = []
-    steps_done = 0
-    i = 0                            # steps since last history reset
+    step = 0                         # base-trajectory index of v_prev
+    i = 0                            # steps since the last history reset
 
     for block in range(n_blocks):
         for _ in range(renorm_every):
-            s = steps_done + 1
+            d = ha * (np.asarray(jac(t[step], x[step])) @ v_prev)
+            step += 1
             i += 1
-            d = ha * (np.asarray(jac(t[s - 1], x[s - 1])) @ v_prev)
-            d -= hist(dev, i).reshape(dim, m)
-            dev[i] = d.ravel()
+            d -= hist(i)
+            dev[i] = d
             v_prev = v_base + d
-            steps_done = s
         obs = v_prev[rows, :]
         q, r = np.linalg.qr(obs)
         diag = np.diag(r).copy()
         if np.any(np.abs(diag) < 1e-300) or not np.all(np.isfinite(diag)):
             raise NonConvergenceError(
-                f"tangent frame collapsed at t = {t[steps_done]:.6g}")
+                f"tangent frame collapsed at t = {t[step]:.6g}")
         sign = np.sign(diag)
         r *= sign[:, None]           # positive diagonal convention
         rinv = np.linalg.inv(r)
@@ -333,14 +320,10 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
             i = 0
             hist.reset()
         else:
-            # exact push-through: rescale the anchor, the reachable
-            # history and the kernel's pending far sums by the same
-            # triangular factor
+            # exact push-through: rescale the anchor and the history by
+            # the same triangular factor
             v_base = v_base @ rinv
-            lo = max(0, i - hist.window)
-            for span in (dev[lo:i + 1], hist.pending(i)):
-                span[:] = (span.reshape(-1, dim, m) @ rinv).reshape(
-                    span.shape)
+            hist.rescale(i, rinv)
         if block >= skip_blocks:
             logs += np.log(np.abs(diag))
             elapsed = (block - skip_blocks + 1) * renorm_every * h

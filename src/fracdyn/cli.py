@@ -81,19 +81,33 @@ def _load_config_doc(path):
     if path is None:
         return {}
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ConfigError(
+                f"config document {path!r} is not JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config document {path!r} must hold an object")
     return doc
 
 
-def _resolve(args, doc, key, default=None):
+def _number(kind, value, name):
+    """``kind(value)`` for a flag or config value; ConfigError if it fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
+
+
+def _resolve(args, doc, key, default=None, kind=None):
+    """Flag, else config document, else ``default``; ``kind`` converts a
+    value that is not None."""
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in doc:
-        return doc[key]
-    return default
+    if value is None:
+        value = doc.get(key, default)
+    return value if kind is None or value is None else _number(
+        kind, value, key)
 
 
 def _usage_error(message):
@@ -102,16 +116,15 @@ def _usage_error(message):
 
 
 def _parse_params(pairs, doc):
-    params = dict(doc.get("params", {}))
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("config key 'params' must hold an object")
+    params = {k: _number(float, v, f"param {k}") for k, v in params.items()}
     for pair in pairs or ():
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise ConfigError(f"--param needs NAME=VALUE, got {pair!r}")
-        try:
-            params[name] = float(value)
-        except ValueError:
-            raise ConfigError(
-                f"--param {name} needs a number, got {value!r}") from None
+        params[name] = _number(float, value, f"--param {name}")
     return params
 
 
@@ -126,8 +139,13 @@ def _build_system(args, doc):
         **({} if alpha is None else {"alpha": alpha})))
 
 
-def _parse_x0(text, system):
-    values = np.array([float(v) for v in text.split(",")], dtype=float)
+def _parse_x0(x0, system):
+    """Initial state from comma-separated text or a config list."""
+    if isinstance(x0, str):
+        x0 = x0.split(",")
+    elif not isinstance(x0, list):
+        x0 = [x0]
+    values = np.array([_number(float, v, "x0") for v in x0])
     if values.size == system.dim:
         return values
     if system.observables and values.size == 1:
@@ -143,23 +161,21 @@ def _solver_config(args, doc, system):
     x0 = _resolve(args, doc, "x0")
     if x0 is None:
         x0 = np.asarray(system.params["default_x0"], dtype=float)
-    elif isinstance(x0, str):
-        x0 = _parse_x0(x0, system)
     else:
-        x0 = _parse_x0(",".join(repr(float(v)) for v in x0), system)
+        x0 = _parse_x0(x0, system)
     kwargs = {}
-    window = _resolve(args, doc, "memory_window")
+    window = _resolve(args, doc, "memory_window", kind=int)
     if window is not None:
-        kwargs["memory_window"] = int(window)
-    iters = _resolve(args, doc, "corrector_iters")
+        kwargs["memory_window"] = window
+    iters = _resolve(args, doc, "corrector_iters", kind=int)
     if iters is not None:
-        kwargs["corrector_iters"] = int(iters)
+        kwargs["corrector_iters"] = iters
     return SolverConfig(
         alpha=float(system.params["default_alpha"]),
-        h=float(_resolve(args, doc, "h", 0.005)),
-        t_end=float(_resolve(args, doc, "t_end", 100.0)),
+        h=_resolve(args, doc, "h", 0.005, float),
+        t_end=_resolve(args, doc, "t_end", 100.0, float),
         x0=x0,
-        t0=float(_resolve(args, doc, "t0", 0.0)),
+        t0=_resolve(args, doc, "t0", 0.0, float),
         scheme=_resolve(args, doc, "scheme", "gl"),
         **kwargs,
     )
@@ -215,13 +231,14 @@ def _stability_doc(system, alpha, t=0.0):
 
 def _lyapunov_run(args, doc, system, config, base_trajectory=None):
     """Run the spectrum; return it with its stability and lyapunov reports."""
-    renorm = int(_resolve(args, doc, "renorm_every", 10))
+    renorm = _resolve(args, doc, "renorm_every", 10, int)
     reset = _resolve(args, doc, "history_reset_blocks", 1)
-    reset = None if reset in (None, "none") else int(reset)
+    reset = None if reset in (None, "none") else _number(
+        int, reset, "history_reset_blocks")
     result = lyapunov_spectrum(
         system, config,
         renorm_every=renorm,
-        transient=_resolve(args, doc, "transient"),
+        transient=_resolve(args, doc, "transient", kind=float),
         history_reset_blocks=reset,
         base_trajectory=base_trajectory,
     )
@@ -274,7 +291,7 @@ def _parse_columns(text, dim):
         return list(range(dim))
     cols = []
     for piece in text.split(","):
-        idx = int(piece)
+        idx = _number(int, piece, "--columns")
         if idx < 2 or idx > dim + 1:
             raise ConfigError(
                 f"column {idx} out of range (2..{dim + 1}; column 1 is time)")
@@ -335,8 +352,8 @@ def _cmd_stability(args):
     system = _build_system(args, doc)
     if system is None:
         return _usage_error("--system is required (flag or config document)")
-    alpha = float(_resolve(args, doc, "sector_alpha",
-                           system.params["default_alpha"]))
+    alpha = _resolve(args, doc, "sector_alpha",
+                     system.params["default_alpha"], float)
     report = _stability_doc(system, alpha, t=args.t)
     equilibria = report["equilibria"]
     if args.out:

@@ -15,7 +15,9 @@ derivative orders as a commensurate first-order-in-D^alpha chain.
 Per-step cost is one call of the shared history kernel ``HistoryKernel``
 (two for ABM): a direct dot over the last ``BASE`` - 1 lags, plus FFT tiles
 for the longer lags that run once per completed block of history, so a
-full-memory run over N steps costs O(N log^2 N * dim) flops.
+full-memory run over N steps costs O(N log^2 N * dim) flops.  A kernel is
+bound to the buffer it sums: ``hist(end)`` needs ``end <= len(buf) - 1``, and
+rows below ``end`` change only through ``hist.rescale`` or ``hist.reset``.
 """
 
 import os
@@ -130,44 +132,45 @@ BASE = 64
 class HistoryKernel:
     """Streaming history convolution for the GL, ABM and tangent steppers.
 
-    Called once per step with ``end`` = 1, 2, ..., ``hist(buf, end)``
-    returns sum_{k=1}^{min(end, window)} w_k * buf[end - k], with
-    ``weights[k - 1]`` = w_k and one (possibly flattened) state of shape
-    ``row_shape`` per row of ``buf``.  It may assume that rows below ``end``
-    are final: a call reads them, and later calls read only rows at or
-    above ``end - window``.  Trailing zero weights are dropped, so
-    ``window`` is the longest contributing lag (one lag for GL at
-    alpha = 1).
+    Bound to the history buffer ``buf`` (one state per row: a vector for
+    GL and ABM, a (dim, m) block for the tangent frame) and called once per
+    step with ``end`` = 1, 2, ... <= len(buf) - 1, ``hist(end)`` returns
+    sum_{k=1}^{min(end, window)} w_k * buf[end - k] in the shape of a row,
+    with ``weights[k - 1]`` = w_k.  Rows below ``end`` must be final: the
+    caller writes row ``end`` after the call, changes earlier rows only
+    through ``rescale``, and calls ``reset()`` before restarting at
+    ``end`` = 1.  Trailing zero weights are dropped, so ``window`` is the
+    longest contributing lag (one lag for GL at alpha = 1).
 
     The sum is split by lag.  Lags below ``BASE`` are the *near* part: one
-    BLAS dot of the reversed weights against ``buf[end - n:end]``, so a
-    window shorter than ``BASE`` is summed exactly as a plain direct dot.
-    Lags in [s, 2s), for each tile size s = BASE * 2^l <= window, are the
-    *far* part: when an aligned input block ``buf[end - s:end]`` is
-    complete (``end`` % s == 0), one FFT tile convolves it with
-    w_s .. w_{2s-1} and adds the result into the pending far rows of the
-    2s - 1 outputs it reaches.  Every (row, lag >= BASE) pair falls into
-    exactly one tile, which runs before its output is asked for.  Over N
-    steps this costs O(N log^2 N) instead of O(N * window).
-
-    The far rows are linear in the stored history: a caller that rescales
-    the history in place must rescale ``pending(end)`` the same way, and
-    one that restarts it from ``end`` = 1 must call ``reset()``.
+    BLAS dot of the reversed weights against ``buf[end - n:end]`` (rows of
+    rank two or more enter it through a flat view), so a window shorter than
+    ``BASE`` is summed exactly as a plain direct dot.  Lags in [s, 2s), for
+    each tile size s = BASE * 2^l <= window, are the *far* part: when an
+    aligned input block ``buf[end - s:end]`` is complete (``end`` % s == 0),
+    one FFT tile convolves it with w_s .. w_{2s-1} and adds the result into
+    the pending far rows of the 2s - 1 outputs it reaches.  Every
+    (row, lag >= BASE) pair falls into exactly one tile, which runs before
+    its output is asked for.  Over N steps this costs O(N log^2 N) instead
+    of O(N * window).
     """
 
-    __slots__ = ("window", "_near", "_rev", "_tiles", "_far", "_reach",
-                 "_spec", "_out")
+    __slots__ = ("window", "_buf", "_rows", "_near", "_rev", "_tiles",
+                 "_far", "_reach", "_spec", "_out")
 
-    def __init__(self, weights, horizon, row_shape=()):
+    def __init__(self, weights, buf):
         w = np.asarray(weights, dtype=float)
         nz = np.nonzero(w)[0]
         self.window = int(nz[-1]) + 1 if len(nz) else 0
+        self._buf = buf
+        self._rows = buf if buf.ndim <= 2 else np.reshape(
+            buf, (len(buf), -1), copy=False)
         self._near = min(self.window, BASE - 1)
         self._rev = np.ascontiguousarray(w[:self._near][::-1])
-        lifted = (1,) * len(row_shape)
+        lifted = (1,) * (buf.ndim - 1)
         self._tiles = []
         s = BASE
-        while s <= min(self.window, horizon):
+        while s <= min(self.window, len(buf) - 1):
             lags = np.zeros(2 * s)
             part = w[s - 1:min(2 * s - 1, self.window)]   # w_s .. w_{2s-1}
             lags[:len(part)] = part
@@ -177,46 +180,49 @@ class HistoryKernel:
         top = self._tiles[-1][0] if self._tiles else 0
         # outputs a tile of the largest size can still owe: end .. end+2s-2
         self._reach = 2 * top - 1
-        self._far = np.zeros(((horizon + 1) if top else 0,) + row_shape)
+        self._far = np.zeros_like(buf if top else buf[:0])
         # work buffers of the largest tile; smaller tiles use their heads
-        self._spec = np.empty((top + 1,) + row_shape, dtype=complex)
-        self._out = np.empty((2 * top,) + row_shape)
+        self._spec = np.empty((top + 1,) + buf.shape[1:], dtype=complex)
+        self._out = np.empty((2 * top,) + buf.shape[1:])
 
-    def __call__(self, buf, end):
+    def __call__(self, end):
         n = min(end, self._near)
-        acc = self._rev[self._near - n:] @ buf[end - n:end]
+        acc = self._rev[self._near - n:] @ self._rows[end - n:end]
+        if self._rows is not self._buf:
+            acc = acc.reshape(self._buf.shape[1:])
         if not self._tiles:
             return acc
         if end % BASE == 0:
-            self._run_tiles(buf, end)
+            self._run_tiles(end)
         return acc + self._far[end]
 
-    def _run_tiles(self, buf, end):
+    def _run_tiles(self, end):
         far = self._far
         for s, spectrum in self._tiles:
             if end % s:
                 break
-            spec = np.fft.rfft(buf[end - s:end], n=2 * s, axis=0,
+            spec = np.fft.rfft(self._buf[end - s:end], n=2 * s, axis=0,
                                out=self._spec[:s + 1])
             spec *= spectrum
             out = np.fft.irfft(spec, n=2 * s, axis=0, out=self._out[:2 * s])
             stop = min(end + 2 * s - 1, len(far))
             far[end:stop] += out[:stop - end]
 
-    def pending(self, end):
-        """Far rows already added for the outputs after ``end`` (a view)."""
-        return self._far[end + 1:end + self._reach]
+    def rescale(self, end, matrix):
+        """Right-multiply by ``matrix`` every row a later call reads: the
+        stored rows back to lag ``window`` and the pending far rows."""
+        for rows in (self._buf[max(0, end - self.window):end + 1],
+                     self._far[end + 1:end + self._reach]):
+            rows[...] = rows @ matrix
 
     def reset(self):
         """Forget every pending far row, before restarting at ``end`` = 1."""
         self._far.fill(0.0)
 
 
-def gl_history(alpha: float, window: int, horizon: int,
-               row_shape=()) -> HistoryKernel:
-    """GL kernel with lag weights c_1 .. c_window (see ``gl_weights``)."""
-    return HistoryKernel(gl_weights(alpha, window + 1)[1:], horizon,
-                         row_shape)
+def gl_history(alpha: float, window: int, buf) -> HistoryKernel:
+    """GL kernel on ``buf`` with lag weights c_1 .. c_window."""
+    return HistoryKernel(gl_weights(alpha, window + 1)[1:], buf)
 
 
 def _check_state(x, step, t, bound):
@@ -254,18 +260,17 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
     h, alpha = config.h, config.alpha
     window = n_steps if config.memory_window is None else min(
         config.memory_window, n_steps)
-    # at alpha = 1 only c_1 = -1 survives: the classical Euler step
-    hist = gl_history(alpha, window, n_steps, (system.dim,))
-
     ha = h ** alpha
     t = config.t0 + h * np.arange(n_steps + 1)
     dev = np.zeros((n_steps + 1, system.dim))
+    # at alpha = 1 only c_1 = -1 survives: the classical Euler step
+    hist = gl_history(alpha, window, dev)
     f = system.field
     x_prev = x0.copy()
     bound = config.diverge_bound
     for m in range(1, n_steps + 1):
         d = ha * np.asarray(f(t[m - 1], x_prev), dtype=float)
-        d -= hist(dev, m)  # d_0 = 0, so lag m contributes nothing
+        d -= hist(m)  # d_0 = 0, so lag m contributes nothing
         dev[m] = d
         x_prev = x0 + d
         _check_state(x_prev, m, t[m], bound)
@@ -293,23 +298,21 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     pw1 = r ** (alpha + 1.0)
     b = pw[1:] - pw[:-1]                      # b_r = (r+1)^a - r^a, r >= 0
     a = pw1[2:] - 2.0 * pw1[1:-1] + pw1[:-2]  # a_r for r >= 1
-    row = (system.dim,)
-    predictor = HistoryKernel(b[:window], n_steps, row)  # lag k: b_{k-1}
-    corrector = HistoryKernel(a[:window], n_steps, row)  # lag k: a_k
-
     cp = h ** alpha / gamma(alpha + 1.0)      # predictor scale
     cc = h ** alpha / gamma(alpha + 2.0)      # corrector scale
 
     t = config.t0 + h * np.arange(n_steps + 1)
     x = np.empty((n_steps + 1, system.dim))
     fx = np.empty((n_steps + 1, system.dim))
+    predictor = HistoryKernel(b[:window], fx)  # lag k: b_{k-1}
+    corrector = HistoryKernel(a[:window], fx)  # lag k: a_k
     x[0] = x0
     f = system.field
     fx[0] = np.asarray(f(t[0], x0), dtype=float)
     bound = config.diverge_bound
     for m in range(1, n_steps + 1):
-        pred = x0 + cp * predictor(fx, m)
-        hist = corrector(fx, m)
+        pred = x0 + cp * predictor(m)
+        hist = corrector(m)
         if m <= window:
             # f_0 takes the boundary weight (m-1)^{a+1} - (m-1-a) m^a in
             # place of the lag-m weight a_m that the kernel summed
@@ -510,13 +513,19 @@ def read_trajectory_csv(path: str) -> Trajectory:
                 break
             key, _, value = line[1:].strip().partition("=")
             meta[key.strip()] = value.strip()
-    data = np.loadtxt(path, delimiter=",", skiprows=len(meta) + 1, ndmin=2)
+    try:
+        alpha, h = float(meta["alpha"]), float(meta["h"])
+        data = np.loadtxt(path, delimiter=",", skiprows=len(meta) + 1,
+                          ndmin=2)
+    except (KeyError, ValueError) as err:
+        raise ConfigError(f"{path!r} is not a trajectory CSV with "
+                          f"'# alpha=' and '# h=' lines ({err!r})") from None
     mw = meta.get("memory_window", "")
     return Trajectory(
         t=data[:, 0],
         x=data[:, 1:],
-        alpha=float(meta["alpha"]),
-        h=float(meta["h"]),
+        alpha=alpha,
+        h=h,
         system_name=meta.get("system", ""),
         scheme=meta.get("scheme", ""),
         memory_window=int(mw) if mw else None,

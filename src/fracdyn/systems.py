@@ -78,14 +78,20 @@ class BenchmarkId:
             raise ConfigError(f"non-finite parameter in {merged}")
         object.__setattr__(self, "params", merged)
         alpha = self.alpha if self.alpha is not None else _DEFAULT_ALPHA[self.name]
-        if self.name == "duffing":
-            if np.isscalar(alpha):
+        try:
+            if self.name != "duffing":
+                alpha = float(alpha)
+            elif np.isscalar(alpha):
                 alpha = (float(alpha), _DEFAULT_ALPHA["duffing"][1])
-            alpha = (float(alpha[0]), float(alpha[1]))
+            else:
+                alpha = (float(alpha[0]), float(alpha[1]))
+        except (TypeError, ValueError, IndexError):
+            raise ConfigError(
+                f"alpha must be a number, got {alpha!r}") from None
+        if self.name == "duffing":
             if not all(0.0 < o <= 1.0 for o in alpha):
                 raise ConfigError(f"orders must lie in (0, 1], got {alpha}")
         else:
-            alpha = float(alpha)
             if not (0.0 < alpha <= 1.0):
                 raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
         object.__setattr__(self, "alpha", alpha)

@@ -383,6 +383,22 @@ def test_lyapunov_long_stretch_matches_direct_sum(reset_blocks):
     assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
+def test_lyapunov_alpha_one_restarts_history_at_every_block():
+    # at alpha = 1 the history is one lag, so a restart at every block is
+    # exact; a longer stretch (or none) must give the same bits, since a
+    # push-through over many blocks drifts or collapses the frame
+    system = make_system("lorenz")
+    cfg = SolverConfig(alpha=1.0, h=0.005, t_end=20.0,
+                       x0=system.params["default_x0"])
+    base = solve(system, cfg)
+    runs = [lyapunov_spectrum(system, cfg, renorm_every=10,
+                              history_reset_blocks=reset,
+                              base_trajectory=base).history
+            for reset in (1, 50, None)]
+    npt.assert_array_equal(runs[1], runs[0])
+    npt.assert_array_equal(runs[2], runs[0])
+
+
 def test_lyapunov_fractional_observable_subframe():
     system = make_system("duffing")
     x0 = np.zeros(9)

@@ -105,3 +105,42 @@ def test_reproduce_artifact_is_what_its_command_writes(case2_dir, artifact,
     out = tmp_path / artifact
     assert run(SINGLE_COMMANDS[artifact] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (case2_dir / artifact).read_bytes()
+
+
+# -- bad input -----------------------------------------------------------
+
+TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["dimension", "--input", "traj.csv", "--columns", "a"],
+     {"traj.csv": TRAJECTORY}),
+    (["dimension", "--input", "traj.csv", "--columns", "2,,3"],
+     {"traj.csv": TRAJECTORY}),
+    (["dimension", "--input", "bare.csv"], {"bare.csv": "t,x0\n0,1\n"}),
+    (["simulate", "--system", "lorenz", "--x0", "a,b,c"], {}),
+    (["simulate", "--config", "doc.json"],
+     {"doc.json": '{"system": "lorenz", "h": '}),
+    (["simulate", "--config", "doc.json"],
+     {"doc.json": '{"system": "lorenz", "h": "abc"}'}),
+    (["simulate", "--config", "doc.json"],
+     {"doc.json": '{"system": "lorenz", "x0": ["a", 1, 2]}'}),
+    (["simulate", "--config", "doc.json"],
+     {"doc.json": '{"system": "lorenz", "alpha": "abc"}'}),
+    (["simulate", "--config", "doc.json"],
+     {"doc.json": '{"system": "lorenz", "params": {"sigma": "x"}}'}),
+    (["lyapunov", "--config", "doc.json"],
+     {"doc.json": '{"system": "lorenz", "transient": "abc"}'}),
+    (["lyapunov", "--system", "lorenz", "--history-reset-blocks", "abc"], {}),
+], ids=["columns-a", "columns-empty", "csv-no-header", "x0-text",
+        "config-not-json", "config-h-text", "config-x0-text",
+        "config-alpha-text", "config-param-text", "config-transient-text",
+        "reset-blocks-text"])
+def test_bad_input_is_a_config_error(argv, files, tmp_path, monkeypatch,
+                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run(argv + ["--out", "out"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)

@@ -22,7 +22,6 @@ from fracdyn.solvers import (
     MultiTermSpec,
     SolverConfig,
     SystemSpec,
-    Trajectory,
     commensurate_order,
     gl_history,
     gl_weights,
@@ -95,21 +94,28 @@ def naive_history(weights, buf, end, lags):
     return acc
 
 
-def stream(kernel, buf, n):
+def stream(kernel, n):
     """Call ``kernel`` once per step with end = 1 .. n, as the solvers do."""
-    return [kernel(buf, end) for end in range(1, n + 1)]
+    return [kernel(end) for end in range(1, n + 1)]
+
+
+def rows_of(buf):
+    """``buf`` with rows of rank two or more flattened to vectors."""
+    return buf if buf.ndim <= 2 else buf.reshape(len(buf), -1)
 
 
 def direct_dot(weights, buf, end):
     """The plain direct dot over lags 1 .. min(end, len(weights))."""
     n = min(end, len(weights))
-    return np.ascontiguousarray(weights[:n][::-1]) @ buf[end - n:end]
+    rev = np.ascontiguousarray(weights[:n][::-1])
+    return (rev @ rows_of(buf)[end - n:end]).reshape(buf.shape[1:])
 
 
 def rounding_scale(weights, buf, end):
     """sum_k |w_k| |buf[end - k]|, the scale of the sum's rounding error."""
     n = min(end, len(weights))
-    return np.abs(weights[:n][::-1]) @ np.abs(buf[end - n:end])
+    return (np.abs(weights[:n][::-1])
+            @ np.abs(rows_of(buf)[end - n:end])).reshape(buf.shape[1:])
 
 
 @pytest.mark.parametrize("row_shape", [(), (3,)])
@@ -121,10 +127,10 @@ def test_history_sum_matches_naive_loop(row_shape, window, trailing_zeros):
                               np.zeros(trailing_zeros)])
     if window:
         weights[window - 1] = 0.5   # last nonzero weight sits at lag window
-    buf = rng.normal(size=(12,) + row_shape)
-    hist = HistoryKernel(weights, 12, row_shape)
+    buf = rng.normal(size=(13,) + row_shape)
+    hist = HistoryKernel(weights, buf)
     assert hist.window == window
-    for end, got in enumerate(stream(hist, buf, 12), start=1):
+    for end, got in enumerate(stream(hist, 12), start=1):
         assert np.shape(got) == row_shape
         assert_allclose(got, naive_history(weights, buf, end, end),
                         rtol=1e-13, atol=1e-13)
@@ -132,15 +138,15 @@ def test_history_sum_matches_naive_loop(row_shape, window, trailing_zeros):
         assert np.array_equal(got, direct_dot(weights[:window], buf, end))
 
 
-@pytest.mark.parametrize("row_shape", [(), (3,), (6,)],
+@pytest.mark.parametrize("row_shape", [(), (3,), (3, 2)],
                          ids=["scalar", "state", "tangent"])
 @pytest.mark.parametrize("n", [50, 777, 2100])
 @pytest.mark.parametrize("window", [1, 63, 64, 65, 200, 1000])
 def test_history_kernel_matches_naive_loop(window, n, row_shape):
     rng = np.random.default_rng(window + 7 * n + len(row_shape))
     weights = rng.normal(size=window)
-    buf = rng.normal(size=(n,) + row_shape)
-    got = stream(HistoryKernel(weights, n, row_shape), buf, n)
+    buf = rng.normal(size=(n + 1,) + row_shape)
+    got = stream(HistoryKernel(weights, buf), n)
     checked = {1, 2, n} | {e for e in (63, 64, 65, 127, 128, 129, 500, 1024,
                                        1025, 1100, 2048, 2049) if e <= n}
     for end, value in enumerate(got, start=1):
@@ -155,45 +161,48 @@ def test_history_kernel_matches_naive_loop(window, n, row_shape):
 
 
 def test_history_kernel_pushes_through_and_resets():
-    # the tangent frame rescales its stored history by a triangular factor
-    # in place; the pending far sums must follow, and a reset clears them
+    # the tangent frame rescales its history by a triangular factor through
+    # the kernel, which must rescale its pending far sums the same way; a
+    # reset clears them
     rng = np.random.default_rng(3)
     dim, m, n, window = 3, 2, 1500, 300
     weights = rng.normal(size=window)
-    buf = rng.normal(size=(n + 1, dim * m))
-    hist = HistoryKernel(weights, n, (dim * m,))
+    buf = rng.normal(size=(n + 1, dim, m))
+    ref = buf.copy()    # the same history, rescaled in full by hand
+    hist = HistoryKernel(weights, buf)
     rinv = np.eye(m) + np.triu(rng.normal(size=(m, m)), 1)
     for end in range(1, n + 1):
-        value = hist(buf, end)
-        assert np.all(np.abs(value - direct_dot(weights, buf, end))
-                      <= 1e-13 * rounding_scale(weights, buf, end))
+        value = hist(end)
+        assert value.shape == (dim, m)
+        assert np.all(np.abs(value - direct_dot(weights, ref, end))
+                      <= 1e-13 * rounding_scale(weights, ref, end))
         if end % 70 == 0:
-            for span in (buf[:end + 1], hist.pending(end)):
-                span[:] = (span.reshape(-1, dim, m) @ rinv).reshape(
-                    span.shape)
+            hist.rescale(end, rinv)
+            ref[:end + 1] = ref[:end + 1] @ rinv
+    buf[:] = rng.normal(size=buf.shape)
     hist.reset()
-    fresh = rng.normal(size=buf.shape)
     for end in range(1, 200):
-        assert_allclose(hist(fresh, end), direct_dot(weights, fresh, end),
+        assert_allclose(hist(end), direct_dot(weights, buf, end),
                         rtol=1e-12, atol=1e-12)
 
 
 def test_history_sum_accepts_flattened_tangent_rows():
-    # the Lyapunov frame stores (dim, m) blocks flattened to dim*m per row
+    # the Lyapunov frame stores one (dim, m) block per row; the kernel sums
+    # them through a flat view and returns a block
     rng = np.random.default_rng(7)
     weights = rng.normal(size=6)
     blocks = rng.normal(size=(10, 3, 2))
-    got = stream(HistoryKernel(weights, 9, (6,)), blocks.reshape(10, 6),
-                 9)[-1].reshape(3, 2)
+    got = stream(HistoryKernel(weights, blocks), 9)[-1]
+    assert got.shape == (3, 2)
     ref = sum(weights[k - 1] * blocks[9 - k] for k in range(1, 7))
     assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
 
 
 def test_gl_history_alpha_one_keeps_one_lag():
-    assert gl_history(1.0, 50, 50).window == 1
-    assert gl_history(0.9, 50, 50).window == 50
-    buf = np.arange(6.0).reshape(3, 2)
-    got = stream(gl_history(1.0, 50, 3, (2,)), buf, 3)[-1]
+    assert gl_history(1.0, 50, np.zeros(51)).window == 1
+    assert gl_history(0.9, 50, np.zeros(51)).window == 50
+    buf = np.arange(8.0).reshape(4, 2)
+    got = stream(gl_history(1.0, 50, buf), 3)[-1]
     assert_allclose(got, -buf[2], rtol=0, atol=0)
 
 
@@ -268,6 +277,22 @@ def test_abm_alpha_one_rotation_accuracy():
     traj = solve_abm(ROTATE, cfg)
     ref = np.c_[np.cos(traj.t), -np.sin(traj.t)]
     assert np.max(np.abs(traj.x - ref)) < 1e-5
+
+
+def test_abm_corrector_sweeps_converge_to_trapezoid_rule():
+    # at alpha = 1 repeated corrector sweeps solve the implicit trapezoid
+    # rule, x_m = ((1 + h*lam/2) / (1 - h*lam/2))^m for x' = lam * x
+    h, lam = 0.01, -1.0
+    errs = []
+    for sweeps in (1, 2, 5):
+        cfg = SolverConfig(alpha=1.0, h=h, t_end=2.0, x0=[1.0],
+                           scheme="abm", corrector_iters=sweeps)
+        traj = solve_abm(RELAX, cfg)
+        m = np.arange(cfg.n_steps + 1)
+        ref = ((1 + h * lam / 2) / (1 - h * lam / 2)) ** m
+        errs.append(np.max(np.abs(traj.x[:, 0] - ref)))
+    assert errs[0] > errs[1] > errs[2]
+    assert errs[2] <= 1e-13
 
 
 def test_gl_error_shrinks_when_step_halves():
