@@ -38,7 +38,8 @@ from .chaos import (
 )
 from .errors import ConfigError, FracdynError
 from .geometry import box_dimension
-from .mlf import ml_two
+from .mlf import ml_route
+from .mlf import ml_two  # noqa: F401  (bench/run.py traces cli.ml_two)
 from .solvers import (
     SolverConfig,
     atomic_write,
@@ -369,9 +370,10 @@ def _cmd_stability(args):
 def _cmd_mlf(args):
     z = complex(args.z)
     try:
-        value = complex(ml_two(args.alpha, args.beta, z))
-    except ValueError as err:
+        value, route = ml_route(args.alpha, args.beta, z)
+    except (ValueError, OverflowError) as err:
         raise ConfigError(str(err)) from None
+    print(f"route: {route}", file=sys.stderr)
     if args.out:
         _write_json(args.out, {
             "schema_version": SCHEMA_VERSION,

@@ -1,21 +1,27 @@
 """Mittag-Leffler functions E_a(z) and E_{a,b}(z).
 
 These are the solution kernels of linear fractional relaxation and serve as
-the accuracy oracle for the fractional solvers.  Evaluation strategy:
+the accuracy oracle for the fractional solvers.  Evaluation routes, tried in
+this order (the asymptotic expansion first on the real axis at z <= -5):
 
-1. power series in float64 when cancellation is provably harmless,
-2. an asymptotic expansion on the decaying side (0 < a < 1, large |z|),
-   accepted only when its optimal-truncation error certifies the target,
-3. the same power series in adaptive extended precision otherwise.
+1. ``series``: the power series in float64, accepted when its rounding
+   bound (eps times the sum of |terms|, widened for the rounded gamma
+   argument and the phase of complex z) certifies the target;
+2. ``asymptotic``: the large-|z| expansion for 0 < a < 1, accepted when the
+   envelope of its first omitted term certifies the target;
+3. ``contour``: Garrappa's inverse Laplace transform on a parabolic contour
+   in float64, accepted when its step-halving difference, its truncated
+   tail and its rounding bound each certify the target;
+4. ``mpmath``: the power series in adaptive extended precision, sized from
+   the digits the series actually cancels; the last route.
 
-Every returned value is accurate to ~1e-12 relative, comfortably inside the
-1e-10 contract for |z| <= 50.
+``z = 0`` is the exact value 1/Gamma(b) (route ``zero``).  Every returned
+value is accurate to ~1e-12 relative, comfortably inside the 1e-10 contract
+for |z| <= 50.
 """
 
 import cmath
 import math
-
-import mpmath
 
 from .errors import NonConvergenceError
 
@@ -158,6 +164,10 @@ def _asymptotic(alpha, beta, z):
 
 def _series_mp(alpha, beta, z, log_peak, k_stop):
     """Power series in extended precision sized to absorb cancellation."""
+    # imported here: mpmath would be most of ``import fracdyn``'s time, and
+    # the float64 routes serve nearly every argument
+    import mpmath
+
     if k_stop > _MAX_TERMS_MP:
         raise NonConvergenceError(
             f"series for E_{{{alpha},{beta}}}({z!r}) needs ~{k_stop} terms; "
@@ -218,13 +228,187 @@ def _asymptotic_certified(alpha, beta, z):
     """Asymptotic value, or None when its error estimate misses the target."""
     value, err = _asymptotic(alpha, beta, z)
     if abs(value) > 0.0 and err <= 0.05 * _REL_TOL * abs(value):
-        return value
+        return complex(value.real) if complex(z).imag == 0.0 else value
     return None
 
 
+_EPS = 2.220446049250313e-16
+_LOG_EPS = math.log(_EPS)
+# quadrature targets, relaxed tenfold while the fewest nodes still exceed N
+_CONTOUR_TARGETS = (1e-15, 1e-14, 1e-13)
+_CONTOUR_MAX_NODES = 200
+_ROUND_SAFETY = 4.0
+
+
+def _optimal_rb(phi_j, phi_j1, p, log_tol):
+    """Garrappa's OptimalParam_RB: (mu, h, N) for the parabola between the
+    singularities with phi = phi_j and phi_j1, of strengths p and 1."""
+    f_max = math.exp(log_tol - _LOG_EPS)
+    sq_j = math.sqrt(phi_j)
+    sq_j1 = min(math.sqrt(phi_j1), 2.0 * math.sqrt(log_tol - _LOG_EPS) - sq_j)
+    if p < 1e-14:
+        f_min = 1.01 * sq_j / (sq_j1 - sq_j) if sq_j > 0.0 else 1.01
+        if f_min >= f_max:
+            return None
+        f_bar = f_min + f_min / f_max * (f_max - f_min)
+        fq = 1.0 / f_bar
+        bar_j = sq_j
+        bar_j1 = (2.0 * sq_j1 - fq * sq_j) / (2.0 + fq)
+    else:
+        f_min = 1.01 * (sq_j + sq_j1) / (sq_j1 - sq_j) ** max(p, 1.0)
+        if f_min >= f_max:
+            return None
+        f_min = max(f_min, 1.5)
+        f_bar = f_min + f_min / f_max * (f_max - f_min)
+        fp = f_bar ** (-1.0 / p)
+        fq = 1.0 / f_bar
+        w = -phi_j1 / log_tol
+        den = 2.0 + w - (1.0 + w) * fp + fq
+        bar_j = ((2.0 + w + fq) * sq_j + fp * sq_j1) / den
+        bar_j1 = (-(1.0 + w) * fq * sq_j
+                  + (2.0 + w - (1.0 + w) * fp) * sq_j1) / den
+    log_tol -= math.log(f_bar)
+    w = -bar_j1 * bar_j1 / log_tol
+    mid = (1.0 + w) * bar_j + bar_j1
+    mu = (mid / (2.0 + w)) ** 2
+    h = -2.0 * math.pi / log_tol * (bar_j1 - bar_j) / mid
+    return mu, h, math.ceil(math.sqrt(1.0 - log_tol / mu) / h)
+
+
+def _optimal_ru(phi_j, p, log_tol):
+    """Garrappa's OptimalParam_RU: (mu, h, N) for the parabola right of the
+    rightmost singularity, phi = phi_j of strength p."""
+    sq_j = math.sqrt(phi_j)
+    phi_bar = 1.01 * phi_j if phi_j > 0.0 else 0.01
+    sq_bar = math.sqrt(phi_bar)
+    for _ in range(50):
+        log_ratio = log_tol / phi_bar
+        n = math.ceil(phi_bar / math.pi * (
+            1.0 - 1.5 * log_ratio + math.sqrt(1.0 - 2.0 * log_ratio)))
+        a = math.pi * n / phi_bar
+        sq_mu = sq_bar * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
+        if p < 1e-14 or 1.0 < ((sq_bar - sq_j) / sq_mu) ** (-p) < 10.0:
+            break
+        sq_bar = 5.0 ** (-1.0 / p) * sq_mu + sq_j
+        phi_bar = sq_bar * sq_bar
+    else:
+        return None
+    mu = sq_mu * sq_mu
+    h = (-3.0 * a - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
+    # keep the rounding of e^mu below the target
+    threshold = log_tol - _LOG_EPS
+    if mu > threshold:
+        q = 0.0 if p < 1e-14 else 5.0 ** (-1.0 / p) * sq_mu
+        phi_bar = (q + sq_j) ** 2
+        if phi_bar >= threshold:
+            return None
+        w = math.sqrt(_LOG_EPS / (_LOG_EPS - log_tol))
+        u = math.sqrt(-phi_bar / _LOG_EPS)
+        mu = threshold
+        n = math.ceil(w * log_tol / (2.0 * math.pi) / (u * w - 1.0))
+        h = w / n
+    return mu, h, n
+
+
+def _contour(alpha, beta, z):
+    """Inverse Laplace transform on Garrappa's optimal parabola.
+
+    E_{a,b}(z) = (1/2 pi i) int e^s s^(a-b) / (s^a - z) ds along
+    s(u) = mu (1 + iu)^2, plus the residues (1/a) s*^(1-b) e^(s*) of the poles
+    s* of 1/(s^a - z) right of the parabola (R. Garrappa, SIAM J. Numer. Anal.
+    53(3), 2015; parabolic contours after Weideman & Trefethen, Math. Comp.
+    76, 2007).  (mu, h, N) come from the region between singularities that
+    needs the fewest nodes N at the target 1e-15, relaxed tenfold while
+    N > 200.  The trapezoid rule runs at step h/2 over |u| <= N h.  The value
+    is accepted only when each of these stays inside _REL_TOL: its
+    difference from the step-h sum (every other node), the geometric bound
+    on the omitted tail, and the rounding bound.
+
+    Returns the value (real-valued for real z), or None when a check fails
+    or a residue would overflow.
+    """
+    zc = complex(z)
+    if math.log(abs(zc)) > 700.0 * alpha:
+        return None  # |s*| = |z|^(1/a) is out of the double range
+    r = abs(zc) ** (1.0 / alpha)
+    theta = cmath.phase(zc)
+    ks = range(math.ceil(-alpha / 2.0 - theta / (2.0 * math.pi)),
+               math.floor(alpha / 2.0 - theta / (2.0 * math.pi)) + 1)
+    # phi(s) = (Re s + |s|)/2 is the mu of the parabola through s; poles on
+    # the negative real axis (phi = 0) lie left of every parabola
+    right = sorted(
+        (s for s in (cmath.rect(r, (theta + 2.0 * math.pi * k) / alpha)
+                     for k in ks) if s.real + abs(s) > 2e-15),
+        key=lambda s: s.real + abs(s))
+    phis = [0.0] + [(s.real + abs(s)) / 2.0 for s in right] + [math.inf]
+    strength = [max(0.0, -2.0 * (alpha - beta + 1.0))] + [1.0] * len(right)
+    # regions whose left singularity keeps e^mu's rounding below the target
+    regions = [j for j in range(len(right) + 1)
+               if phis[j] < math.log(_CONTOUR_TARGETS[0]) - _LOG_EPS
+               and phis[j] < phis[j + 1]]
+    for target in _CONTOUR_TARGETS:
+        log_tol = math.log(target)
+        best = None
+        for j in regions:
+            if j < len(right):
+                params = _optimal_rb(phis[j], phis[j + 1], strength[j],
+                                     log_tol)
+            else:
+                params = _optimal_ru(phis[j], strength[j], log_tol)
+            if params is not None and (best is None or params[2] < best[2]):
+                best, region = params, j
+        if best is not None and best[2] <= _CONTOUR_MAX_NODES:
+            break
+    else:
+        return None
+    mu, h, n = best
+    # imported here, like mpmath, so that ``import fracdyn`` stays light
+    import numpy as np
+
+    poles = right[region:]
+    exponents = [s + (1.0 - beta) * cmath.log(s) for s in poles]
+    if any(x.real > 700.0 for x in exponents):
+        return None
+    residues = [cmath.exp(x) / alpha for x in exponents]
+
+    step = 0.5 * h
+    u = step * np.arange(-2 * n, 2 * n + 1)
+    s = mu * (1.0 + 1j * u) ** 2
+    log_s = np.log(s)
+    s_alpha = np.exp(alpha * log_s)
+    pole = s_alpha - zc
+    terms = np.exp(s + (alpha - beta) * log_s) / pole * (2.0 * mu * (1j - u))
+    fine = complex(terms.sum()) * (step / (2j * math.pi))
+    coarse = complex(terms[::2].sum()) * (h / (2j * math.pi))
+    value = fine + sum(residues)
+    mag = np.abs(terms)
+    # truncation: the nodes decay like e^(-mu u^2), so the omitted tail on
+    # each side is below a geometric series at the last nodes' ratio
+    tail = 0.0
+    for last, inner in ((mag[0], mag[1]), (mag[-1], mag[-2])):
+        if not last < inner:
+            return None
+        tail += step / (2.0 * math.pi) * last / (1.0 - last / inner)
+    # rounding: a node is off by ~eps (|s| + |s^a| / |s^a - z|) of itself,
+    # from the phase of e^s and the cancellation in s^a - z; a residue by
+    # ~eps |s*| (1 + |log |s*||), the error of s* = |z|^(1/a) e^(i arg/a)
+    bound = _EPS * (
+        step / (2.0 * math.pi) * float(mag @ (
+            _ROUND_SAFETY + mu * (1.0 + u * u)
+            + np.abs(s_alpha) / np.abs(pole)))
+        + sum(abs(res) * (_ROUND_SAFETY
+                          + abs(p) * (1.0 + abs(math.log(abs(p)))))
+              for res, p in zip(residues, poles)))
+    scale = _REL_TOL * abs(value)
+    if not (abs(fine - coarse) <= scale and tail <= scale and bound <= scale):
+        return None
+    return complex(value.real) if zc.imag == 0.0 else value
+
+
 def _ml_eval(alpha, beta, z):
+    """(E_{alpha,beta}(z) as a complex, name of the route that certified it)."""
     if z == 0:
-        return complex(1.0 / _gamma(beta))
+        return complex(1.0 / _gamma(beta)), "zero"
     log_peak, k_stop = _series_scales(alpha, beta, abs(z))
     zr = complex(z)
     asym_applies = 0.0 < alpha < 1.0 and abs(z) > 1.0
@@ -235,19 +419,23 @@ def _ml_eval(alpha, beta, z):
     if asym_first:
         value = _asymptotic_certified(alpha, beta, z)
         if value is not None:
-            return value
+            return value, "asymptotic"
 
     if k_stop <= _MAX_TERMS_F64:
         value, ok = _series_f64(alpha, beta, z, k_stop)
         if ok:
-            return value
+            return value, "series"
 
     if asym_applies and not asym_first:
         value = _asymptotic_certified(alpha, beta, z)
         if value is not None:
-            return value
+            return value, "asymptotic"
 
-    return _series_mp(alpha, beta, z, log_peak, k_stop)
+    value = _contour(alpha, beta, z)
+    if value is not None:
+        return value, "contour"
+
+    return _series_mp(alpha, beta, z, log_peak, k_stop), "mpmath"
 
 
 def ml_two(alpha, beta, z):
@@ -269,10 +457,19 @@ def ml_two(alpha, beta, z):
     ``NonConvergenceError`` when the accuracy target cannot be certified.
     """
     _validate(alpha, beta, z)
-    value = _ml_eval(float(alpha), float(beta), z)
+    value, _route = _ml_eval(float(alpha), float(beta), z)
     if isinstance(z, complex):
         return value
     return value.real
+
+
+def ml_route(alpha, beta, z):
+    """E_{alpha,beta}(z) as a complex, and the name of the route that
+    evaluated it: ``zero``, ``series``, ``asymptotic``, ``contour`` or
+    ``mpmath``.  Raises what ``ml_two`` raises.
+    """
+    _validate(alpha, beta, z)
+    return _ml_eval(float(alpha), float(beta), z)
 
 
 def ml_one(alpha, z):

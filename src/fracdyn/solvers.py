@@ -513,8 +513,11 @@ def read_trajectory_csv(path: str) -> Trajectory:
                 break
             key, _, value = line[1:].strip().partition("=")
             meta[key.strip()] = value.strip()
+        has_rows = any(line.strip() for line in fh)
     try:
         alpha, h = float(meta["alpha"]), float(meta["h"])
+        if not has_rows:
+            raise ConfigError(f"{path!r} has no data rows")
         data = np.loadtxt(path, delimiter=",", skiprows=len(meta) + 1,
                           ndmin=2)
     except (KeyError, ValueError) as err:

@@ -132,10 +132,13 @@ TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
     (["lyapunov", "--config", "doc.json"],
      {"doc.json": '{"system": "lorenz", "transient": "abc"}'}),
     (["lyapunov", "--system", "lorenz", "--history-reset-blocks", "abc"], {}),
+    (["mlf", "--alpha", "0.1", "--z", "10"], {}),
+    (["dimension", "--input", "traj.csv", "--transient", "0"],
+     {"traj.csv": "# alpha=0.9\n# h=0.1\nt,x0,x1\n"}),
 ], ids=["columns-a", "columns-empty", "csv-no-header", "x0-text",
         "config-not-json", "config-h-text", "config-x0-text",
         "config-alpha-text", "config-param-text", "config-transient-text",
-        "reset-blocks-text"])
+        "reset-blocks-text", "mlf-overflow", "csv-no-rows"])
 def test_bad_input_is_a_config_error(argv, files, tmp_path, monkeypatch,
                                      capsys):
     monkeypatch.chdir(tmp_path)
@@ -144,3 +147,19 @@ def test_bad_input_is_a_config_error(argv, files, tmp_path, monkeypatch,
     assert run(argv + ["--out", "out"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("alpha, z, route", [
+    ("0.7", "0", "zero"), ("0.7", "0.5", "series"),
+    ("0.7", "-20", "asymptotic"), ("0.7", "-3", "contour"),
+    ("0.7", "-3-5.5j", "contour"), ("1", "-50", "mpmath"),
+])
+def test_mlf_reports_its_route_on_stderr_only(alpha, z, route, tmp_path,
+                                              capsys):
+    out = tmp_path / "mlf.json"
+    assert run(["mlf", "--alpha", alpha, f"--z={z}", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"route: {route}\n"
+    assert captured.out.startswith(f"E_[{float(alpha)},1.0]({z}) = ")
+    assert "route" not in captured.out
+    assert "route" not in out.read_text()

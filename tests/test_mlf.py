@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdyn import ml_one, ml_two
+from fracdyn import ml_one, ml_two, mlf
 
 
 def series_cost(alpha, beta, z):
@@ -222,3 +222,76 @@ def test_recurrence_property(alpha, beta, z):
     rhs = 1.0 / math.gamma(beta) + z * ml_two(alpha, alpha + beta, z)
     assert math.isfinite(lhs)
     assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
+
+
+# -- the float64 contour route ---------------------------------------------
+
+def _relaxation_arguments(alpha, lam, times):
+    """lam * t^alpha as floats for a real rate, as complex numbers otherwise."""
+    zs = [lam * t ** alpha for t in times]
+    return [z.real for z in zs] if lam.imag == 0.0 else zs
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 0.9])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_contour_route_against_series_oracle(alpha, beta):
+    # the series and asymptotic routes certify part of this grid first, so
+    # the contour route is called directly: it must certify every point
+    reals = [-15.0 + 2.0 * i for i in range(8)]
+    rotations = _relaxation_arguments(alpha, complex(-0.6, -1.1),
+                                      [0.5, 2.0, 4.5, 7.0, 10.0])
+    for z in reals + rotations:
+        got = mlf._contour(alpha, beta, z)
+        assert got is not None, (alpha, beta, z)
+        ref = ml_series_oracle(alpha, beta, z)
+        assert abs(got - ref) <= 1e-10 * abs(ref), (alpha, beta, z)
+        value, route = mlf.ml_route(alpha, beta, z)
+        assert route != "mpmath", (alpha, beta, z)
+        if route == "contour":
+            assert value == got
+
+
+def test_relaxation_grid_never_reaches_mpmath(monkeypatch):
+    # the grid shape of the relaxation-oracle benchmark workload: 606 points,
+    # of which z = 0 and the float64 series take 73; the contour route must
+    # take the other 533, which would otherwise need the mpmath series
+    def no_mpmath(*args):
+        raise AssertionError(f"mpmath route taken for {args}")
+
+    monkeypatch.setattr(mlf, "_series_mp", no_mpmath)
+    times = [0.1 * i for i in range(101)]
+    routes = []
+    for alpha in [0.5, 0.7, 0.9]:
+        for lam in [complex(-1.75), complex(-0.6, -1.1)]:
+            for z in _relaxation_arguments(alpha, lam, times):
+                value, route = mlf.ml_route(alpha, 1.0, z)
+                assert value == ml_one(alpha, z) and math.isfinite(abs(value))
+                routes.append(route)
+    assert {r: routes.count(r) for r in set(routes)} == {
+        "zero": 6, "series": 67, "contour": 533}
+
+
+@pytest.mark.parametrize("x", [10.0, 50.0])
+def test_contour_rejection_falls_through_to_mpmath(x):
+    # E_1(-x) = e^-x sits below the nodes' rounding bound (for x = 10 that
+    # bound alone fails: the step difference and the tail pass), so the
+    # contour route declines it and the extended-precision series answers
+    assert mlf._contour(1.0, 1.0, -x) is None
+    value, route = mlf.ml_route(1.0, 1.0, -x)
+    assert route == "mpmath"
+    assert value.real == pytest.approx(math.exp(-x), rel=1e-12)
+
+
+def test_contour_route_declines_overflow():
+    # residues e^(s*) beyond the double range: None, not OverflowError
+    assert mlf._contour(0.2, 1.0, 20.0) is None
+    assert mlf._contour(1.0, 1.0, 800.0) is None
+    assert mlf._contour(0.1, 1.0, 10.0) is None
+
+
+def test_asymptotic_route_is_real_on_the_real_axis():
+    value, route = mlf.ml_route(0.3, 1.0, complex(-20.0))
+    assert route == "asymptotic"
+    assert value.imag == 0.0
+    assert ml_two(0.3, 1.0, complex(-20.0)) == ml_two(0.3, 1.0, -20.0)
+

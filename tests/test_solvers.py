@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -598,3 +599,16 @@ def test_csv_write_failure_keeps_old_file(tmp_path, monkeypatch):
         write_trajectory_csv(solve_gl(RELAX, cfg), str(path))
     assert path.read_bytes() == first
     assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_csv_without_data_rows_is_a_config_error(tmp_path):
+    cfg = SolverConfig(alpha=0.9, h=0.1, t_end=1.0, x0=[1.0])
+    path = tmp_path / "out.csv"
+    write_trajectory_csv(solve_gl(RELAX, cfg), str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    n_header = sum(line.startswith("#") for line in lines) + 1
+    path.write_text("".join(lines[:n_header]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="no data rows"):
+            read_trajectory_csv(str(path))
