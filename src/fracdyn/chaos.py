@@ -7,17 +7,26 @@ history-sum scheme used for trajectories.  Every ``renorm_every`` steps the
 frame is re-orthonormalized by QR and the log stretch factors accumulate
 into exponent estimates.
 
-Because the variational flow is linear, a QR renormalization can be pushed
-through the stored convolution history exactly (every stored deviation and
-the initial frame are right-multiplied by the inverse triangular factor).
-That exact propagation is float-limited: the rescaled initial frame grows
-like the inverse of the accumulated contraction, so after enough e-folds
-the tangent drowns in cancellation.  ``history_reset_blocks`` bounds the
-damage by restarting the convolution history every so many blocks with the
-current orthonormal frame as a fresh initial condition.  The default of
-one block per reset is the classical Benettin restart, exact at alpha = 1
-(one-step memory), where it is always used; systems with weak contraction
-and long-memory orders benefit from much longer stretches between resets.
+``tangent_history`` names the convention the exponents are measured in:
+
+- ``"restart"`` (the default) restarts the Caputo convolution history of
+  the tangent frame at every QR, with the orthonormal frame as a fresh
+  initial condition.  It gives finite-time exponents over the block
+  length T = ``renorm_every`` * h, and for alpha < 1 they depend on T.
+  With one step per block a restart multiplies the frame by
+  I + h^alpha * Df, so the exponent is about h^(alpha - 1) * Re(mu) for an
+  eigenvalue mu of Df, which has no limit as h -> 0.
+- ``"exact"`` solves the linear variational equation itself.  Because
+  that flow is linear, each QR factor is pushed through the stored
+  history exactly (every stored deviation and the Caputo anchor are
+  right-multiplied by the inverse triangular factor), so the exponents do
+  not depend on T.  The push-through rescales every stored row, which
+  costs O(N^2) over an N-step run, and the anchor grows like the inverse
+  of the accumulated contraction, so a long run of strong contraction
+  loses digits to cancellation.
+
+At alpha = 1 the history is the one lag of a first-order step, so a
+restart is exact and both conventions give the same bits.
 
 For chain lifts of scalar equations (``system.observables`` set) the frame
 holds one tangent column per observable and the QR acts on the observable
@@ -34,6 +43,10 @@ import numpy as np
 from .errors import ConfigError, NonConvergenceError
 from .solvers import SolverConfig, SystemSpec, Trajectory, gl_history, solve
 from .systems import Equilibrium, find_equilibria
+
+# lambda_1 counts as converged when its last-quarter drift is below this
+_DRIFT_TOL = 5e-2
+TANGENT_HISTORIES = ("restart", "exact")
 
 __all__ = [
     "LyapunovResult",
@@ -220,8 +233,7 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
                       renorm_every: int = 10,
                       transient: Optional[float] = None,
                       tangent_seed: Optional[np.ndarray] = None,
-                      drift_tol: float = 5e-2,
-                      history_reset_blocks: Optional[int] = 1,
+                      tangent_history: str = "restart",
                       base_trajectory: Optional[Trajectory] = None,
                       ) -> LyapunovResult:
     """Lyapunov exponents of a fractional system by tangent-frame QR.
@@ -232,13 +244,13 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
     to the standard map-Jacobian product.  ``transient`` (default 20% of
     the horizon) is integrated but excluded from exponent accumulation.
 
-    ``history_reset_blocks`` sets how many renormalization blocks the
-    tangent convolution history survives before being restarted from the
-    current frame (None: never).  Within a stretch the QR factors are
-    pushed through the stored history exactly; see the module docstring
-    for the conditioning trade-off.  At alpha = 1 the history is the one
-    lag c_1 = -1 and a restart is exact, so it runs at every block: every
-    ``history_reset_blocks`` gives the one-block result bit for bit.
+    ``tangent_history`` is the convention (see the module docstring):
+    ``"restart"`` restarts the tangent convolution history at every QR and
+    gives finite-time exponents over T = ``renorm_every`` * h, which depend
+    on T for alpha < 1; ``"exact"`` pushes every QR factor through the
+    stored history, solving the variational equation exactly at O(N^2)
+    cost, with exponents that do not depend on T.  At alpha = 1 a restart
+    is exact, so both give the same bits.
 
     For systems with ``observables`` set, one tangent column is seeded per
     observable coordinate and QR normalization acts on the observable rows,
@@ -248,8 +260,10 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
         raise ConfigError(f"system {system.name!r} has no Jacobian")
     if renorm_every < 1:
         raise ConfigError(f"renorm_every must be >= 1, got {renorm_every}")
-    if history_reset_blocks is not None and history_reset_blocks < 1:
-        raise ConfigError("history_reset_blocks must be >= 1 or None")
+    if tangent_history not in TANGENT_HISTORIES:
+        raise ConfigError(
+            f"tangent_history must be 'restart' or 'exact', "
+            f"got {tangent_history!r}")
     n_steps = config.n_steps
     if transient is None:
         transient = 0.2 * (config.t_end - config.t0)
@@ -278,23 +292,23 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
     skip_blocks = min(int(math.ceil(transient / (h * renorm_every))),
                       n_blocks - 1)
     transient_discarded = skip_blocks * renorm_every * h
-    # at alpha = 1 the history is the one lag c_1 = -1, so a restart at
-    # every block is exact
-    reset_blocks = 1 if alpha == 1.0 else history_reset_blocks or n_blocks
-    stretch_steps = min(reset_blocks * renorm_every, n_steps)
-    dev = np.zeros((stretch_steps + 1, dim, m))  # history within a stretch
-    hist = gl_history(alpha, stretch_steps if config.memory_window is None
-                      else min(config.memory_window, stretch_steps), dev)
+    # at alpha = 1 the history is the one lag c_1 = -1, so a restart is
+    # exact; the history spans one block, or the whole run when exact
+    exact = tangent_history == "exact" and alpha != 1.0
+    span = n_blocks * renorm_every if exact else renorm_every
+    dev = np.zeros((span + 1, dim, m))
+    hist = gl_history(alpha, span if config.memory_window is None
+                      else min(config.memory_window, span), dev)
     ha = h ** alpha
 
     jac = system.jacobian
     x = traj.x
     t = traj.t
-    v_base = v_prev = v0             # v_base: Caputo anchor of the stretch
+    v_base = v_prev = v0             # v_base: Caputo anchor of the history
     logs = np.zeros(m)
     history = []
     step = 0                         # base-trajectory index of v_prev
-    i = 0                            # steps since the last history reset
+    i = 0                            # rows in the stored tangent history
 
     for block in range(n_blocks):
         for _ in range(renorm_every):
@@ -314,16 +328,16 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
         r *= sign[:, None]           # positive diagonal convention
         rinv = np.linalg.inv(r)
         v_prev = v_prev @ rinv
-        if (block + 1) % reset_blocks == 0 or block == n_blocks - 1:
+        if exact:
+            # push-through: rescale the anchor and the history by the
+            # same triangular factor
+            v_base = v_base @ rinv
+            hist.rescale(i, rinv)
+        else:
             # restart the convolution history from the orthonormal frame
             v_base = v_prev
             i = 0
             hist.reset()
-        else:
-            # exact push-through: rescale the anchor and the history by
-            # the same triangular factor
-            v_base = v_base @ rinv
-            hist.rescale(i, rinv)
         if block >= skip_blocks:
             logs += np.log(np.abs(diag))
             elapsed = (block - skip_blocks + 1) * renorm_every * h
@@ -339,7 +353,7 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
         history=history,
         d_ky=kaplan_yorke(exponents),
         transient_discarded=transient_discarded,
-        converged=bool(drift < drift_tol),
+        converged=bool(drift < _DRIFT_TOL),
         drift=drift,
         alpha=alpha,
         system_name=system.name,

@@ -31,6 +31,7 @@ import sys
 import numpy as np
 
 from .chaos import (
+    TANGENT_HISTORIES,
     classify_attractor,
     dimension_instability_check,
     lyapunov_spectrum,
@@ -233,14 +234,12 @@ def _stability_doc(system, alpha, t=0.0):
 def _lyapunov_run(args, doc, system, config, base_trajectory=None):
     """Run the spectrum; return it with its stability and lyapunov reports."""
     renorm = _resolve(args, doc, "renorm_every", 10, int)
-    reset = _resolve(args, doc, "history_reset_blocks", 1)
-    reset = None if reset in (None, "none") else _number(
-        int, reset, "history_reset_blocks")
+    tangent_history = _resolve(args, doc, "tangent_history", "restart")
     result = lyapunov_spectrum(
         system, config,
         renorm_every=renorm,
         transient=_resolve(args, doc, "transient", kind=float),
-        history_reset_blocks=reset,
+        tangent_history=tangent_history,
         base_trajectory=base_trajectory,
     )
     stab_doc = _stability_doc(system, config.alpha)
@@ -255,7 +254,7 @@ def _lyapunov_run(args, doc, system, config, base_trajectory=None):
             "t0": config.t0,
             "scheme": config.scheme,
             "renorm_every": renorm,
-            "history_reset_blocks": reset,
+            "tangent_history": tangent_history,
             "transient_discarded": result.transient_discarded,
         },
         "exponents": result.exponents,
@@ -585,16 +584,25 @@ def build_parser():
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.set_defaults(func=_cmd_simulate)
 
-    sp = sub.add_parser("lyapunov", help="exponent spectrum JSON report")
+    sp = sub.add_parser(
+        "lyapunov", help="exponent spectrum JSON report",
+        description="Lyapunov spectrum by tangent-frame QR, with the "
+                    "stability report.  --tangent-history names the "
+                    "convention: 'restart' restarts the tangent history at "
+                    "every QR and gives finite-time exponents over "
+                    "T = renorm_every * h, which depend on T for alpha < 1; "
+                    "'exact' pushes each QR factor through the stored "
+                    "history, solves the variational equation exactly and "
+                    "does not depend on T, at O(N^2) cost in the steps N.")
     _add_system_flags(sp)
     _add_solver_flags(sp)
     sp.add_argument("--renorm-every", type=int, dest="renorm_every",
                     help="steps between orthonormalizations (default 10)")
     sp.add_argument("--transient", type=float,
                     help="time discarded before accumulation (default 20%%)")
-    sp.add_argument("--history-reset-blocks", dest="history_reset_blocks",
-                    help="blocks between tangent-history restarts "
-                         "(integer or 'none'; default 1)")
+    sp.add_argument("--tangent-history", dest="tangent_history",
+                    choices=TANGENT_HISTORIES,
+                    help="Lyapunov convention (default restart)")
     sp.add_argument("--out", required=True, help="output JSON path")
     sp.set_defaults(func=_cmd_lyapunov)
 

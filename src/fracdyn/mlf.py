@@ -22,6 +22,7 @@ for |z| <= 50.
 
 import cmath
 import math
+import sys
 
 from .errors import NonConvergenceError
 
@@ -57,6 +58,23 @@ def _series_scales(alpha, beta, az):
     log_peak = k_peak * math.log(az) - math.lgamma(alpha * k_peak + beta)
     k_stop = int((math.e * m - beta) / alpha) + 200
     return log_peak, k_stop
+
+
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+
+
+def _peak_term_overflows(alpha, beta, x):
+    """True when real ``x`` > 1 has a series term past the double range.
+
+    Every term x^k / Gamma(alpha*k + beta) is then positive, so the sum
+    exceeds its largest one.  The term is taken at the integer k nearest
+    the peak of ``_series_scales``; the margin covers the rounding of its
+    logarithm.
+    """
+    log_x = math.log(x)
+    k = round(max(0.0, (x ** (1.0 / alpha) - beta) / alpha))
+    log_term = k * log_x - math.lgamma(alpha * k + beta)
+    return log_term > _LOG_DBL_MAX + 1e-9 * max(1.0, k * log_x)
 
 
 def _series_f64(alpha, beta, z, k_stop):
@@ -435,6 +453,10 @@ def _ml_eval(alpha, beta, z):
     if value is not None:
         return value, "contour"
 
+    if zr.imag == 0.0 and zr.real > 1.0 and _peak_term_overflows(
+            alpha, beta, zr.real):
+        raise OverflowError(
+            f"E_{{{alpha},{beta}}}({z!r}) exceeds the double range")
     return _series_mp(alpha, beta, z, log_peak, k_stop), "mpmath"
 
 

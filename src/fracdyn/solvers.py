@@ -70,6 +70,9 @@ class SolverConfig:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
         if not (self.h > 0.0 and isfinite(self.h)):
             raise ConfigError(f"h must be positive and finite, got {self.h}")
+        if not (isfinite(self.t0) and isfinite(self.t_end)):
+            raise ConfigError(
+                f"t0 and t_end must be finite, got {self.t0} and {self.t_end}")
         if not (self.t_end > self.t0):
             raise ConfigError(
                 f"t_end ({self.t_end}) must exceed t0 ({self.t0})")

@@ -293,6 +293,8 @@ def find_equilibria(system: SystemSpec, guesses=None, t: float = 0.0,
     """
     if system.jacobian is None:
         raise ConfigError(f"system {system.name!r} has no Jacobian")
+    if not math.isfinite(t):
+        raise ConfigError(f"t must be finite, got {t}")
     if guesses is None:
         guesses = default_guesses(system.dim)
     guesses = np.atleast_2d(np.asarray(guesses, dtype=float))

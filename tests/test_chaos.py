@@ -333,13 +333,12 @@ def test_lyapunov_explicit_base_trajectory_matches():
     npt.assert_array_equal(direct.exponents, supplied.exponents)
 
 
-def naive_tangent_history(system, cfg, base, renorm_every, reset_blocks):
+def naive_tangent_history(system, cfg, base, renorm_every, tangent_history):
     """The tangent loop of ``lyapunov_spectrum`` with every history sum a
     direct dot over all lags and the push-through applied to every row."""
     n_steps, h, alpha, dim = cfg.n_steps, cfg.h, cfg.alpha, system.dim
     n_blocks = n_steps // renorm_every
     skip = math.ceil(0.2 * (cfg.t_end - cfg.t0) / (h * renorm_every))
-    reset_blocks = reset_blocks or n_blocks
     c = gl_weights(alpha, n_steps + 1)
     dev = np.zeros((n_steps + 1, dim, dim))
     v_base = v_prev = np.eye(dim)
@@ -356,47 +355,46 @@ def naive_tangent_history(system, cfg, base, renorm_every, reset_blocks):
         diag = np.diag(r).copy()
         rinv = np.linalg.inv(r * np.sign(diag)[:, None])
         v_prev = v_prev @ rinv
-        if (block + 1) % reset_blocks == 0:
-            v_base, i = v_prev, 0
-        else:
+        if tangent_history == "exact":
             v_base = v_base @ rinv
             dev[:i + 1] = dev[:i + 1] @ rinv
+        else:
+            v_base, i = v_prev, 0
         if block >= skip:
             logs += np.log(np.abs(diag))
             history.append(logs / ((block - skip + 1) * renorm_every * h))
     return np.array(history)
 
 
-@pytest.mark.parametrize("reset_blocks", [None, 10])
-def test_lyapunov_long_stretch_matches_direct_sum(reset_blocks):
-    # 500 steps: the full-memory tangent history reaches the 64..256-row
-    # FFT tiles, and pushes every QR factor through their pending sums
+@pytest.mark.parametrize("tangent_history", ["exact", "restart"])
+def test_lyapunov_long_stretch_matches_direct_sum(tangent_history):
+    # 500 steps: the exact tangent history reaches the 64..256-row FFT
+    # tiles, and pushes every QR factor through their pending sums
     system = make_system("lorenz")
     cfg = SolverConfig(alpha=0.95, h=0.01, t_end=5.0,
                        x0=system.params["default_x0"])
     base = solve(system, cfg)
     got = lyapunov_spectrum(system, cfg, renorm_every=10,
-                            history_reset_blocks=reset_blocks,
+                            tangent_history=tangent_history,
                             base_trajectory=base).history
-    ref = naive_tangent_history(system, cfg, base, 10, reset_blocks)
+    ref = naive_tangent_history(system, cfg, base, 10, tangent_history)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_lyapunov_alpha_one_restarts_history_at_every_block():
     # at alpha = 1 the history is one lag, so a restart at every block is
-    # exact; a longer stretch (or none) must give the same bits, since a
+    # exact; the exact convention must give the same bits, since a
     # push-through over many blocks drifts or collapses the frame
     system = make_system("lorenz")
     cfg = SolverConfig(alpha=1.0, h=0.005, t_end=20.0,
                        x0=system.params["default_x0"])
     base = solve(system, cfg)
-    runs = [lyapunov_spectrum(system, cfg, renorm_every=10,
-                              history_reset_blocks=reset,
-                              base_trajectory=base).history
-            for reset in (1, 50, None)]
-    npt.assert_array_equal(runs[1], runs[0])
-    npt.assert_array_equal(runs[2], runs[0])
+    restart, exact = [lyapunov_spectrum(system, cfg, renorm_every=10,
+                                        tangent_history=convention,
+                                        base_trajectory=base).history
+                      for convention in ("restart", "exact")]
+    npt.assert_array_equal(exact, restart)
 
 
 def test_lyapunov_fractional_observable_subframe():
@@ -411,16 +409,17 @@ def test_lyapunov_fractional_observable_subframe():
 
 
 def test_lyapunov_long_memory_stretch_changes_estimate():
-    # the reset period is a method parameter for alpha < 1: estimates with
-    # one-block resets and long stretches must both be finite but differ
+    # for alpha < 1 the two conventions measure different things: restart
+    # gives finite-time exponents over one block, exact the variational
+    # flow; both must be finite but differ
     system = make_system("duffing")
     x0 = np.zeros(9)
     x0[0] = 0.1
     cfg = SolverConfig(alpha=0.1, h=0.01, t_end=50.0, x0=x0)
-    short = lyapunov_spectrum(system, cfg, history_reset_blocks=1)
-    long = lyapunov_spectrum(system, cfg, history_reset_blocks=200)
-    assert np.all(np.isfinite(long.exponents))
-    assert abs(short.exponents[0] - long.exponents[0]) > 0.5
+    restart = lyapunov_spectrum(system, cfg, tangent_history="restart")
+    exact = lyapunov_spectrum(system, cfg, tangent_history="exact")
+    assert np.all(np.isfinite(exact.exponents))
+    assert abs(restart.exponents[0] - exact.exponents[0]) > 0.5
 
 
 def test_lyapunov_frame_collapse_raises():
@@ -440,7 +439,9 @@ def test_lyapunov_validation_errors():
     with pytest.raises(ConfigError):
         lyapunov_spectrum(system, cfg, renorm_every=0)
     with pytest.raises(ConfigError):
-        lyapunov_spectrum(system, cfg, history_reset_blocks=0)
+        lyapunov_spectrum(system, cfg, tangent_history="abc")
+    with pytest.raises(ConfigError):
+        lyapunov_spectrum(system, cfg, tangent_history=1)
     with pytest.raises(ConfigError):
         lyapunov_spectrum(system, cfg, transient=10.0)
     with pytest.raises(ConfigError):

@@ -43,6 +43,10 @@ def lorenz_csv(tmp_path_factory):
     (["simulate", "--out", "unused.csv"], 2),
     (["reproduce", "7", "--out-dir", "unused"], 2),
     (["mlf", "--alpha", "0.5", "--z", "-2+0.5j"], 0),
+    (["lyapunov", "--system", "lorenz", "--tangent-history", "abc",
+      "--out", "unused.json"], 2),
+    (["lyapunov", "--system", "lorenz", "--history-reset-blocks", "1",
+      "--out", "unused.json"], 2),
 ])
 def test_exit_codes(argv, code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -131,14 +135,20 @@ TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
      {"doc.json": '{"system": "lorenz", "params": {"sigma": "x"}}'}),
     (["lyapunov", "--config", "doc.json"],
      {"doc.json": '{"system": "lorenz", "transient": "abc"}'}),
-    (["lyapunov", "--system", "lorenz", "--history-reset-blocks", "abc"], {}),
+    (["lyapunov", "--config", "doc.json"],
+     {"doc.json": '{"system": "lorenz", "tangent_history": "abc"}'}),
+    (["simulate", "--system", "lorenz", "--t-end", "inf"], {}),
+    (["simulate", "--config", "doc.json"],
+     {"doc.json": '{"system": "lorenz", "t0": -Infinity}'}),
+    (["stability", "--system", "duffing", "--t", "nan"], {}),
     (["mlf", "--alpha", "0.1", "--z", "10"], {}),
     (["dimension", "--input", "traj.csv", "--transient", "0"],
      {"traj.csv": "# alpha=0.9\n# h=0.1\nt,x0,x1\n"}),
 ], ids=["columns-a", "columns-empty", "csv-no-header", "x0-text",
         "config-not-json", "config-h-text", "config-x0-text",
         "config-alpha-text", "config-param-text", "config-transient-text",
-        "reset-blocks-text", "mlf-overflow", "csv-no-rows"])
+        "config-tangent-history-text", "t-end-inf", "config-t0-inf",
+        "stability-t-nan", "mlf-overflow", "csv-no-rows"])
 def test_bad_input_is_a_config_error(argv, files, tmp_path, monkeypatch,
                                      capsys):
     monkeypatch.chdir(tmp_path)

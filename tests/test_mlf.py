@@ -8,6 +8,9 @@ oracle.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import pytest
@@ -287,6 +290,33 @@ def test_contour_route_declines_overflow():
     assert mlf._contour(0.2, 1.0, 20.0) is None
     assert mlf._contour(1.0, 1.0, 800.0) is None
     assert mlf._contour(0.1, 1.0, 10.0) is None
+
+
+def test_real_overflow_is_raised_before_the_mpmath_series(monkeypatch):
+    # every term of E_1(800) is positive and the largest is ~e^795.7, so
+    # the overflow is known without summing the series
+    def no_mpmath(*args):
+        raise AssertionError(f"mpmath route taken for {args}")
+
+    monkeypatch.setattr(mlf, "_series_mp", no_mpmath)
+    with pytest.raises(OverflowError):
+        ml_one(1.0, 800.0)
+
+
+def test_largest_term_below_the_double_range_is_summed():
+    # the largest term of E_1(709) is ~e^704.8: the overflow check must
+    # let it through to the series
+    assert ml_one(1.0, 709.0) == pytest.approx(math.exp(709.0), rel=1e-12)
+
+
+def test_import_fracdyn_loads_neither_numpy_nor_mpmath():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mlf.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, fracdyn; "
+            "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_asymptotic_route_is_real_on_the_real_axis():

@@ -413,6 +413,10 @@ def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         SolverConfig(**{**ok, "t_end": 0.0})
     with pytest.raises(ConfigError):
+        SolverConfig(**{**ok, "t_end": np.inf})
+    with pytest.raises(ConfigError):
+        SolverConfig(**{**ok, "t0": -np.inf})
+    with pytest.raises(ConfigError):
         SolverConfig(**{**ok, "x0": [np.nan]})
     with pytest.raises(ConfigError):
         SolverConfig(**{**ok, "memory_window": 0})

@@ -304,6 +304,13 @@ def test_missing_jacobian_rejected():
         jacobian_eigenvalues(bare, np.zeros(1))
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_non_finite_time_rejected(t):
+    # a forced field frozen at a non-finite time has no equilibria to find
+    with pytest.raises(ConfigError):
+        find_equilibria(make_system("duffing"), t=t)
+
+
 def test_default_guess_lattice():
     g = default_guesses(3)
     assert g.shape == (27, 3)
