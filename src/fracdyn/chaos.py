@@ -25,8 +25,20 @@ into exponent estimates.
   of the accumulated contraction, so a long run of strong contraction
   loses digits to cancellation.
 
+The restart convention is computed as block transfer matrices.  A
+restarted block maps its start frame linearly to its end frame,
+v_end = Phi_b @ v_start, and Phi_b depends only on the Jacobians along
+block b.  The blocks are grouped into chunks of max(1, ROWS //
+``renorm_every``) blocks, about ``ROWS`` steps; every Phi_b of a chunk is
+stepped from the identity at once, through one ``HistoryKernel`` whose
+rows hold the (n_blocks, dim, dim) batch of deviations, and only the small
+QR chain over the blocks runs block by block.  The chunk's Jacobians and
+transfer matrices take O(max(ROWS, ``renorm_every``) * dim^2) floats.  The
+exact-flow convention steps the frame itself, one step at a time.
+
 At alpha = 1 the history is the one lag of a first-order step, so a
-restart is exact and both conventions give the same bits.
+restart is exact; both conventions then take the restart path and give
+the same bits.
 
 For chain lifts of scalar equations (``system.observables`` set) the frame
 holds one tangent column per observable and the QR acts on the observable
@@ -47,6 +59,9 @@ from .systems import Equilibrium, find_equilibria
 # lambda_1 counts as converged when its last-quarter drift is below this
 _DRIFT_TOL = 5e-2
 TANGENT_HISTORIES = ("restart", "exact")
+# steps per chunk of the restart convention: its Jacobians and transfer
+# matrices are held for max(1, ROWS // renorm_every) blocks at a time
+ROWS = 4096
 
 __all__ = [
     "LyapunovResult",
@@ -229,6 +244,109 @@ def stability_report(system: SystemSpec, alpha: float, guesses=None,
     return StabilityReport(alpha=alpha, equilibria=tuple(assessments))
 
 
+class _QRChain:
+    """Benettin bookkeeping shared by both conventions.
+
+    Called once per block, in block order, with the block's end frame: QR
+    of the observable rows, the collapse check, the positive-diagonal
+    convention, and the running exponent estimates of the blocks past the
+    transient.  Returns the renormalized frame and the inverse triangular
+    factor.
+    """
+
+    def __init__(self, rows, skip_blocks, renorm_every, h):
+        self.rows = rows
+        self.skip_blocks = skip_blocks
+        self.renorm_every = renorm_every
+        self.h = h
+        self.block = 0
+        self.logs = np.zeros(len(rows))
+        self.history = []
+
+    def __call__(self, v, t):
+        # mode "r" skips forming Q; R has the same bits as in full mode
+        r = np.linalg.qr(v[self.rows], mode="r")
+        diag = r.diagonal().copy()
+        # NaN fails the comparison as well
+        if not all(1e-300 <= abs(d) < math.inf for d in diag.tolist()):
+            raise NonConvergenceError(
+                f"tangent frame collapsed at t = {t:.6g}")
+        r *= np.sign(diag)[:, None]  # positive diagonal convention
+        rinv = np.linalg.inv(r)
+        if self.block >= self.skip_blocks:
+            self.logs += np.log(np.abs(diag))
+            elapsed = ((self.block - self.skip_blocks + 1)
+                       * self.renorm_every * self.h)
+            self.history.append(self.logs / elapsed)
+        self.block += 1
+        return v @ rinv, rinv
+
+
+def _exact_flow(system, config, traj, renorm_every, n_blocks, v0, chain):
+    """Step the frame through the whole run, pushing every QR factor
+    through the stored history and the Caputo anchor ``v_base``."""
+    span = n_blocks * renorm_every
+    dev = np.zeros((span + 1,) + v0.shape)
+    hist = gl_history(config.alpha, span if config.memory_window is None
+                      else min(config.memory_window, span), dev)
+    ha = config.h ** config.alpha
+    jac, t, x = system.jacobian, traj.t, traj.x
+    v_base = v_prev = v0
+    step = 0                         # base-trajectory index of v_prev
+    for _ in range(n_blocks):
+        for _ in range(renorm_every):
+            d = ha * (np.asarray(jac(t[step], x[step])) @ v_prev)
+            step += 1
+            d -= hist(step)
+            dev[step] = d
+            v_prev = v_base + d
+        v_prev, rinv = chain(v_prev, t[step])
+        # push-through: rescale the anchor and the history by the same
+        # triangular factor
+        v_base = v_base @ rinv
+        hist.rescale(step, rinv)
+
+
+def _restart_blocks(system, config, traj, renorm_every, n_blocks, v0, chain):
+    """Restart convention as block transfer matrices.
+
+    A restarted block maps its start frame linearly to its end frame,
+    v_end = Phi_b @ v_start, and Phi_b depends only on the Jacobians along
+    block b.  With Phi_0 = I the GL tangent step gives
+    D_j = h^alpha J_{j-1} Phi_{j-1} - sum_k c_k D_{j-k} and
+    Phi_j = I + D_j.  The blocks of a chunk of about ``ROWS`` steps step
+    together: row j of the history buffer holds D_j of every block, so one
+    ``HistoryKernel`` call per j sums all their histories.  Only the QR
+    chain over the blocks stays sequential.
+    """
+    dim, R = system.dim, renorm_every
+    window = R if config.memory_window is None else min(
+        config.memory_window, R)
+    ha = config.h ** config.alpha
+    jac, t, x = system.jacobian, traj.t, traj.x
+    eye = np.eye(dim)
+    per_chunk = max(1, ROWS // R)
+    v = v0
+    for first in range(0, n_blocks, per_chunk):
+        count = min(per_chunk, n_blocks - first)
+        dev = np.zeros((R + 1, count, dim, dim))
+        hist = gl_history(config.alpha, window, dev)
+        start = first * R
+        steps = slice(start, start + count * R)
+        hj = np.array([jac(ts, xs) for ts, xs in zip(t[steps], x[steps])],
+                      dtype=float)
+        hj *= ha
+        # (R, count, dim, dim): row j holds step j of every block
+        hj = hj.reshape(count, R, dim, dim).swapaxes(0, 1)
+        for j in range(1, R + 1):
+            d = hj[j - 1] @ (eye + dev[j - 1])
+            d -= hist(j)
+            dev[j] = d
+        phi = eye + dev[R]
+        for b in range(count):
+            v, _ = chain(phi[b] @ v, t[start + (b + 1) * R])
+
+
 def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
                       renorm_every: int = 10,
                       transient: Optional[float] = None,
@@ -251,6 +369,12 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
     stored history, solving the variational equation exactly at O(N^2)
     cost, with exponents that do not depend on T.  At alpha = 1 a restart
     is exact, so both give the same bits.
+
+    The restart convention steps the transfer matrices of a chunk of about
+    ``ROWS`` steps' blocks together (see the module docstring), which
+    holds O(max(ROWS, renorm_every) * dim^2) floats at a time; the exact
+    convention holds the whole (N + 1, dim, m) tangent history.  Either
+    way ``system.jacobian`` is called once per step, in step order.
 
     For systems with ``observables`` set, one tangent column is seeded per
     observable coordinate and QR normalization acts on the observable rows,
@@ -292,58 +416,16 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
     skip_blocks = min(int(math.ceil(transient / (h * renorm_every))),
                       n_blocks - 1)
     transient_discarded = skip_blocks * renorm_every * h
+    chain = _QRChain(rows, skip_blocks, renorm_every, h)
     # at alpha = 1 the history is the one lag c_1 = -1, so a restart is
-    # exact; the history spans one block, or the whole run when exact
-    exact = tangent_history == "exact" and alpha != 1.0
-    span = n_blocks * renorm_every if exact else renorm_every
-    dev = np.zeros((span + 1, dim, m))
-    hist = gl_history(alpha, span if config.memory_window is None
-                      else min(config.memory_window, span), dev)
-    ha = h ** alpha
+    # exact and both conventions take the restart path
+    if tangent_history == "exact" and alpha != 1.0:
+        _exact_flow(system, config, traj, renorm_every, n_blocks, v0, chain)
+    else:
+        _restart_blocks(system, config, traj, renorm_every, n_blocks, v0,
+                        chain)
 
-    jac = system.jacobian
-    x = traj.x
-    t = traj.t
-    v_base = v_prev = v0             # v_base: Caputo anchor of the history
-    logs = np.zeros(m)
-    history = []
-    step = 0                         # base-trajectory index of v_prev
-    i = 0                            # rows in the stored tangent history
-
-    for block in range(n_blocks):
-        for _ in range(renorm_every):
-            d = ha * (np.asarray(jac(t[step], x[step])) @ v_prev)
-            step += 1
-            i += 1
-            d -= hist(i)
-            dev[i] = d
-            v_prev = v_base + d
-        obs = v_prev[rows, :]
-        q, r = np.linalg.qr(obs)
-        diag = np.diag(r).copy()
-        if np.any(np.abs(diag) < 1e-300) or not np.all(np.isfinite(diag)):
-            raise NonConvergenceError(
-                f"tangent frame collapsed at t = {t[step]:.6g}")
-        sign = np.sign(diag)
-        r *= sign[:, None]           # positive diagonal convention
-        rinv = np.linalg.inv(r)
-        v_prev = v_prev @ rinv
-        if exact:
-            # push-through: rescale the anchor and the history by the
-            # same triangular factor
-            v_base = v_base @ rinv
-            hist.rescale(i, rinv)
-        else:
-            # restart the convolution history from the orthonormal frame
-            v_base = v_prev
-            i = 0
-            hist.reset()
-        if block >= skip_blocks:
-            logs += np.log(np.abs(diag))
-            elapsed = (block - skip_blocks + 1) * renorm_every * h
-            history.append(logs / elapsed)
-
-    history = np.array(history)
+    history = np.array(chain.history)
     exponents = np.sort(history[-1])[::-1]
     quarter = max(1, len(history) // 4)
     lam1 = history[:, np.argmax(history[-1])]

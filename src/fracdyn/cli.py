@@ -31,6 +31,7 @@ import sys
 import numpy as np
 
 from .chaos import (
+    ROWS,
     TANGENT_HISTORIES,
     classify_attractor,
     dimension_instability_check,
@@ -79,6 +80,15 @@ def _write_json(path, report):
     atomic_write(path, json.dumps(_jsonable(report), indent=2) + "\n")
 
 
+# every key any command reads from a config document, so one document can
+# serve several commands; any other key is a ConfigError
+_CONFIG_KEYS = frozenset({
+    "system", "params", "alpha", "x0", "h", "t_end", "t0", "scheme",
+    "memory_window", "corrector_iters", "renorm_every", "transient",
+    "tangent_history", "sector_alpha",
+})
+
+
 def _load_config_doc(path):
     if path is None:
         return {}
@@ -90,6 +100,12 @@ def _load_config_doc(path):
                 f"config document {path!r} is not JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config document {path!r} must hold an object")
+    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(
+            f"config document {path!r} has unknown key(s) "
+            + ", ".join(repr(k) for k in unknown)
+            + f"; known keys: {', '.join(sorted(_CONFIG_KEYS))}")
     return doc
 
 
@@ -593,7 +609,10 @@ def build_parser():
                     "T = renorm_every * h, which depend on T for alpha < 1; "
                     "'exact' pushes each QR factor through the stored "
                     "history, solves the variational equation exactly and "
-                    "does not depend on T, at O(N^2) cost in the steps N.")
+                    "does not depend on T, at O(N^2) cost in the steps N.  "
+                    "'restart' computes each block's transfer matrix, the "
+                    f"blocks of about {ROWS} steps at once, in "
+                    f"O(max({ROWS}, renorm_every) * dim^2) extra memory.")
     _add_system_flags(sp)
     _add_solver_flags(sp)
     sp.add_argument("--renorm-every", type=int, dest="renorm_every",

@@ -61,20 +61,33 @@ def _series_scales(alpha, beta, az):
 
 
 _LOG_DBL_MAX = math.log(sys.float_info.max)
+# at most 2 * _OVERFLOW_SAMPLES + 1 terms enter the overflow bound
+_OVERFLOW_SAMPLES = 256
 
 
-def _peak_term_overflows(alpha, beta, x):
-    """True when real ``x`` > 1 has a series term past the double range.
+def _series_overflows(alpha, beta, x):
+    """True when real ``x`` > 1 gives a series sum past the double range.
 
-    Every term x^k / Gamma(alpha*k + beta) is then positive, so the sum
-    exceeds its largest one.  The term is taken at the integer k nearest
-    the peak of ``_series_scales``; the margin covers the rounding of its
-    logarithm.
+    Every term x^k / Gamma(alpha*k + beta) is then positive, so the sum of
+    the terms within a few widths sqrt(m)/alpha of the peak of
+    ``_series_scales`` bounds the series from below.  Their log is concave
+    in k, so when the window holds more than ``2 * _OVERFLOW_SAMPLES``
+    terms each run of ``stride`` terms is bounded by the smaller log at its
+    two ends.  The margin covers the rounding of each logarithm.
     """
     log_x = math.log(x)
-    k = round(max(0.0, (x ** (1.0 / alpha) - beta) / alpha))
-    log_term = k * log_x - math.lgamma(alpha * k + beta)
-    return log_term > _LOG_DBL_MAX + 1e-9 * max(1.0, k * log_x)
+    m = x ** (1.0 / alpha)
+    peak = round(max(0.0, (m - beta) / alpha))
+    half = math.ceil(6.0 * math.sqrt(m) / alpha)
+    lo, hi = max(0, peak - half), peak + half
+    stride = max(1, math.ceil((hi - lo) / (2 * _OVERFLOW_SAMPLES)))
+    ks = range(lo, hi + stride, stride)
+    logs = [k * log_x - math.lgamma(alpha * k + beta) for k in ks]
+    if stride > 1:
+        logs = [math.log(stride) + min(a, b) for a, b in zip(logs, logs[1:])]
+    top = max(logs)
+    bound = top + math.log(math.fsum(math.exp(v - top) for v in logs))
+    return bound > _LOG_DBL_MAX + 1e-9 * max(1.0, ks[-1] * log_x)
 
 
 def _series_f64(alpha, beta, z, k_stop):
@@ -453,7 +466,7 @@ def _ml_eval(alpha, beta, z):
     if value is not None:
         return value, "contour"
 
-    if zr.imag == 0.0 and zr.real > 1.0 and _peak_term_overflows(
+    if zr.imag == 0.0 and zr.real > 1.0 and _series_overflows(
             alpha, beta, zr.real):
         raise OverflowError(
             f"E_{{{alpha},{beta}}}({z!r}) exceeds the double range")

@@ -136,11 +136,13 @@ class HistoryKernel:
     """Streaming history convolution for the GL, ABM and tangent steppers.
 
     Bound to the history buffer ``buf`` (one state per row: a vector for
-    GL and ABM, a (dim, m) block for the tangent frame) and called once per
-    step with ``end`` = 1, 2, ... <= len(buf) - 1, ``hist(end)`` returns
-    sum_{k=1}^{min(end, window)} w_k * buf[end - k] in the shape of a row,
-    with ``weights[k - 1]`` = w_k.  Rows below ``end`` must be final: the
-    caller writes row ``end`` after the call, changes earlier rows only
+    GL and ABM, a (dim, m) block for the exact-flow tangent frame, a
+    (n_blocks, dim, dim) batch of transfer-matrix deviations for the
+    restart convention, so one call sums every block's history) and called
+    once per step with ``end`` = 1, 2, ... <= len(buf) - 1, ``hist(end)``
+    returns sum_{k=1}^{min(end, window)} w_k * buf[end - k] in the shape of
+    a row, with ``weights[k - 1]`` = w_k.  Rows below ``end`` must be final:
+    the caller writes row ``end`` after the call, changes earlier rows only
     through ``rescale``, and calls ``reset()`` before restarting at
     ``end`` = 1.  Trailing zero weights are dropped, so ``window`` is the
     longest contributing lag (one lag for GL at alpha = 1).

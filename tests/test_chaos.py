@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracdyn import chaos
 from fracdyn.chaos import (
     classify_attractor,
     dimension_instability_check,
@@ -335,23 +336,27 @@ def test_lyapunov_explicit_base_trajectory_matches():
 
 def naive_tangent_history(system, cfg, base, renorm_every, tangent_history):
     """The tangent loop of ``lyapunov_spectrum`` with every history sum a
-    direct dot over all lags and the push-through applied to every row."""
+    direct dot over the lags of the memory window and the push-through
+    applied to every row."""
     n_steps, h, alpha, dim = cfg.n_steps, cfg.h, cfg.alpha, system.dim
+    window = cfg.memory_window or n_steps
+    rows = list(system.observables or range(dim))
     n_blocks = n_steps // renorm_every
     skip = math.ceil(0.2 * (cfg.t_end - cfg.t0) / (h * renorm_every))
     c = gl_weights(alpha, n_steps + 1)
-    dev = np.zeros((n_steps + 1, dim, dim))
-    v_base = v_prev = np.eye(dim)
-    logs, history, s, i = np.zeros(dim), [], 0, 0
+    dev = np.zeros((n_steps + 1, dim, len(rows)))
+    v_base = v_prev = np.eye(dim)[:, rows]
+    logs, history, s, i = np.zeros(len(rows)), [], 0, 0
     for block in range(n_blocks):
         for _ in range(renorm_every):
             s, i = s + 1, i + 1
             d = h ** alpha * (system.jacobian(base.t[s - 1], base.x[s - 1])
                               @ v_prev)
-            d -= np.tensordot(c[1:i][::-1], dev[1:i], axes=1)
+            lo = max(1, i - window)
+            d -= np.tensordot(c[1:i - lo + 1][::-1], dev[lo:i], axes=1)
             dev[i] = d
             v_prev = v_base + d
-        q, r = np.linalg.qr(v_prev)
+        q, r = np.linalg.qr(v_prev[rows])
         diag = np.diag(r).copy()
         rinv = np.linalg.inv(r * np.sign(diag)[:, None])
         v_prev = v_prev @ rinv
@@ -397,6 +402,52 @@ def test_lyapunov_alpha_one_restarts_history_at_every_block():
     npt.assert_array_equal(exact, restart)
 
 
+def assert_restart_matches_direct_sum(system, cfg, renorm_every):
+    base = solve(system, cfg)
+    got = lyapunov_spectrum(system, cfg, renorm_every=renorm_every,
+                            base_trajectory=base).history
+    ref = naive_tangent_history(system, cfg, base, renorm_every, "restart")
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_restart_blocks_across_chunks_with_a_short_last_chunk(monkeypatch):
+    # 6 blocks of 10 steps per chunk: 50 blocks are 8 chunks and one of 2
+    monkeypatch.setattr(chaos, "ROWS", 64)
+    system = make_system("lorenz")
+    cfg = SolverConfig(alpha=0.95, h=0.01, t_end=5.0,
+                       x0=system.params["default_x0"])
+    assert_restart_matches_direct_sum(system, cfg, 10)
+
+
+@pytest.mark.parametrize("rows", [4096, 100])
+def test_restart_blocks_run_fft_tiles_in_the_batch(rows, monkeypatch):
+    # 130-step blocks reach the 64- and 128-lag FFT tiles; with ROWS = 100
+    # every chunk is a single block
+    monkeypatch.setattr(chaos, "ROWS", rows)
+    system = make_system("lorenz")
+    cfg = SolverConfig(alpha=0.9, h=0.005, t_end=6.5,
+                       x0=system.params["default_x0"])
+    assert_restart_matches_direct_sum(system, cfg, 130)
+
+
+def test_restart_blocks_with_a_memory_window_shorter_than_a_block():
+    system = make_system("lorenz")
+    cfg = SolverConfig(alpha=0.9, h=0.01, t_end=5.0, memory_window=7,
+                       x0=system.params["default_x0"])
+    assert_restart_matches_direct_sum(system, cfg, 20)
+
+
+def test_restart_blocks_on_the_observable_subframe(monkeypatch):
+    # the Duffing chain: 2 observable columns of a 9-d frame
+    monkeypatch.setattr(chaos, "ROWS", 128)
+    system = make_system("duffing")
+    x0 = np.zeros(9)
+    x0[0] = 0.1
+    cfg = SolverConfig(alpha=0.1, h=0.01, t_end=10.0, x0=x0)
+    assert_restart_matches_direct_sum(system, cfg, 10)
+
+
 def test_lyapunov_fractional_observable_subframe():
     system = make_system("duffing")
     x0 = np.zeros(9)
@@ -427,6 +478,19 @@ def test_lyapunov_frame_collapse_raises():
     system = linear_system([[-200.0]])
     cfg = SolverConfig(alpha=1.0, h=0.005, t_end=1.0, x0=np.array([1.0]))
     with pytest.raises(NonConvergenceError):
+        lyapunov_spectrum(system, cfg, renorm_every=10)
+
+
+def test_frame_collapse_in_a_later_chunk_names_its_block(monkeypatch):
+    # the one-step map 1 + h * J is zero from t = 1 on; with 4 blocks per
+    # chunk the collapse is in the sixth chunk, in the block that ends at
+    # t = 1.05
+    monkeypatch.setattr(chaos, "ROWS", 40)
+    system = SystemSpec(
+        name="switch", dim=1, field=lambda t, x: -x,
+        jacobian=lambda t, x: np.array([[-200.0 if t > 0.9975 else -1.0]]))
+    cfg = SolverConfig(alpha=1.0, h=0.005, t_end=2.0, x0=np.array([1.0]))
+    with pytest.raises(NonConvergenceError, match=r"at t = 1\.05$"):
         lyapunov_spectrum(system, cfg, renorm_every=10)
 
 

@@ -1,10 +1,11 @@
 """Tests for the command-line front end: exit codes and artifact contracts."""
 
+import json
 import warnings
 
 import pytest
 
-from fracdyn.cli import main
+from fracdyn.cli import _CASES, _CONFIG_KEYS, main
 
 ARTIFACTS = ("comparison.txt", "dimension.json", "lyapunov.json",
              "stability.json", "trajectory.csv")
@@ -173,3 +174,34 @@ def test_mlf_reports_its_route_on_stderr_only(alpha, z, route, tmp_path,
     assert captured.out.startswith(f"E_[{float(alpha)},1.0]({z}) = ")
     assert "route" not in captured.out
     assert "route" not in out.read_text()
+
+
+# -- config document keys ------------------------------------------------
+
+
+@pytest.mark.parametrize("key", ["tangent_histroy", "history_reset_blocks"])
+def test_unknown_config_key_is_a_config_error(key, tmp_path, monkeypatch,
+                                              capsys):
+    # a misspelt key would otherwise run the default convention silently
+    monkeypatch.chdir(tmp_path)
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"system": "lorenz", "t_end": 5, key: "exact"}))
+    assert run(["lyapunov", "--config", "doc.json", "--out", "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+
+
+def test_config_document_is_shared_across_commands(tmp_path, monkeypatch):
+    # keys that only another command reads are accepted
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "doc.json").write_text(json.dumps({
+        "system": "lorenz", "t_end": 5, "renorm_every": 10,
+        "tangent_history": "restart", "sector_alpha": 0.9}))
+    assert run(["simulate", "--config", "doc.json", "--out", "a.csv"]) == 0
+    assert run(["stability", "--config", "doc.json", "--out", "s.json"]) == 0
+
+
+def test_reproduce_cases_use_only_known_config_keys():
+    for case in _CASES.values():
+        assert set(case) - {"claims"} <= _CONFIG_KEYS

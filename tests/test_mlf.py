@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import mpmath
 import pytest
@@ -301,6 +302,29 @@ def test_real_overflow_is_raised_before_the_mpmath_series(monkeypatch):
     monkeypatch.setattr(mlf, "_series_mp", no_mpmath)
     with pytest.raises(OverflowError):
         ml_one(1.0, 800.0)
+
+
+def test_overflow_of_the_sum_is_raised_without_summing():
+    # E_1(710) = e^710 overflows although its largest term, ~e^706.2, does
+    # not: the bound on the terms near the peak must see that at once
+    start = time.perf_counter()
+    with pytest.raises(OverflowError):
+        mlf.ml_route(1.0, 1.0, 710.0)
+    assert time.perf_counter() - start < 0.05
+    # e^709.5 is below the double maximum e^709.78 and is summed
+    value, _ = mlf.ml_route(1.0, 1.0, 709.5)
+    assert value.real == 1.3549863193146328e308
+
+
+@pytest.mark.parametrize("alpha, beta, x, overflows", [
+    (0.5, 1.0, 26.6, False),      # E_1/2(x) ~ 2 e^(x^2): e^708.3
+    (0.5, 1.0, 26.7, True),       # e^713.6
+    (2.0, 1.0, 710.0 ** 2, False),  # cosh(710) ~ e^709.3
+    (2.0, 1.0, 711.0 ** 2, True),
+    (0.01, 1.0, 1.07, True),      # ~100 e^867, window sampled by stride
+])
+def test_series_overflow_bound(alpha, beta, x, overflows):
+    assert mlf._series_overflows(alpha, beta, x) == overflows
 
 
 def test_largest_term_below_the_double_range_is_summed():
