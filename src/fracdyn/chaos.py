@@ -34,7 +34,10 @@ stepped from the identity at once, through one ``HistoryKernel`` whose
 rows hold the (n_blocks, dim, dim) batch of deviations, and only the small
 QR chain over the blocks runs block by block.  The chunk's Jacobians and
 transfer matrices take O(max(ROWS, ``renorm_every``) * dim^2) floats.  The
-exact-flow convention steps the frame itself, one step at a time.
+exact-flow convention steps the frame itself, one step at a time, with the
+Jacobians of about ``ROWS`` steps at a time.  Either way
+``system.jacobian`` is called once per chunk, on a batch of states (see
+``SystemSpec``).
 
 At alpha = 1 the history is the one lag of a first-order step, so a
 restart is exact; both conventions then take the restart path and give
@@ -282,29 +285,46 @@ class _QRChain:
         return v @ rinv, rinv
 
 
+def _jacobians(system, traj, steps):
+    """The Jacobians along the base trajectory at ``steps`` (a slice), from
+    one batch call, as a contiguous (n, dim, dim) array."""
+    t, x = traj.t[steps], traj.x[steps]
+    shape = (len(t), system.dim, system.dim)
+    jac = np.asarray(system.jacobian(t, x), dtype=float)
+    try:
+        return np.ascontiguousarray(np.broadcast_to(jac, shape))
+    except ValueError:
+        raise ConfigError(
+            f"jacobian of system {system.name!r} returned shape {jac.shape} "
+            f"for a batch of {len(t)} states; expected {shape}") from None
+
+
 def _exact_flow(system, config, traj, renorm_every, n_blocks, v0, chain):
     """Step the frame through the whole run, pushing every QR factor
-    through the stored history and the Caputo anchor ``v_base``."""
+    through the stored history and the Caputo anchor ``v_base``.
+
+    The Jacobians come ``ROWS`` steps at a time."""
     span = n_blocks * renorm_every
     dev = np.zeros((span + 1,) + v0.shape)
     hist = gl_history(config.alpha, span if config.memory_window is None
                       else min(config.memory_window, span), dev)
     ha = config.h ** config.alpha
-    jac, t, x = system.jacobian, traj.t, traj.x
     v_base = v_prev = v0
     step = 0                         # base-trajectory index of v_prev
-    for _ in range(n_blocks):
-        for _ in range(renorm_every):
-            d = ha * (np.asarray(jac(t[step], x[step])) @ v_prev)
+    for first in range(0, span, ROWS):
+        for jac in _jacobians(system, traj,
+                              slice(first, min(first + ROWS, span))):
+            d = ha * (jac @ v_prev)
             step += 1
             d -= hist(step)
             dev[step] = d
             v_prev = v_base + d
-        v_prev, rinv = chain(v_prev, t[step])
-        # push-through: rescale the anchor and the history by the same
-        # triangular factor
-        v_base = v_base @ rinv
-        hist.rescale(step, rinv)
+            if step % renorm_every == 0:
+                v_prev, rinv = chain(v_prev, traj.t[step])
+                # push-through: rescale the anchor and the history by the
+                # same triangular factor
+                v_base = v_base @ rinv
+                hist.rescale(step, rinv)
 
 
 def _restart_blocks(system, config, traj, renorm_every, n_blocks, v0, chain):
@@ -323,7 +343,6 @@ def _restart_blocks(system, config, traj, renorm_every, n_blocks, v0, chain):
     window = R if config.memory_window is None else min(
         config.memory_window, R)
     ha = config.h ** config.alpha
-    jac, t, x = system.jacobian, traj.t, traj.x
     eye = np.eye(dim)
     per_chunk = max(1, ROWS // R)
     v = v0
@@ -332,10 +351,7 @@ def _restart_blocks(system, config, traj, renorm_every, n_blocks, v0, chain):
         dev = np.zeros((R + 1, count, dim, dim))
         hist = gl_history(config.alpha, window, dev)
         start = first * R
-        steps = slice(start, start + count * R)
-        hj = np.array([jac(ts, xs) for ts, xs in zip(t[steps], x[steps])],
-                      dtype=float)
-        hj *= ha
+        hj = ha * _jacobians(system, traj, slice(start, start + count * R))
         # (R, count, dim, dim): row j holds step j of every block
         hj = hj.reshape(count, R, dim, dim).swapaxes(0, 1)
         for j in range(1, R + 1):
@@ -344,7 +360,7 @@ def _restart_blocks(system, config, traj, renorm_every, n_blocks, v0, chain):
             dev[j] = d
         phi = eye + dev[R]
         for b in range(count):
-            v, _ = chain(phi[b] @ v, t[start + (b + 1) * R])
+            v, _ = chain(phi[b] @ v, traj.t[start + (b + 1) * R])
 
 
 def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
@@ -374,7 +390,7 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
     ``ROWS`` steps' blocks together (see the module docstring), which
     holds O(max(ROWS, renorm_every) * dim^2) floats at a time; the exact
     convention holds the whole (N + 1, dim, m) tangent history.  Either
-    way ``system.jacobian`` is called once per step, in step order.
+    way ``system.jacobian`` is called once per chunk, on a batch.
 
     For systems with ``observables`` set, one tangent column is seeded per
     observable coordinate and QR normalization acts on the observable rows,

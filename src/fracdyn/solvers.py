@@ -18,6 +18,15 @@ for the longer lags that run once per completed block of history, so a
 full-memory run over N steps costs O(N log^2 N * dim) flops.  A kernel is
 bound to the buffer it sums: ``hist(end)`` needs ``end <= len(buf) - 1``, and
 rows below ``end`` change only through ``hist.rescale`` or ``hist.reset``.
+
+Both steppers check divergence once per block of ``BASE`` steps (and once
+for the final partial block): the first row of the block whose max|x|
+exceeds ``diverge_bound``, or is not finite, ends the run in
+``DivergenceError`` with that row's step and time, as a per-step check
+would.  The rows past it still run, so the stepping keeps numpy's overflow
+and invalid-value warnings off.  When the field raises inside a block, the
+rows already written are checked first, so a diverged state still ends in
+``DivergenceError`` at its own step rather than in the field's error.
 """
 
 import os
@@ -35,7 +44,16 @@ from .errors import ConfigError, DivergenceError, IncommensurableOrdersError
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A first-order (in D^alpha) autonomous-or-forced vector field."""
+    """A first-order (in D^alpha) autonomous-or-forced vector field.
+
+    ``field(t, x)`` is called on one state: x of shape (dim,), t a float,
+    returning the (dim,) derivative.  ``jacobian(t, x)`` serves batches: x
+    of shape (..., dim) and t of shape (...), returning (..., dim, dim),
+    or anything that broadcasts to it (a constant (dim, dim) matrix for a
+    linear field).  The tangent steppers of ``chaos`` call it once per
+    chunk of steps, and a result that does not broadcast to (n, dim, dim)
+    for n states ends in ``ConfigError``.
+    """
 
     name: str
     dim: int
@@ -230,12 +248,16 @@ def gl_history(alpha: float, window: int, buf) -> HistoryKernel:
     return HistoryKernel(gl_weights(alpha, window + 1)[1:], buf)
 
 
-def _check_state(x, step, t, bound):
+def _check_rows(x, first, t, bound):
+    """Raise ``DivergenceError`` at the first row of ``x`` (the states of
+    steps ``first``, ``first`` + 1, ...) with not max|x| <= ``bound``."""
     # NaN compares False, so NaN and +-inf fail the one test as well
-    if not np.abs(x).max() <= bound:
+    ok = np.abs(x).max(axis=1) <= bound
+    if not ok.all():
+        step = first + int(np.argmin(ok))
         raise DivergenceError(
-            f"state left the trust region at step {step} (t = {t:.6g})",
-            step=step, t=t)
+            f"state left the trust region at step {step} "
+            f"(t = {t[step]:.6g})", step=step, t=t[step])
 
 
 def _check_dims(system, config):
@@ -273,12 +295,20 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
     f = system.field
     x_prev = x0.copy()
     bound = config.diverge_bound
-    for m in range(1, n_steps + 1):
-        d = ha * np.asarray(f(t[m - 1], x_prev), dtype=float)
-        d -= hist(m)  # d_0 = 0, so lag m contributes nothing
-        dev[m] = d
-        x_prev = x0 + d
-        _check_state(x_prev, m, t[m], bound)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(1, n_steps + 1, BASE):
+            stop = min(first + BASE, n_steps + 1)
+            try:
+                for m in range(first, stop):
+                    d = ha * np.asarray(f(t[m - 1], x_prev), dtype=float)
+                    d -= hist(m)  # d_0 = 0, so lag m contributes nothing
+                    dev[m] = d
+                    x_prev = x0 + d
+            except Exception:
+                # a diverged state written before the failure explains it
+                _check_rows(dev[first:m] + x0, first, t, bound)
+                raise
+            _check_rows(dev[first:stop] + x0, first, t, bound)
     return Trajectory(t=t, x=dev + x0, alpha=alpha, h=h,
                       system_name=system.name, scheme="gl",
                       memory_window=config.memory_window)
@@ -307,7 +337,8 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     cc = h ** alpha / gamma(alpha + 2.0)      # corrector scale
 
     t = config.t0 + h * np.arange(n_steps + 1)
-    x = np.empty((n_steps + 1, system.dim))
+    # zero rows pass the divergence check until they are written
+    x = np.zeros((n_steps + 1, system.dim))
     fx = np.empty((n_steps + 1, system.dim))
     predictor = HistoryKernel(b[:window], fx)  # lag k: b_{k-1}
     corrector = HistoryKernel(a[:window], fx)  # lag k: a_k
@@ -315,21 +346,31 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     f = system.field
     fx[0] = np.asarray(f(t[0], x0), dtype=float)
     bound = config.diverge_bound
-    for m in range(1, n_steps + 1):
-        pred = x0 + cp * predictor(m)
-        hist = corrector(m)
-        if m <= window:
-            # f_0 takes the boundary weight (m-1)^{a+1} - (m-1-a) m^a in
-            # place of the lag-m weight a_m that the kernel summed
-            hist = hist + ((m - 1.0) ** (alpha + 1.0)
-                           - (m - 1.0 - alpha) * m ** alpha
-                           - a[m - 1]) * fx[0]
-        cur = pred
-        for _ in range(config.corrector_iters):
-            cur = x0 + cc * (hist + np.asarray(f(t[m], cur), dtype=float))
-        x[m] = cur
-        fx[m] = np.asarray(f(t[m], x[m]), dtype=float)
-        _check_state(x[m], m, t[m], bound)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(1, n_steps + 1, BASE):
+            stop = min(first + BASE, n_steps + 1)
+            try:
+                for m in range(first, stop):
+                    pred = x0 + cp * predictor(m)
+                    hist = corrector(m)
+                    if m <= window:
+                        # f_0 takes the boundary weight
+                        # (m-1)^{a+1} - (m-1-a) m^a in place of the lag-m
+                        # weight a_m that the kernel summed
+                        hist = hist + ((m - 1.0) ** (alpha + 1.0)
+                                       - (m - 1.0 - alpha) * m ** alpha
+                                       - a[m - 1]) * fx[0]
+                    cur = pred
+                    for _ in range(config.corrector_iters):
+                        cur = x0 + cc * (hist + np.asarray(f(t[m], cur),
+                                                           dtype=float))
+                    x[m] = cur
+                    fx[m] = np.asarray(f(t[m], x[m]), dtype=float)
+            except Exception:
+                # a diverged state written before the failure explains it
+                _check_rows(x[first:m + 1], first, t, bound)
+                raise
+            _check_rows(x[first:stop], first, t, bound)
     return Trajectory(t=t, x=x, alpha=alpha, h=h, system_name=system.name,
                       scheme="abm", memory_window=config.memory_window)
 
@@ -356,7 +397,8 @@ class MultiTermSpec:
     rhs: Callable[[float, float], float]
     x0: float = 0.0
     name: str = "multi_term"
-    # d(rhs)/dx, needed only when the chain should expose a Jacobian
+    # d(rhs)/dx, needed only when the chain should expose a Jacobian; it
+    # must broadcast over arrays of t and x, as the chain's Jacobian does
     rhs_dx: Optional[Callable[[float, float], float]] = None
 
     def __post_init__(self):
@@ -444,8 +486,8 @@ def multi_term_to_system(spec: MultiTermSpec):
             base_jac[n - 1, row] = -cf / lead
 
         def chain_jacobian(t, y):
-            jac = base_jac.copy()
-            jac[n - 1, 0] += rhs_dx(t, y[0]) / lead
+            jac = np.broadcast_to(base_jac, y.shape[:-1] + (n, n)).copy()
+            jac[..., n - 1, 0] += rhs_dx(t, y[..., 0]) / lead
             return jac
 
     system = SystemSpec(
@@ -490,11 +532,29 @@ def atomic_write(path: str, text: str) -> None:
         fh.write(text)
 
 
+# data rows formatted per string operation and write of the CSV writer
+CSV_ROWS = 4096
+
+
+def _csv_chunks(t, x):
+    """The data rows of a trajectory CSV as text, ``CSV_ROWS`` at a time.
+
+    Each chunk is one ``%`` over its rows: t and the state as ``%.17g``,
+    comma-separated, one row per line.
+    """
+    line = ",".join(["%.17g"] * (1 + x.shape[1])) + "\n"
+    for start in range(0, len(t), CSV_ROWS):
+        rows = np.column_stack((t[start:start + CSV_ROWS],
+                                x[start:start + CSV_ROWS]))
+        yield (line * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     """Write a trajectory as CSV, losslessly (%.17g) and atomically.
 
     Metadata rides in '#'-prefixed header lines so a written file can be
-    read back into an identical Trajectory.
+    read back into an identical Trajectory.  The rows are formatted and
+    written ``CSV_ROWS`` at a time.
     """
     dim = traj.x.shape[1]
     mw = "" if traj.memory_window is None else str(traj.memory_window)
@@ -505,8 +565,8 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
         fh.write(f"# h={traj.h!r}\n")
         fh.write(f"# memory_window={mw}\n")
         fh.write("t," + ",".join(f"x{i}" for i in range(dim)) + "\n")
-        np.savetxt(fh, np.column_stack((traj.t, traj.x)), fmt="%.17g",
-                   delimiter=",")
+        for text in _csv_chunks(traj.t, traj.x):
+            fh.write(text)
 
 
 def read_trajectory_csv(path: str) -> Trajectory:

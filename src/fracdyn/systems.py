@@ -107,62 +107,88 @@ def default_initial_state(name: str) -> np.ndarray:
     return np.array(make_system(name).params["default_x0"], dtype=float)
 
 
+def _from_template(template, x):
+    """Jacobians at states ``x`` of shape (..., dim): copies of the constant
+    ``template`` stacked over the leading axes, for the state-dependent
+    entries to be set."""
+    return np.broadcast_to(template, x.shape[:-1] + template.shape).copy()
+
+
 def _lorenz(p):
     sigma, rho, beta = p["sigma"], p["rho"], p["beta"]
+    template = np.array([
+        [-sigma, sigma, 0.0],
+        [0.0, -1.0, 0.0],
+        [0.0, 0.0, -beta],
+    ])
 
     def field(t, x):
-        return np.array([
-            sigma * (x[1] - x[0]),
-            x[0] * (rho - x[2]) - x[1],
-            x[0] * x[1] - beta * x[2],
-        ])
+        x0, x1, x2 = x.tolist()
+        return np.array((
+            sigma * (x1 - x0),
+            x0 * (rho - x2) - x1,
+            x0 * x1 - beta * x2,
+        ))
 
     def jacobian(t, x):
-        return np.array([
-            [-sigma, sigma, 0.0],
-            [rho - x[2], -1.0, -x[0]],
-            [x[1], x[0], -beta],
-        ])
+        jac = _from_template(template, x)
+        jac[..., 1, 0] = rho - x[..., 2]
+        jac[..., 1, 2] = -x[..., 0]
+        jac[..., 2, 0] = x[..., 1]
+        jac[..., 2, 1] = x[..., 0]
+        return jac
 
     return field, jacobian
 
 
 def _chen(p):
     a, b, c = p["a"], p["b"], p["c"]
+    template = np.array([
+        [-a, a, 0.0],
+        [0.0, c, 0.0],
+        [0.0, 0.0, -b],
+    ])
 
     def field(t, x):
-        return np.array([
-            a * (x[1] - x[0]),
-            (c - a) * x[0] - x[0] * x[2] + c * x[1],
-            x[0] * x[1] - b * x[2],
-        ])
+        x0, x1, x2 = x.tolist()
+        return np.array((
+            a * (x1 - x0),
+            (c - a) * x0 - x0 * x2 + c * x1,
+            x0 * x1 - b * x2,
+        ))
 
     def jacobian(t, x):
-        return np.array([
-            [-a, a, 0.0],
-            [c - a - x[2], c, -x[0]],
-            [x[1], x[0], -b],
-        ])
+        jac = _from_template(template, x)
+        jac[..., 1, 0] = c - a - x[..., 2]
+        jac[..., 1, 2] = -x[..., 0]
+        jac[..., 2, 0] = x[..., 1]
+        jac[..., 2, 1] = x[..., 0]
+        return jac
 
     return field, jacobian
 
 
 def _rossler(p):
     a, b, c = p["a"], p["b"], p["c"]
+    template = np.array([
+        [0.0, -1.0, -1.0],
+        [1.0, a, 0.0],
+        [0.0, 0.0, 0.0],
+    ])
 
     def field(t, x):
-        return np.array([
-            -x[1] - x[2],
-            x[0] + a * x[1],
-            b + x[2] * (x[0] - c),
-        ])
+        x0, x1, x2 = x.tolist()
+        return np.array((
+            -x1 - x2,
+            x0 + a * x1,
+            b + x2 * (x0 - c),
+        ))
 
     def jacobian(t, x):
-        return np.array([
-            [0.0, -1.0, -1.0],
-            [1.0, a, 0.0],
-            [x[2], 0.0, x[0] - c],
-        ])
+        jac = _from_template(template, x)
+        jac[..., 2, 0] = x[..., 2]
+        jac[..., 2, 2] = x[..., 0] - c
+        return jac
 
     return field, jacobian
 
@@ -174,27 +200,28 @@ def chua_nonlinearity(x, m0=-1.27, m1=-0.68):
 
 def _chua(p):
     a, b, m0, m1 = p["a"], p["b"], p["m0"], p["m1"]
-
-    def h(x):
-        return chua_nonlinearity(x, m0, m1)
+    template = np.array([
+        [0.0, a, 0.0],
+        [1.0, -1.0, 1.0],
+        [0.0, -b, 0.0],
+    ])
 
     def hprime(x):
         # one-sided slope at the |x| = 1 kinks (outer branch)
-        return m0 if abs(x) < 1.0 else m1
+        return np.where(np.abs(x) < 1.0, m0, m1)
 
     def field(t, x):
-        return np.array([
-            a * (x[1] - h(x[0])),
-            x[0] - x[1] + x[2],
-            -b * x[1],
-        ])
+        x0, x1, x2 = x.tolist()
+        return np.array((
+            a * (x1 - chua_nonlinearity(x0, m0, m1)),
+            x0 - x1 + x2,
+            -b * x1,
+        ))
 
     def jacobian(t, x):
-        return np.array([
-            [-a * hprime(x[0]), a, 0.0],
-            [1.0, -1.0, 1.0],
-            [0.0, -b, 0.0],
-        ])
+        jac = _from_template(template, x)
+        jac[..., 0, 0] = -a * hprime(x[..., 0])
+        return jac
 
     return field, jacobian
 

@@ -488,10 +488,23 @@ def test_frame_collapse_in_a_later_chunk_names_its_block(monkeypatch):
     monkeypatch.setattr(chaos, "ROWS", 40)
     system = SystemSpec(
         name="switch", dim=1, field=lambda t, x: -x,
-        jacobian=lambda t, x: np.array([[-200.0 if t > 0.9975 else -1.0]]))
+        jacobian=lambda t, x: np.where(t > 0.9975, -200.0,
+                                       -1.0)[..., None, None])
     cfg = SolverConfig(alpha=1.0, h=0.005, t_end=2.0, x0=np.array([1.0]))
     with pytest.raises(NonConvergenceError, match=r"at t = 1\.05$"):
         lyapunov_spectrum(system, cfg, renorm_every=10)
+
+
+@pytest.mark.parametrize("tangent_history", chaos.TANGENT_HISTORIES)
+def test_jacobian_of_the_wrong_batch_shape_is_a_config_error(
+        tangent_history):
+    # one 2x2 matrix per state of a 1-d system cannot broadcast to
+    # (n, 1, 1)
+    system = SystemSpec(name="wrong", dim=1, field=lambda t, x: -x,
+                        jacobian=lambda t, x: np.zeros(x.shape[:-1] + (2, 2)))
+    cfg = SolverConfig(alpha=0.9, h=0.01, t_end=1.0, x0=np.array([1.0]))
+    with pytest.raises(ConfigError, match=r"shape \(100, 2, 2\)"):
+        lyapunov_spectrum(system, cfg, tangent_history=tangent_history)
 
 
 def test_lyapunov_validation_errors():

@@ -1,10 +1,14 @@
 """Tests for the command-line front end: exit codes and artifact contracts."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import fracdyn
 from fracdyn.cli import _CASES, _CONFIG_KEYS, main
 
 ARTIFACTS = ("comparison.txt", "dimension.json", "lyapunov.json",
@@ -205,3 +209,12 @@ def test_config_document_is_shared_across_commands(tmp_path, monkeypatch):
 def test_reproduce_cases_use_only_known_config_keys():
     for case in _CASES.values():
         assert set(case) - {"claims"} <= _CONFIG_KEYS
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(fracdyn.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "fracdyn", "list-systems"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0
+    assert out.stdout.split()[0] == "lorenz"

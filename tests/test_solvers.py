@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fracdyn import solvers
 from fracdyn.errors import (
     ConfigError,
     DivergenceError,
@@ -446,6 +447,79 @@ def test_divergence_reports_step_and_time(solver, step, value):
     assert exc.value.t == pytest.approx(step * 0.1)
 
 
+def blowup(t_switch, power):
+    """Zero until t_switch, then 1e8 * (1 + x^4), which leaves a trust
+    region of 1e6 in one step and overflows a few steps later.  ``power``
+    computes x^4: numpy's overflows to inf with a warning, Python's float
+    power raises ``OverflowError``."""
+    def field(t, x):
+        if t <= t_switch:
+            return np.zeros(1)
+        return 1e8 * (1.0 + power(x))
+    return SystemSpec(name="blowup", dim=1, field=field)
+
+
+def numpy_power(x):
+    return x ** 4
+
+
+def python_power(x):
+    return np.array([x.tolist()[0] ** 4])
+
+
+# GL feels the switch at t_{m-1}, ABM at t_m, so GL reports one step later
+@pytest.mark.parametrize("power", [numpy_power, python_power],
+                         ids=["numpy-overflow", "field-raises"])
+@pytest.mark.parametrize("solver, step", [
+    (solve_gl, 131), (solve_abm, 130),   # mid-block, past the first block
+    (solve_gl, 195), (solve_abm, 194),   # in the final partial block
+], ids=["gl-mid", "abm-mid", "gl-tail", "abm-tail"])
+def test_divergence_is_located_inside_its_block(solver, step, power):
+    h = 0.125
+    cfg = SolverConfig(alpha=1.0, h=h, t_end=200 * h, x0=[1.0],
+                       diverge_bound=1e6)
+    assert cfg.n_steps % BASE and step > BASE
+    t_switch = (step - 0.5 - (solver is solve_gl)) * h
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError) as exc:
+            solver(blowup(t_switch, power), cfg)
+    assert exc.value.step == step
+    assert exc.value.t == step * h
+    assert str(exc.value) == (f"state left the trust region at step {step} "
+                              f"(t = {step * h:.6g})")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("solver, step", [(solve_gl, 18), (solve_abm, 17)],
+                         ids=["gl", "abm"])
+def test_field_failing_on_the_diverged_state_is_a_divergence(solver, step):
+    # ABM evaluates f at a new state before its block is checked; the
+    # diverged state, not the field's error, ends the run
+    def field(t, x):
+        if abs(x.tolist()[0]) > 1e6:
+            raise OverflowError("field fails on the diverged state")
+        return np.array([1e8 if t > 2.0 else 0.0])
+
+    cfg = SolverConfig(alpha=1.0, h=0.125, t_end=25.0, x0=[1.0],
+                       diverge_bound=1e6)
+    with pytest.raises(DivergenceError) as exc:
+        solver(SystemSpec(name="fails", dim=1, field=field), cfg)
+    assert exc.value.step == step
+
+
+@pytest.mark.parametrize("solver", [solve_gl, solve_abm])
+def test_field_error_without_divergence_propagates(solver):
+    def field(t, x):
+        if t > 1.0:
+            raise OverflowError("field overflow")
+        return -x
+
+    cfg = SolverConfig(alpha=0.9, h=0.01, t_end=3.0, x0=[1.0])
+    with pytest.raises(OverflowError, match="field overflow"):
+        solver(SystemSpec(name="raises", dim=1, field=field), cfg)
+
+
 def test_deterministic_across_runs():
     cfg = SolverConfig(alpha=0.9, h=1e-3, t_end=1.0, x0=[1.0])
     a = solve_gl(RELAX, cfg)
@@ -588,17 +662,29 @@ def test_csv_streamed_write_matches_in_memory_text(tmp_path, window):
     assert path.read_bytes() == string_buffer_csv(traj)
 
 
+def test_csv_write_of_several_chunks_matches_in_memory_text(tmp_path):
+    cfg = SolverConfig(alpha=0.9, h=1e-3, t_end=9.0, x0=[1.0, 0.0])
+    traj = solve_gl(ROTATE, cfg)
+    assert len(traj.t) > 2 * solvers.CSV_ROWS
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, str(path))
+    assert path.read_bytes() == string_buffer_csv(traj)
+
+
 def test_csv_write_failure_keeps_old_file(tmp_path, monkeypatch):
     cfg = SolverConfig(alpha=0.9, h=0.1, t_end=1.0, x0=[1.0])
     path = tmp_path / "out.csv"
     write_trajectory_csv(solve_gl(RELAX, cfg), str(path))
     first = path.read_bytes()
+    chunks = solvers._csv_chunks
 
-    def savetxt_then_fail(fh, rows, **kwargs):
-        fh.write("0,1\n")
+    def first_chunk_then_fail(t, x):
+        yield next(chunks(t, x))
         raise OSError("disk full")
 
-    monkeypatch.setattr(np, "savetxt", savetxt_then_fail)
+    # the failure comes after a chunk of rows reached the temporary file
+    monkeypatch.setattr(solvers, "CSV_ROWS", 4)
+    monkeypatch.setattr(solvers, "_csv_chunks", first_chunk_then_fail)
     with pytest.raises(OSError, match="disk full"):
         write_trajectory_csv(solve_gl(RELAX, cfg), str(path))
     assert path.read_bytes() == first

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from fracdyn.errors import ConfigError
 from fracdyn.solvers import SystemSpec
 from fracdyn.systems import (
+    BENCHMARK_NAMES,
     BenchmarkId,
     chua_nonlinearity,
     default_guesses,
@@ -216,6 +217,31 @@ def test_jacobian_matches_finite_differences(name):
         scale = max(1.0, np.max(np.abs(ja)))
         assert np.max(np.abs(ja - jf)) / scale < 1e-6
         checked += 1
+
+
+# -- batched Jacobians ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_batch_jacobian_stacks_single_state_calls(name):
+    sys_ = make_system(name)
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-10.0, 10.0, size=(3, 6, sys_.dim))
+    t = rng.uniform(0.0, 10.0, size=(3, 6))
+    if name == "chua":
+        # both kinks, exactly and one ulp to either side
+        x[0, :, 0] = [np.nextafter(-1.0, -2.0), -1.0, np.nextafter(-1.0, 0.0),
+                      np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+    batch = sys_.jacobian(t, x)
+    single = np.array([[sys_.jacobian(t[i, j], x[i, j]) for j in range(6)]
+                       for i in range(3)])
+    assert batch.shape == (3, 6, sys_.dim, sys_.dim)
+    assert batch.tobytes() == single.tobytes()
+    if name == "chua":
+        a, m0, m1 = (sys_.params[k] for k in ("a", "m0", "m1"))
+        # the kinks take the outer slope
+        assert batch[0, :, 0, 0].tolist() == [-a * m1, -a * m1, -a * m0,
+                                              -a * m0, -a * m1, -a * m1]
 
 
 # -- duffing chain -------------------------------------------------------
