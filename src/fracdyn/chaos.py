@@ -252,37 +252,46 @@ class _QRChain:
 
     Called once per block, in block order, with the block's end frame: QR
     of the observable rows, the collapse check, the positive-diagonal
-    convention, and the running exponent estimates of the blocks past the
-    transient.  Returns the renormalized frame and the inverse triangular
-    factor.
+    convention, and the diagonal of R (the signed stretch factors) of the
+    blocks past the transient.  Returns the renormalized frame and the
+    inverse triangular factor.  ``history`` turns the stored stretches into
+    the running exponent estimates.
     """
 
     def __init__(self, rows, skip_blocks, renorm_every, h):
-        self.rows = rows
+        self.rows = np.array(rows)
         self.skip_blocks = skip_blocks
         self.renorm_every = renorm_every
         self.h = h
         self.block = 0
-        self.logs = np.zeros(len(rows))
-        self.history = []
+        self.stretches = []
+        self._below = np.tril_indices(len(rows), -1)
 
     def __call__(self, v, t):
-        # mode "r" skips forming Q; R has the same bits as in full mode
-        r = np.linalg.qr(v[self.rows], mode="r")
+        # mode "raw" skips forming Q; the upper triangle of its transposed
+        # h is the R of mode "r", bit for bit, with reflectors below it
+        r = np.linalg.qr(v[self.rows], mode="raw")[0].T
         diag = r.diagonal().copy()
         # NaN fails the comparison as well
         if not all(1e-300 <= abs(d) < math.inf for d in diag.tolist()):
             raise NonConvergenceError(
                 f"tangent frame collapsed at t = {t:.6g}")
+        r[self._below] = 0.0
         r *= np.sign(diag)[:, None]  # positive diagonal convention
         rinv = np.linalg.inv(r)
         if self.block >= self.skip_blocks:
-            self.logs += np.log(np.abs(diag))
-            elapsed = ((self.block - self.skip_blocks + 1)
-                       * self.renorm_every * self.h)
-            self.history.append(self.logs / elapsed)
+            self.stretches.append(diag)
         self.block += 1
         return v @ rinv, rinv
+
+    @property
+    def history(self):
+        """(n, m) running estimates: the summed log stretches of the first
+        k blocks past the transient over their elapsed time, k = 1 .. n."""
+        # cumsum adds block by block, as a running sum would
+        logs = np.cumsum(np.log(np.abs(np.array(self.stretches))), axis=0)
+        elapsed = np.arange(1, len(logs) + 1) * self.renorm_every * self.h
+        return logs / elapsed[:, None]
 
 
 def _jacobians(system, traj, steps):
@@ -314,10 +323,9 @@ def _exact_flow(system, config, traj, renorm_every, n_blocks, v0, chain):
     for first in range(0, span, ROWS):
         for jac in _jacobians(system, traj,
                               slice(first, min(first + ROWS, span))):
-            d = ha * (jac @ v_prev)
             step += 1
-            d -= hist(step)
-            dev[step] = d
+            d = hist(step, dev[step])
+            np.subtract(ha * (jac @ v_prev), d, out=d)
             v_prev = v_base + d
             if step % renorm_every == 0:
                 v_prev, rinv = chain(v_prev, traj.t[step])
@@ -355,9 +363,8 @@ def _restart_blocks(system, config, traj, renorm_every, n_blocks, v0, chain):
         # (R, count, dim, dim): row j holds step j of every block
         hj = hj.reshape(count, R, dim, dim).swapaxes(0, 1)
         for j in range(1, R + 1):
-            d = hj[j - 1] @ (eye + dev[j - 1])
-            d -= hist(j)
-            dev[j] = d
+            d = hist(j, dev[j])
+            np.subtract(hj[j - 1] @ (eye + dev[j - 1]), d, out=d)
         phi = eye + dev[R]
         for b in range(count):
             v, _ = chain(phi[b] @ v, traj.t[start + (b + 1) * R])
@@ -441,7 +448,7 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
         _restart_blocks(system, config, traj, renorm_every, n_blocks, v0,
                         chain)
 
-    history = np.array(chain.history)
+    history = chain.history
     exponents = np.sort(history[-1])[::-1]
     quarter = max(1, len(history) // 4)
     lam1 = history[:, np.argmax(history[-1])]

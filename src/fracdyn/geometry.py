@@ -70,7 +70,12 @@ def box_count(points, epsilon: float) -> int:
     if not (epsilon > 0.0) or not np.isfinite(epsilon):
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     mins = pts.min(axis=0)
-    spans = pts.max(axis=0) - mins
+    return _count_cells(pts, mins, pts.max(axis=0) - mins, epsilon)
+
+
+def _count_cells(pts, mins, spans, epsilon):
+    """``box_count`` on validated points with their per-axis minimum and
+    span, so a scale ladder takes those once."""
     axis_cells = np.floor(spans / epsilon) + 1.0
     total = float(np.prod(axis_cells))
     if total > _MAX_CELLS or np.any(axis_cells > _MAX_CELLS):
@@ -90,13 +95,18 @@ def box_count(points, epsilon: float) -> int:
     idx = idx.astype(np.int64)
 
     interior = ~on_line.any(axis=1)
-    occupied = set((idx[interior] @ strides).tolist())
+    # the interior points' cells, sorted: a count of the distinct keys and
+    # a membership test by bisection, without a set of every key
+    filled = np.sort(idx[interior] @ strides)
+    count = (int(np.count_nonzero(filled[1:] != filled[:-1])) + 1
+             if filled.size else 0)
 
     # points on grid lines belong to every adjacent closed cell; assign
     # each to a cell other points already occupy where possible, sweeping
     # in lexicographic order so runs of aligned points share cells
     b_rows = np.nonzero(~interior)[0]
     if b_rows.size:
+        added = set()
         order = b_rows[np.lexsort(u[b_rows].T[::-1])]
         upper = cells_per_axis - 1
         for row in order:
@@ -114,18 +124,31 @@ def box_count(points, epsilon: float) -> int:
                 cands = grown
             keys = list(dict.fromkeys(int(c @ strides) for c in cands))
             for key in keys:
-                if key in occupied:
+                at = int(np.searchsorted(filled, key))
+                if key in added or (at < filled.size and filled[at] == key):
                     break
             else:
-                occupied.add(keys[-1])
-    return len(occupied)
+                added.add(keys[-1])
+        count += len(added)
+    return count
+
+
+def _distinct_rows(pts):
+    """Number of distinct rows of ``pts``, counted as
+    ``np.unique(pts, axis=0)`` counts them (-0.0 equals 0.0), from one
+    lexsort pass."""
+    ranked = pts[np.lexsort(pts.T)]
+    return 1 + int(np.count_nonzero(
+        (ranked[1:] != ranked[:-1]).any(axis=1)))
 
 
 def box_dimension(points, eps_max: float = None, eps_min: float = None,
                   levels: int = 12) -> BoxCountResult:
     """Fit the occupied-cell scaling law over a geometric scale ladder."""
     pts = _as_points(points)
-    extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    mins = pts.min(axis=0)
+    spans = pts.max(axis=0) - mins
+    extent = float(np.max(spans))
     if extent == 0.0:
         raise DegenerateFitError("point cloud has zero extent")
     if eps_max is None:
@@ -139,12 +162,13 @@ def box_dimension(points, eps_max: float = None, eps_min: float = None,
         raise ConfigError(f"levels must be >= 4, got {levels}")
 
     scales = np.geomspace(eps_max, eps_min, levels)
-    counts = np.array([box_count(pts, e) for e in scales], dtype=np.int64)
+    counts = np.array([_count_cells(pts, mins, spans, e) for e in scales],
+                      dtype=np.int64)
     if np.all(counts == counts[0]):
         raise DegenerateFitError(
             "occupied-cell count is constant across all scales")
 
-    n_distinct = np.unique(pts, axis=0).shape[0]
+    n_distinct = _distinct_rows(pts)
     saturated = counts >= _SATURATION_FRACTION * n_distinct
     usable = int(np.argmax(saturated)) if saturated.any() else levels
     if saturated.any():

@@ -16,8 +16,11 @@ Per-step cost is one call of the shared history kernel ``HistoryKernel``
 (two for ABM): a direct dot over the last ``BASE`` - 1 lags, plus FFT tiles
 for the longer lags that run once per completed block of history, so a
 full-memory run over N steps costs O(N log^2 N * dim) flops.  A kernel is
-bound to the buffer it sums: ``hist(end)`` needs ``end <= len(buf) - 1``, and
-rows below ``end`` change only through ``hist.rescale`` or ``hist.reset``.
+bound to the buffer it sums: ``hist(end, out)`` needs ``end <= len(buf) - 1``,
+writes the history sum into the caller's C-contiguous row ``out`` (for GL,
+the buffer's own row ``end``, which the step then finishes in place) and
+returns it; rows below ``end`` change only through ``hist.rescale`` or
+``hist.reset``.
 
 Both steppers check divergence once per block of ``BASE`` steps (and once
 for the final partial block): the first row of the block whose max|x|
@@ -157,18 +160,22 @@ class HistoryKernel:
     GL and ABM, a (dim, m) block for the exact-flow tangent frame, a
     (n_blocks, dim, dim) batch of transfer-matrix deviations for the
     restart convention, so one call sums every block's history) and called
-    once per step with ``end`` = 1, 2, ... <= len(buf) - 1, ``hist(end)``
-    returns sum_{k=1}^{min(end, window)} w_k * buf[end - k] in the shape of
-    a row, with ``weights[k - 1]`` = w_k.  Rows below ``end`` must be final:
-    the caller writes row ``end`` after the call, changes earlier rows only
-    through ``rescale``, and calls ``reset()`` before restarting at
-    ``end`` = 1.  Trailing zero weights are dropped, so ``window`` is the
+    once per step with ``end`` = 1, 2, ... <= len(buf) - 1,
+    ``hist(end, out)`` writes sum_{k=1}^{min(end, window)} w_k * buf[end - k]
+    into ``out`` and returns ``out``, with ``weights[k - 1]`` = w_k.
+    ``out`` is a C-contiguous array in the shape of a row, usually
+    ``buf[end]`` itself; one that is not contiguous raises ``ValueError``
+    rather than being written through a copy.  Rows below ``end`` must be
+    final: the caller finishes row ``end`` after the call, changes earlier
+    rows only through ``rescale``, and calls ``reset()`` before restarting
+    at ``end`` = 1.  Trailing zero weights are dropped, so ``window`` is the
     longest contributing lag (one lag for GL at alpha = 1).
 
     The sum is split by lag.  Lags below ``BASE`` are the *near* part: one
-    BLAS dot of the reversed weights against ``buf[end - n:end]`` (rows of
-    rank two or more enter it through a flat view), so a window shorter than
-    ``BASE`` is summed exactly as a plain direct dot.  Lags in [s, 2s), for
+    BLAS dot of the reversed weights against ``buf[end - n:end]``, written
+    straight into ``out`` (rows of rank two or more enter it, and ``out``
+    takes it, through flat views), so a window shorter than ``BASE`` is
+    summed exactly as a plain direct dot.  Lags in [s, 2s), for
     each tile size s = BASE * 2^l <= window, are the *far* part: when an
     aligned input block ``buf[end - s:end]`` is complete (``end`` % s == 0),
     one FFT tile convolves it with w_s .. w_{2s-1} and adds the result into
@@ -208,16 +215,20 @@ class HistoryKernel:
         self._spec = np.empty((top + 1,) + buf.shape[1:], dtype=complex)
         self._out = np.empty((2 * top,) + buf.shape[1:])
 
-    def __call__(self, end):
-        n = min(end, self._near)
-        acc = self._rev[self._near - n:] @ self._rows[end - n:end]
-        if self._rows is not self._buf:
-            acc = acc.reshape(self._buf.shape[1:])
-        if not self._tiles:
-            return acc
-        if end % BASE == 0:
-            self._run_tiles(end)
-        return acc + self._far[end]
+    def __call__(self, end, out):
+        # a non-contiguous ``out`` fails here or in ``np.dot``, never copied
+        flat = out if self._rows is self._buf else np.reshape(
+            out, (-1,), copy=False)
+        near = self._near
+        if end >= near:
+            np.dot(self._rev, self._rows[end - near:end], out=flat)
+        else:
+            np.dot(self._rev[near - end:], self._rows[:end], out=flat)
+        if self._tiles:
+            if end % BASE == 0:
+                self._run_tiles(end)
+            out += self._far[end]
+        return out
 
     def _run_tiles(self, end):
         far = self._far
@@ -300,9 +311,10 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
             stop = min(first + BASE, n_steps + 1)
             try:
                 for m in range(first, stop):
-                    d = ha * np.asarray(f(t[m - 1], x_prev), dtype=float)
-                    d -= hist(m)  # d_0 = 0, so lag m contributes nothing
-                    dev[m] = d
+                    # d_0 = 0, so lag m contributes nothing
+                    d = hist(m, dev[m])
+                    np.subtract(ha * np.asarray(f(t[m - 1], x_prev),
+                                                dtype=float), d, out=d)
                     x_prev = x0 + d
             except Exception:
                 # a diverged state written before the failure explains it
@@ -342,6 +354,10 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     fx = np.empty((n_steps + 1, system.dim))
     predictor = HistoryKernel(b[:window], fx)  # lag k: b_{k-1}
     corrector = HistoryKernel(a[:window], fx)  # lag k: a_k
+    pred_row = np.empty(system.dim)
+    hist_row = np.empty(system.dim)
+    # a_m as Python floats for the boundary weight below
+    a_lag = a[:window].tolist()
     x[0] = x0
     f = system.field
     fx[0] = np.asarray(f(t[0], x0), dtype=float)
@@ -351,15 +367,15 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
             stop = min(first + BASE, n_steps + 1)
             try:
                 for m in range(first, stop):
-                    pred = x0 + cp * predictor(m)
-                    hist = corrector(m)
+                    pred = x0 + cp * predictor(m, pred_row)
+                    hist = corrector(m, hist_row)
                     if m <= window:
                         # f_0 takes the boundary weight
                         # (m-1)^{a+1} - (m-1-a) m^a in place of the lag-m
                         # weight a_m that the kernel summed
-                        hist = hist + ((m - 1.0) ** (alpha + 1.0)
-                                       - (m - 1.0 - alpha) * m ** alpha
-                                       - a[m - 1]) * fx[0]
+                        hist += ((m - 1.0) ** (alpha + 1.0)
+                                 - (m - 1.0 - alpha) * m ** alpha
+                                 - a_lag[m - 1]) * fx[0]
                     cur = pred
                     for _ in range(config.corrector_iters):
                         cur = x0 + cc * (hist + np.asarray(f(t[m], cur),
@@ -466,13 +482,15 @@ def multi_term_to_system(spec: MultiTermSpec):
         if lower else np.empty(0, dtype=int)
     lower_coeff = np.array([cf for _, cf in lower])
     rhs = spec.rhs
+    # y[shift] is y moved up one row; its last entry is overwritten
+    shift = np.minimum(np.arange(1, n + 1), n - 1)
+    dot_lower = lower_coeff.dot
 
     def chain_field(t, y):
-        dy = np.empty_like(y)
-        dy[:-1] = y[1:]
+        dy = y[shift]
         acc = rhs(t, y[0])
         if lower_rows.size:
-            acc = acc - lower_coeff @ y[lower_rows]
+            acc = acc - dot_lower(y[lower_rows])
         dy[-1] = acc / lead
         return dy
 

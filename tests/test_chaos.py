@@ -402,6 +402,68 @@ def test_lyapunov_alpha_one_restarts_history_at_every_block():
     npt.assert_array_equal(exact, restart)
 
 
+class ReferenceQRChain:
+    """``chaos._QRChain`` with R from QR in mode "r", and the log
+    stretches summed block by block into running estimates."""
+
+    def __init__(self, rows, skip_blocks, renorm_every, h):
+        self.rows = rows
+        self.skip_blocks = skip_blocks
+        self.renorm_every = renorm_every
+        self.h = h
+        self.block = 0
+        self.logs = np.zeros(len(rows))
+        self.estimates = []
+
+    def __call__(self, v, t):
+        r = np.linalg.qr(v[self.rows], mode="r")
+        diag = r.diagonal().copy()
+        if not all(1e-300 <= abs(d) < math.inf for d in diag.tolist()):
+            raise NonConvergenceError(
+                f"tangent frame collapsed at t = {t:.6g}")
+        r *= np.sign(diag)[:, None]
+        rinv = np.linalg.inv(r)
+        if self.block >= self.skip_blocks:
+            self.logs += np.log(np.abs(diag))
+            elapsed = ((self.block - self.skip_blocks + 1)
+                       * self.renorm_every * self.h)
+            self.estimates.append(self.logs / elapsed)
+        self.block += 1
+        return v @ rinv, rinv
+
+    @property
+    def history(self):
+        return np.array(self.estimates)
+
+
+@pytest.mark.parametrize("tangent_history", chaos.TANGENT_HISTORIES)
+@pytest.mark.parametrize("name,alpha,transient", [
+    ("lorenz", 0.95, None), ("lorenz", 0.95, 0.0), ("chen", 0.9, None),
+    ("duffing", 0.1, None)])
+def test_qr_chain_matches_the_reference_chain_bit_for_bit(
+        name, alpha, transient, tangent_history, monkeypatch):
+    # the chain keeps mode "raw"'s R and sums the stored stretches at the
+    # end; both give the reference's bits, before and past the transient
+    system = make_system(name)
+    cfg = SolverConfig(alpha=alpha, h=0.005, t_end=6.0,
+                       x0=system.params["default_x0"])
+    base = solve(system, cfg)
+
+    def history():
+        return lyapunov_spectrum(system, cfg, renorm_every=10,
+                                 transient=transient,
+                                 tangent_history=tangent_history,
+                                 base_trajectory=base).history
+
+    got = history()
+    monkeypatch.setattr(chaos, "_QRChain", ReferenceQRChain)
+    ref = history()
+    assert got.shape == ref.shape
+    # 120 blocks: all kept, or the first ones cut as transient
+    assert (len(got) == 120) == (transient == 0.0)
+    assert np.array_equal(got, ref)
+
+
 def assert_restart_matches_direct_sum(system, cfg, renorm_every):
     base = solve(system, cfg)
     got = lyapunov_spectrum(system, cfg, renorm_every=renorm_every,

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fracdyn import geometry
 from fracdyn.errors import CellOverflowError, ConfigError, DegenerateFitError
 from fracdyn.geometry import box_count, box_dimension
 
@@ -146,6 +147,38 @@ def test_result_invariants():
     assert 0 <= start < stop <= res.scales.size
     assert stop - start >= 4
     assert np.isfinite(res.intercept)
+
+
+def signed_zero_clouds():
+    rng = np.random.default_rng(5)
+    grid = rng.integers(-2, 3, size=(400, 3)) * 0.5
+    # a zero coordinate of either sign: np.unique counts the two as one
+    signs = np.where(rng.random(grid.shape) < 0.5, -1.0, 1.0)
+    yield grid * signs
+    yield np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0],
+                    [-0.0, -0.0], [0.0, 0.0], [2.0, 2.0], [2.0, 2.0]])
+    dup = rng.random((300, 2))
+    yield np.concatenate([dup, dup[::3], -dup[::7]])
+    yield rng.random((1, 4))
+    yield np.zeros((5, 1))
+
+
+def test_distinct_rows_count_as_np_unique_counts_them():
+    for pts in signed_zero_clouds():
+        assert geometry._distinct_rows(pts) == \
+            np.unique(pts, axis=0).shape[0]
+
+
+def test_box_dimension_counts_match_box_count():
+    # the scale ladder shares its counter with box_count, also on the
+    # closed-cell boundary path: half the points sit on grid lines
+    rng = np.random.default_rng(9)
+    pts = np.concatenate([np.round(rng.random((500, 2)) * 64) / 64,
+                          rng.random((500, 2))])
+    with pytest.warns(UserWarning):
+        res = box_dimension(pts, eps_max=0.25, eps_min=1 / 256, levels=7)
+    npt.assert_array_equal(res.counts,
+                           [box_count(pts, e) for e in res.scales])
 
 
 def test_box_dimension_validation():

@@ -4,7 +4,9 @@ The reference oracle is direct series summation in extended precision
 (mpmath), independent of the float64/asymptotic machinery under test.  For
 small alpha, where the series needs astronomically many terms, a
 Mellin-Barnes contour integral provides a second, structurally different
-oracle.
+oracle.  Its values are frozen in ``contour_oracle.json`` (written by
+``contour_oracle.py``); the test marked ``slow`` recomputes them live:
+``python -m pytest -m slow``.
 """
 
 import math
@@ -17,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contour_oracle import (GRIDS, grid_points, load_table,
+                            ml_contour_oracle)
 from fracdyn import ml_one, ml_two, mlf
 
 
@@ -53,20 +57,6 @@ def ml_series_oracle(alpha, beta, z, dps=None, max_terms=20000):
             if k > 200 and abs(term) < tol * abs(s):
                 return complex(s)
         raise RuntimeError("oracle did not converge; shrink |z| or raise alpha")
-
-
-def ml_contour_oracle(alpha, beta, x, dps=35):
-    """E_{alpha,beta}(-x) for x > 0 via a Mellin-Barnes contour integral."""
-    with mpmath.workdps(dps):
-        xx = mpmath.mpf(x)
-
-        def integrand(t):
-            s = mpmath.mpc(0.5, t)
-            return (mpmath.gamma(s) * mpmath.gamma(1 - s)
-                    / mpmath.gamma(beta - alpha * s) * xx ** (-s))
-
-        v = mpmath.quad(integrand, [-mpmath.inf, mpmath.inf]) / (2 * mpmath.pi)
-        return complex(v).real
 
 
 def test_exponential_identity():
@@ -127,25 +117,42 @@ def test_against_series_oracle():
     assert checked > 150
 
 
+# tolerance of ml_two against the contour oracle, per grid of GRIDS
+CONTOUR_TOL = {"deep_negative": dict(rel=1e-9, abs=1e-30),
+               "small_alpha": dict(rel=1e-9)}
+
+
+def assert_matches_contour_table(grid):
+    """ml_two against the oracle values frozen in contour_oracle.json."""
+    rows = load_table()[grid]
+    assert [row[:3] for row in rows] == grid_points(grid)
+    for alpha, beta, x, ref in rows:
+        got = ml_two(alpha, beta, -x)
+        assert got == pytest.approx(ref, **CONTOUR_TOL[grid]), (
+            alpha, beta, -x)
+
+
 def test_against_contour_oracle_deep_negative():
     # strong-cancellation band where the series oracle would be costly
-    for alpha in [0.3, 0.5, 0.7, 0.9]:
-        for beta in [0.8, 1.0, 2.0]:
-            for x in [5.0, 20.0, 50.0]:
-                ref = ml_contour_oracle(alpha, beta, x)
-                got = ml_two(alpha, beta, -x)
-                assert got == pytest.approx(ref, rel=1e-9, abs=1e-30), (
-                    alpha, beta, -x)
+    assert_matches_contour_table("deep_negative")
 
 
 def test_against_contour_oracle_small_alpha():
     # the regime where only the asymptotic expansion is viable
-    for alpha in [0.05, 0.1, 0.2]:
-        for beta in [0.8, 1.0]:
-            for x in [2.0, 5.0, 30.0]:
-                ref = ml_contour_oracle(alpha, beta, x)
-                got = ml_two(alpha, beta, -x)
-                assert got == pytest.approx(ref, rel=1e-9), (alpha, beta, -x)
+    assert_matches_contour_table("small_alpha")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+def test_contour_oracle_table_matches_live_mpmath(grid):
+    # the frozen table is the live oracle's output, and ml_two meets the
+    # live oracle as it meets the table
+    for alpha, beta, x, frozen in load_table()[grid]:
+        live = ml_contour_oracle(alpha, beta, x)
+        assert frozen == pytest.approx(live, rel=1e-13, abs=1e-300), (
+            alpha, beta, x)
+        assert ml_two(alpha, beta, -x) == pytest.approx(
+            live, **CONTOUR_TOL[grid]), (alpha, beta, -x)
 
 
 def test_complex_argument():

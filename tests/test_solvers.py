@@ -96,9 +96,10 @@ def naive_history(weights, buf, end, lags):
     return acc
 
 
-def stream(kernel, n):
-    """Call ``kernel`` once per step with end = 1 .. n, as the solvers do."""
-    return [kernel(end) for end in range(1, n + 1)]
+def stream(kernel, buf, n):
+    """Call ``kernel`` once per step with end = 1 .. n, as the solvers do,
+    each time into a fresh ``out`` row, so the values stay apart."""
+    return [kernel(end, np.empty(buf.shape[1:])) for end in range(1, n + 1)]
 
 
 def rows_of(buf):
@@ -132,7 +133,7 @@ def test_history_sum_matches_naive_loop(row_shape, window, trailing_zeros):
     buf = rng.normal(size=(13,) + row_shape)
     hist = HistoryKernel(weights, buf)
     assert hist.window == window
-    for end, got in enumerate(stream(hist, 12), start=1):
+    for end, got in enumerate(stream(hist, buf, 12), start=1):
         assert np.shape(got) == row_shape
         assert_allclose(got, naive_history(weights, buf, end, end),
                         rtol=1e-13, atol=1e-13)
@@ -148,7 +149,7 @@ def test_history_kernel_matches_naive_loop(window, n, row_shape):
     rng = np.random.default_rng(window + 7 * n + len(row_shape))
     weights = rng.normal(size=window)
     buf = rng.normal(size=(n + 1,) + row_shape)
-    got = stream(HistoryKernel(weights, buf), n)
+    got = stream(HistoryKernel(weights, buf), buf, n)
     checked = {1, 2, n} | {e for e in (63, 64, 65, 127, 128, 129, 500, 1024,
                                        1025, 1100, 2048, 2049) if e <= n}
     for end, value in enumerate(got, start=1):
@@ -173,8 +174,9 @@ def test_history_kernel_pushes_through_and_resets():
     ref = buf.copy()    # the same history, rescaled in full by hand
     hist = HistoryKernel(weights, buf)
     rinv = np.eye(m) + np.triu(rng.normal(size=(m, m)), 1)
+    out = np.empty((dim, m))
     for end in range(1, n + 1):
-        value = hist(end)
+        value = hist(end, out)
         assert value.shape == (dim, m)
         assert np.all(np.abs(value - direct_dot(weights, ref, end))
                       <= 1e-13 * rounding_scale(weights, ref, end))
@@ -184,7 +186,7 @@ def test_history_kernel_pushes_through_and_resets():
     buf[:] = rng.normal(size=buf.shape)
     hist.reset()
     for end in range(1, 200):
-        assert_allclose(hist(end), direct_dot(weights, buf, end),
+        assert_allclose(hist(end, out), direct_dot(weights, buf, end),
                         rtol=1e-12, atol=1e-12)
 
 
@@ -194,17 +196,49 @@ def test_history_sum_accepts_flattened_tangent_rows():
     rng = np.random.default_rng(7)
     weights = rng.normal(size=6)
     blocks = rng.normal(size=(10, 3, 2))
-    got = stream(HistoryKernel(weights, blocks), 9)[-1]
+    got = stream(HistoryKernel(weights, blocks), blocks, 9)[-1]
     assert got.shape == (3, 2)
     ref = sum(weights[k - 1] * blocks[9 - k] for k in range(1, 7))
     assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("row_shape", [(), (3,), (3, 2)],
+                         ids=["scalar", "state", "tangent"])
+def test_history_kernel_writes_into_out_and_returns_it(row_shape):
+    rng = np.random.default_rng(11)
+    weights = rng.normal(size=200)
+    buf = rng.normal(size=(300,) + row_shape)
+    twin = buf.copy()
+    hist, twin_hist = HistoryKernel(weights, buf), HistoryKernel(weights, twin)
+    for end in range(1, 300):
+        out = np.empty(row_shape)
+        assert hist(end, out) is out
+        # the solvers pass their own next row: the sum lands in place
+        row = twin[end, ...]
+        assert twin_hist(end, row) is row
+        assert np.array_equal(row, out)
+        row[...] = buf[end]
+
+
+@pytest.mark.parametrize("row_shape", [(3,), (3, 2)],
+                         ids=["state", "tangent"])
+def test_history_kernel_rejects_a_non_contiguous_out(row_shape):
+    buf = np.ones((10,) + row_shape)
+    hist = HistoryKernel(np.ones(4), buf)
+    wide = np.zeros(row_shape[:-1] + (2 * row_shape[-1],))
+    strided = wide[..., ::2]
+    assert strided.shape == row_shape
+    with pytest.raises(ValueError):
+        hist(5, strided)
+    # nothing was written through a copy-and-discard either
+    assert not wide.any()
 
 
 def test_gl_history_alpha_one_keeps_one_lag():
     assert gl_history(1.0, 50, np.zeros(51)).window == 1
     assert gl_history(0.9, 50, np.zeros(51)).window == 50
     buf = np.arange(8.0).reshape(4, 2)
-    got = stream(gl_history(1.0, 50, buf), 3)[-1]
+    got = stream(gl_history(1.0, 50, buf), buf, 3)[-1]
     assert_allclose(got, -buf[2], rtol=0, atol=0)
 
 
@@ -368,6 +402,74 @@ def test_full_memory_matches_direct_sum(case, scheme):
     got = solver(system, cfg).x
     ref = direct(system, cfg)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def two_step_gl(system, cfg):
+    """``solve_gl``'s update in two steps: the step into a new array, then
+    the history sum subtracted from it."""
+    n, h, alpha, x0 = cfg.n_steps, cfg.h, cfg.alpha, cfg.x0
+    window = n if cfg.memory_window is None else min(cfg.memory_window, n)
+    t = cfg.t0 + h * np.arange(n + 1)
+    dev = np.zeros((n + 1, system.dim))
+    hist = gl_history(alpha, window, dev)
+    x_prev = x0.copy()
+    for m in range(1, n + 1):
+        d = h ** alpha * np.asarray(system.field(t[m - 1], x_prev),
+                                    dtype=float)
+        d -= hist(m, np.empty(system.dim))
+        dev[m] = d
+        x_prev = x0 + d
+    return dev + x0
+
+
+def two_step_abm(system, cfg):
+    """``solve_abm``'s update with fresh history arrays, and f_0's
+    boundary weight built on a numpy scalar a_m."""
+    n, h, alpha, x0 = cfg.n_steps, cfg.h, cfg.alpha, cfg.x0
+    window = n if cfg.memory_window is None else min(cfg.memory_window, n)
+    r = np.arange(n + 2, dtype=float)
+    pw, pw1 = r ** alpha, r ** (alpha + 1.0)
+    b = pw[1:] - pw[:-1]
+    a = pw1[2:] - 2.0 * pw1[1:-1] + pw1[:-2]
+    cp = h ** alpha / math.gamma(alpha + 1.0)
+    cc = h ** alpha / math.gamma(alpha + 2.0)
+    t = cfg.t0 + h * np.arange(n + 1)
+    x = np.zeros((n + 1, system.dim))
+    fx = np.empty((n + 1, system.dim))
+    predictor = HistoryKernel(b[:window], fx)
+    corrector = HistoryKernel(a[:window], fx)
+    x[0] = x0
+    fx[0] = np.asarray(system.field(t[0], x0), dtype=float)
+    for m in range(1, n + 1):
+        pred = x0 + cp * predictor(m, np.empty(system.dim))
+        hist = corrector(m, np.empty(system.dim))
+        if m <= window:
+            hist = hist + ((m - 1.0) ** (alpha + 1.0)
+                           - (m - 1.0 - alpha) * m ** alpha
+                           - a[m - 1]) * fx[0]
+        cur = pred
+        for _ in range(cfg.corrector_iters):
+            cur = x0 + cc * (hist + np.asarray(system.field(t[m], cur),
+                                               dtype=float))
+        x[m] = cur
+        fx[m] = np.asarray(system.field(t[m], x[m]), dtype=float)
+    return x
+
+
+@pytest.mark.parametrize("window", [None, 50, 300])
+@pytest.mark.parametrize("scheme,iters", [("gl", 1), ("abm", 1),
+                                          ("abm", 2)])
+def test_in_place_steps_match_the_two_step_updates_bit_for_bit(
+        scheme, iters, window):
+    # the steppers finish each row in place; that is the same IEEE
+    # arithmetic as the two-step update, so every bit agrees
+    cfg = SolverConfig(alpha=0.95, h=0.005, t_end=10.0,
+                       x0=LORENZ.params["default_x0"], scheme=scheme,
+                       memory_window=window, corrector_iters=iters)
+    assert cfg.n_steps > 16 * BASE       # FFT tiles take part at full memory
+    solver, ref = ((solve_gl, two_step_gl) if scheme == "gl"
+                   else (solve_abm, two_step_abm))
+    assert np.array_equal(solver(LORENZ, cfg).x, ref(LORENZ, cfg))
 
 
 # -- memory window -------------------------------------------------------
