@@ -69,14 +69,12 @@ ROWS = 4096
 __all__ = [
     "LyapunovResult",
     "MatignonResult",
-    "SpectralChaosResult",
     "EquilibriumAssessment",
     "StabilityReport",
     "lyapunov_spectrum",
     "kaplan_yorke",
     "classify_attractor",
     "matignon_stability",
-    "spectral_chaos_criterion",
     "dimension_instability_check",
     "stability_report",
 ]
@@ -172,38 +170,6 @@ def matignon_stability(eigenvalues, alpha: float) -> MatignonResult:
     return MatignonResult(margins=margins, stable=stable, marginal=marginal)
 
 
-@dataclass(frozen=True)
-class SpectralChaosResult:
-    """Eigenvalues exceeding the alpha-dependent expansion threshold."""
-
-    witnesses: np.ndarray        # eigenvalues with Re > alpha*pi/2
-    flag: bool                   # witnesses non-empty
-    sign_split: bool             # some eigenvalue also has Re < 0
-    threshold: float
-
-
-def spectral_chaos_criterion(equilibrium, alpha: float) -> SpectralChaosResult:
-    """Expansion test Re(lambda) > alpha*pi/2 on an equilibrium spectrum.
-
-    Returns the witness subset and whether the spectrum also contains a
-    contracting direction (a sign split), the configuration this criterion
-    associates with chaotic dynamics.  Accepts an ``Equilibrium`` or a bare
-    eigenvalue vector.
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
-    lam = np.atleast_1d(np.asarray(
-        getattr(equilibrium, "eigenvalues", equilibrium), dtype=complex))
-    threshold = 0.5 * alpha * math.pi
-    mask = lam.real > threshold
-    return SpectralChaosResult(
-        witnesses=lam[mask],
-        flag=bool(mask.any()),
-        sign_split=bool(np.any(lam.real < 0.0)),
-        threshold=threshold,
-    )
-
-
 def dimension_instability_check(dimension_estimate: float, n: int) -> bool:
     """True iff an attractor dimension estimate exceeds n - 1.
 
@@ -221,8 +187,9 @@ def dimension_instability_check(dimension_estimate: float, n: int) -> bool:
 class EquilibriumAssessment:
     equilibrium: Equilibrium
     margins: np.ndarray
-    spectral: SpectralChaosResult
     classification: str          # "stable" | "unstable"
+    alpha_star: float            # stable at order alpha iff alpha < alpha_star
+    saddle_focus: bool           # unstable eigenvalues: one complex pair
 
 
 @dataclass(frozen=True)
@@ -231,18 +198,30 @@ class StabilityReport:
     equilibria: tuple            # of EquilibriumAssessment
 
 
-def stability_report(system: SystemSpec, alpha: float, guesses=None,
+def stability_report(system: SystemSpec, alpha: float,
                      t: float = 0.0) -> StabilityReport:
-    """Equilibrium search plus both eigenvalue criteria at one order."""
+    """Equilibrium search plus the sector test at one order.
+
+    Each equilibrium also gets its critical order alpha* = (2/pi) *
+    min|arg mu| over its nonzero eigenvalues (0 if none), below which it
+    is stable, and whether it is an index-2 saddle-focus: exactly two
+    eigenvalues with Re > 0, a complex pair.  Neither depends on the time
+    unit.  A scroll around such a focus needs alpha > alpha* (Tavazoei &
+    Haeri, Phys. Lett. A 367, 2007): necessary for chaos, not a verdict.
+    """
     assessments = []
-    for eq in find_equilibria(system, guesses=guesses, t=t):
-        mat = matignon_stability(eq.eigenvalues, alpha)
-        spec = spectral_chaos_criterion(eq, alpha)
+    for eq in find_equilibria(system, t=t):
+        lam = eq.eigenvalues
+        mat = matignon_stability(lam, alpha)
+        args = np.abs(np.angle(lam[lam != 0.0]))
+        unstable = lam[lam.real > 0.0]
         assessments.append(EquilibriumAssessment(
             equilibrium=eq,
             margins=mat.margins,
-            spectral=spec,
             classification="stable" if mat.stable else "unstable",
+            alpha_star=2.0 / math.pi * float(args.min()) if args.size else 0.0,
+            # a real Jacobian's nonreal roots come in conjugate pairs
+            saddle_focus=bool(unstable.size == 2 and unstable[0].imag != 0.0),
         ))
     return StabilityReport(alpha=alpha, equilibria=tuple(assessments))
 

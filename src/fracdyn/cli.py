@@ -5,7 +5,7 @@ Subcommands
 simulate      integrate a catalog system and write the trajectory CSV
 lyapunov      exponent spectrum + stability report as a JSON document
 dimension     box-counting dimension of a trajectory CSV point cloud
-stability     equilibria, eigenvalue sector margins, and chaos criteria
+stability     equilibria, critical orders alpha*, saddle-focus condition
 mlf           evaluate the one/two-parameter Mittag-Leffler function
 list-systems  one line per catalog system with defaults
 reproduce     run the full pipeline for a documented benchmark case
@@ -15,6 +15,10 @@ catalog defaults.  ``reproduce N`` passes case N's row of ``_CASES`` as the
 config document, so it writes exactly what ``simulate``, ``lyapunov``,
 ``dimension --transient 0.2`` (on its own ``trajectory.csv``) and
 ``stability`` write for the case's settings, plus ``comparison.txt``.
+
+Each equilibrium of the stability report is stable at order alpha iff
+alpha < alpha*; ``criteria.saddle_focus_unstable`` (some index-2
+saddle-focus with alpha > alpha*) is necessary for chaos, not a verdict.
 
 All file writes are atomic (temp file + rename), JSON reports carry
 ``schema_version`` and fixed field order, and repeated identical
@@ -53,7 +57,7 @@ from .systems import BENCHMARK_NAMES, BenchmarkId, make_system
 
 __all__ = ["main", "build_parser"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # --------------------------------------------------------------- plumbing
@@ -85,7 +89,7 @@ def _write_json(path, report):
 _CONFIG_KEYS = frozenset({
     "system", "params", "alpha", "x0", "h", "t_end", "t0", "scheme",
     "memory_window", "corrector_iters", "renorm_every", "transient",
-    "tangent_history", "sector_alpha",
+    "tangent_history",
 })
 
 
@@ -222,18 +226,15 @@ def _equilibrium_entries(report):
             "eigenvalues": list(a.equilibrium.eigenvalues),
             "margins": a.margins,
             "classification": a.classification,
-            "spectral": {
-                "flag": a.spectral.flag,
-                "witnesses": list(a.spectral.witnesses),
-                "threshold": a.spectral.threshold,
-                "sign_split": a.spectral.sign_split,
-            },
+            "alpha_star": a.alpha_star,
+            "saddle_focus": a.saddle_focus,
         })
     return entries
 
 
 def _stability_doc(system, alpha, t=0.0):
-    """The ``stability`` report: equilibria and both eigenvalue criteria."""
+    """The ``stability`` report: equilibria, their critical orders and the
+    saddle-focus condition."""
     equilibria = _equilibrium_entries(stability_report(system, alpha, t=t))
     return {
         "schema_version": SCHEMA_VERSION,
@@ -242,7 +243,9 @@ def _stability_doc(system, alpha, t=0.0):
         "alpha": alpha,
         "equilibria": equilibria,
         "criteria": {
-            "spectral_chaos": any(e["spectral"]["flag"] for e in equilibria),
+            "saddle_focus_unstable": any(
+                e["saddle_focus"] and e["classification"] == "unstable"
+                for e in equilibria),
         },
     }
 
@@ -280,7 +283,7 @@ def _lyapunov_run(args, doc, system, config, base_trajectory=None):
         "drift": result.drift,
         "equilibria": stab_doc["equilibria"],
         "criteria": {
-            "spectral_chaos": stab_doc["criteria"]["spectral_chaos"],
+            **stab_doc["criteria"],
             "dimension_instability": dimension_instability_check(
                 result.d_ky, result.exponents.size),
         },
@@ -368,16 +371,15 @@ def _cmd_stability(args):
     system = _build_system(args, doc)
     if system is None:
         return _usage_error("--system is required (flag or config document)")
-    alpha = _resolve(args, doc, "sector_alpha",
-                     system.params["default_alpha"], float)
+    alpha = float(system.params["default_alpha"])
     report = _stability_doc(system, alpha, t=args.t)
     equilibria = report["equilibria"]
     if args.out:
         _write_json(args.out, report)
     n_stable = sum(e["classification"] == "stable" for e in equilibria)
     print(f"{system.name} at alpha={alpha}: {len(equilibria)} equilibria, "
-          f"{n_stable} stable, spectral_chaos="
-          f"{report['criteria']['spectral_chaos']}"
+          f"{n_stable} stable, saddle_focus_unstable="
+          f"{report['criteria']['saddle_focus_unstable']} (necessary only)"
           + (f" -> {args.out}" if args.out else ""))
     return 0
 
@@ -490,18 +492,15 @@ def _verdict_rows(claims, result, classification):
 
 
 def _format_table(example_id, system_name, rows):
-    width = (max(len(r[0]) for r in rows) + 2,
-             max(len(r[1]) for r in rows) + 2,
-             max(len(r[2]) for r in rows) + 2)
+    """comparison.txt: the header and one row per claim, in columns at
+    least two spaces apart, with the verdict last on every line."""
+    table = [("claim", "expected", "computed", "verdict")] + list(rows)
+    widths = [max(len(r[k]) for r in table) + 2 for k in range(3)]
     lines = [f"benchmark case {example_id} ({system_name}): "
-             "computed vs documented values",
-             "{:<{w0}}{:<{w1}}{:<{w2}}verdict".format(
-                 "claim", "expected", "computed",
-                 w0=width[0], w1=width[1], w2=width[2])]
-    for name, expected, computed, verdict in rows:
-        lines.append("{:<{w0}}{:<{w1}}{:<{w2}}{}".format(
-            name, expected, computed, verdict,
-            w0=width[0], w1=width[1], w2=width[2]))
+             "computed vs documented values"]
+    for row in table:
+        lines.append("".join(cell.ljust(w) for cell, w in zip(row, widths))
+                     + row[3])
     return "\n".join(lines) + "\n"
 
 
@@ -644,11 +643,15 @@ def build_parser():
                          "(default: OUT with .plot.txt suffix)")
     sp.set_defaults(func=_cmd_dimension)
 
-    sp = sub.add_parser("stability",
-                        help="equilibria and eigenvalue criteria report")
+    sp = sub.add_parser(
+        "stability", help="equilibria, critical orders alpha*, saddle-foci",
+        description="Equilibria at the system's order (--alpha), each with "
+                    "its critical order alpha* = (2/pi) min|arg mu|, below "
+                    "which it is stable, and whether it is an index-2 "
+                    "saddle-focus.  criteria.saddle_focus_unstable (some "
+                    "saddle-focus with alpha > alpha*) is necessary for "
+                    "chaos, not a verdict.")
     _add_system_flags(sp)
-    sp.add_argument("--sector-alpha", type=float, dest="sector_alpha",
-                    help="order for the sector test (default: system order)")
     sp.add_argument("--t", type=float, default=0.0,
                     help="time at which forced fields are frozen (default 0)")
     sp.add_argument("--out", help="optional output JSON path")

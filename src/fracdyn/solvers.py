@@ -19,8 +19,7 @@ full-memory run over N steps costs O(N log^2 N * dim) flops.  A kernel is
 bound to the buffer it sums: ``hist(end, out)`` needs ``end <= len(buf) - 1``,
 writes the history sum into the caller's C-contiguous row ``out`` (for GL,
 the buffer's own row ``end``, which the step then finishes in place) and
-returns it; rows below ``end`` change only through ``hist.rescale`` or
-``hist.reset``.
+returns it; rows below ``end`` change only through ``hist.rescale``.
 
 Both steppers check divergence once per block of ``BASE`` steps (and once
 for the final partial block): the first row of the block whose max|x|
@@ -166,9 +165,9 @@ class HistoryKernel:
     ``out`` is a C-contiguous array in the shape of a row, usually
     ``buf[end]`` itself; one that is not contiguous raises ``ValueError``
     rather than being written through a copy.  Rows below ``end`` must be
-    final: the caller finishes row ``end`` after the call, changes earlier
-    rows only through ``rescale``, and calls ``reset()`` before restarting
-    at ``end`` = 1.  Trailing zero weights are dropped, so ``window`` is the
+    final: the caller finishes row ``end`` after the call and changes
+    earlier rows only through ``rescale``.  A restart at ``end`` = 1 takes
+    a fresh kernel.  Trailing zero weights are dropped, so ``window`` is the
     longest contributing lag (one lag for GL at alpha = 1).
 
     The sum is split by lag.  Lags below ``BASE`` are the *near* part: one
@@ -248,10 +247,6 @@ class HistoryKernel:
         for rows in (self._buf[max(0, end - self.window):end + 1],
                      self._far[end + 1:end + self._reach]):
             rows[...] = rows @ matrix
-
-    def reset(self):
-        """Forget every pending far row, before restarting at ``end`` = 1."""
-        self._far.fill(0.0)
 
 
 def gl_history(alpha: float, window: int, buf) -> HistoryKernel:

@@ -16,6 +16,7 @@ the cubic coefficient; here they are named `order_beta` and `cubic_coeff`.)
 import logging
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -308,8 +309,8 @@ def jacobian_eigenvalues(system: SystemSpec, point, t: float = 0.0) -> np.ndarra
     return eig[order]
 
 
-def find_equilibria(system: SystemSpec, guesses=None, t: float = 0.0,
-                    tol: float = 1e-12, max_iter: int = 100):
+def find_equilibria(system: SystemSpec, guesses: Optional[np.ndarray] = None,
+                    t: float = 0.0, tol: float = 1e-12, max_iter: int = 100):
     """Damped-Newton equilibrium search from each guess.
 
     Solves field(t, x) = 0 (forced systems are frozen at time ``t``).

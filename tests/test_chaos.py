@@ -16,12 +16,12 @@ from fracdyn.chaos import (
     kaplan_yorke,
     lyapunov_spectrum,
     matignon_stability,
-    spectral_chaos_criterion,
     stability_report,
 )
+from fracdyn.cli import _CASES, _stability_doc
 from fracdyn.errors import ConfigError, NonConvergenceError
 from fracdyn.solvers import SolverConfig, SystemSpec, gl_weights, solve
-from fracdyn.systems import find_equilibria, make_system
+from fracdyn.systems import BENCHMARK_NAMES, make_system
 
 
 def linear_system(mat, name="linear"):
@@ -165,53 +165,6 @@ def test_matignon_alpha_validation():
         matignon_stability([-1.0], 1.5)
 
 
-# --------------------------------------------------- spectral_chaos_criterion
-
-def wing_eigenvalues():
-    # closed-form characteristic polynomial of the symmetric pair of
-    # off-origin equilibria of the Lorenz field at (10, 28, 8/3)
-    return np.roots([1.0, 41.0 / 3.0, 8.0 / 3.0 * 38.0, 1440.0])
-
-
-def test_spectral_criterion_threshold_scan():
-    lam = wing_eigenvalues()
-    seen = {}
-    for alpha in (0.05, 0.5, 0.9, 1.0):
-        res = spectral_chaos_criterion(lam, alpha)
-        seen[alpha] = res.flag
-        assert res.threshold == pytest.approx(alpha * math.pi / 2)
-        assert res.sign_split  # the real eigenvalue is contracting
-    # Re of the complex pair is ~0.094: above the 0.05 threshold (0.0785),
-    # below all the others
-    assert seen == {0.05: True, 0.5: False, 0.9: False, 1.0: False}
-
-
-def test_spectral_criterion_witness_subset():
-    res = spectral_chaos_criterion(wing_eigenvalues(), 0.05)
-    assert res.witnesses.size == 2
-    npt.assert_allclose(res.witnesses.real, 0.0940, atol=5e-4)
-
-
-def test_spectral_criterion_all_contracting():
-    res = spectral_chaos_criterion([-1.0, -2.0 + 1.0j], 0.5)
-    assert not res.flag
-    assert res.witnesses.size == 0
-
-
-def test_spectral_criterion_accepts_equilibrium():
-    system = make_system("lorenz")
-    eqs = find_equilibria(system)
-    wings = [e for e in eqs if abs(e.point[0]) > 1.0]
-    assert len(wings) == 2
-    res = spectral_chaos_criterion(wings[0], 0.05)
-    assert res.flag
-
-
-def test_spectral_criterion_alpha_validation():
-    with pytest.raises(ConfigError):
-        spectral_chaos_criterion([1.0], -0.3)
-
-
 # --------------------------------------------- dimension_instability_check
 
 def test_dimension_instability_examples():
@@ -250,13 +203,83 @@ def test_stability_report_lorenz_fractional_stabilization():
     assert all(a.classification == "unstable" for a in wings1)
 
 
-def test_stability_report_carries_margins_and_spectral():
+def test_stability_report_carries_margins_and_critical_order():
     system = make_system("lorenz")
     rep = stability_report(system, 0.05)
-    wings = [a for a in rep.equilibria
-             if np.linalg.norm(a.equilibrium.point) > 1.0]
-    assert all(a.spectral.flag for a in wings)
     assert all(a.margins.shape == (3,) for a in rep.equilibria)
+    origin, *wings = sorted(rep.equilibria,
+                            key=lambda a: np.linalg.norm(a.equilibrium.point))
+    # the origin is a real saddle: alpha* = 0, unstable at every order
+    assert origin.alpha_star == 0.0 and not origin.saddle_focus
+    assert all(a.saddle_focus for a in wings)
+    # stable at 0.05, far below alpha*
+    assert all(a.classification == "stable" for a in wings)
+
+
+def scaled(system, k):
+    """``system`` with field and Jacobian times ``k``: time in units 1/k."""
+    return SystemSpec(
+        name=system.name, dim=system.dim, params=system.params,
+        observables=system.observables,
+        field=lambda t, x: k * np.asarray(system.field(t, x)),
+        jacobian=lambda t, x: k * np.asarray(system.jacobian(t, x)))
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("lorenz", 0.9941), ("chen", 0.8244), ("rossler", 0.9381)])
+def test_alpha_star_is_the_argument_of_the_unstable_pair(name, expected):
+    rep = stability_report(make_system(name), 1.0)
+    foci = [a for a in rep.equilibria if a.saddle_focus]
+    assert foci
+    for a in foci:
+        mu = a.equilibrium.eigenvalues[0]    # sorted by descending Re
+        assert mu.real > 0.0
+        ref = 2.0 / math.pi * math.atan(abs(mu.imag) / mu.real)
+        assert abs(a.alpha_star - ref) <= 1e-12
+        assert round(a.alpha_star, 4) == expected
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_stable_iff_alpha_below_alpha_star(name):
+    system = make_system(name)
+    for alpha in (0.5, 0.9, 0.95, 0.995, 1.0):
+        rep = stability_report(system, alpha)
+        assert rep.equilibria
+        for a in rep.equilibria:
+            assert (a.classification == "stable") == (alpha < a.alpha_star)
+
+
+@pytest.mark.parametrize("name", ["lorenz", "rossler"])
+@pytest.mark.parametrize("k", [0.1, 10.0])
+def test_stability_verdicts_do_not_depend_on_the_time_unit(name, k):
+    # rescaling time multiplies every eigenvalue by k; arguments, and so
+    # alpha*, the saddle-focus test and the sector test, stay put
+    system = make_system(name)
+    alpha = float(system.params["default_alpha"])
+
+    def assessed(sys_):
+        return sorted(stability_report(sys_, alpha).equilibria,
+                      key=lambda a: tuple(a.equilibrium.point))
+
+    gots, refs = assessed(scaled(system, k)), assessed(system)
+    assert len(gots) == len(refs)
+    for got, ref in zip(gots, refs):
+        npt.assert_allclose(got.equilibrium.point, ref.equilibrium.point,
+                            atol=1e-9)
+        assert abs(got.alpha_star - ref.alpha_star) <= 1e-12
+        assert got.saddle_focus == ref.saddle_focus
+        assert got.classification == ref.classification
+    assert (_stability_doc(scaled(system, k), alpha)["criteria"]
+            == _stability_doc(system, alpha)["criteria"])
+
+
+@pytest.mark.parametrize("case, expected", [(1, True), (4, False)])
+def test_saddle_focus_condition_on_documented_cases(case, expected):
+    # case 1 runs Lorenz 0.0009 above its wings' alpha*; case 4 runs
+    # Rossler below its inner focus's, where the focus is stable
+    system = make_system(_CASES[case]["system"])
+    doc = _stability_doc(system, float(system.params["default_alpha"]))
+    assert doc["criteria"] == {"saddle_focus_unstable": expected}
 
 
 # ------------------------------------------------------------ lyapunov_spectrum

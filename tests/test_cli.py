@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,7 +10,7 @@ import warnings
 import pytest
 
 import fracdyn
-from fracdyn.cli import _CASES, _CONFIG_KEYS, main
+from fracdyn.cli import _CASES, _CONFIG_KEYS, _format_table, main
 
 ARTIFACTS = ("comparison.txt", "dimension.json", "lyapunov.json",
              "stability.json", "trajectory.csv")
@@ -52,6 +53,7 @@ def lorenz_csv(tmp_path_factory):
       "--out", "unused.json"], 2),
     (["lyapunov", "--system", "lorenz", "--history-reset-blocks", "1",
       "--out", "unused.json"], 2),
+    (["stability", "--system", "lorenz", "--sector-alpha", "0.9"], 2),
 ])
 def test_exit_codes(argv, code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -116,6 +118,21 @@ def test_reproduce_artifact_is_what_its_command_writes(case2_dir, artifact,
     assert out.read_bytes() == (case2_dir / artifact).read_bytes()
 
 
+@pytest.mark.parametrize("rows", [
+    [("exponent 1", "+0.143", "+11.1404", "fail")],     # cells below header
+    [("kaplan-yorke dimension", "non-integer in (2.0, 3.0)", "2.0009",
+      "pass")],                                         # cells above it
+])
+def test_comparison_table_keeps_its_columns_apart(rows):
+    lines = _format_table(2, "duffing", rows).splitlines()
+    assert re.fullmatch(r"claim {2,}expected {2,}computed {2,}verdict",
+                        lines[1])
+    for line, row in zip(lines[2:], rows):
+        # the verdict is the last token of its row
+        assert line.split()[-1] == row[3]
+        assert line.rindex(row[3]) == lines[1].index("verdict")
+
+
 # -- bad input -----------------------------------------------------------
 
 TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
@@ -146,6 +163,9 @@ TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
     (["simulate", "--config", "doc.json"],
      {"doc.json": '{"system": "lorenz", "t0": -Infinity}'}),
     (["stability", "--system", "duffing", "--t", "nan"], {}),
+    # retired: the sector test runs at the system's order (--alpha)
+    (["stability", "--config", "doc.json"],
+     {"doc.json": '{"system": "lorenz", "sector_alpha": 0.9}'}),
     (["mlf", "--alpha", "0.1", "--z", "10"], {}),
     (["dimension", "--input", "traj.csv", "--transient", "0"],
      {"traj.csv": "# alpha=0.9\n# h=0.1\nt,x0,x1\n"}),
@@ -153,7 +173,8 @@ TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
         "config-not-json", "config-h-text", "config-x0-text",
         "config-alpha-text", "config-param-text", "config-transient-text",
         "config-tangent-history-text", "t-end-inf", "config-t0-inf",
-        "stability-t-nan", "mlf-overflow", "csv-no-rows"])
+        "stability-t-nan", "config-sector-alpha", "mlf-overflow",
+        "csv-no-rows"])
 def test_bad_input_is_a_config_error(argv, files, tmp_path, monkeypatch,
                                      capsys):
     monkeypatch.chdir(tmp_path)
@@ -201,7 +222,7 @@ def test_config_document_is_shared_across_commands(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "doc.json").write_text(json.dumps({
         "system": "lorenz", "t_end": 5, "renorm_every": 10,
-        "tangent_history": "restart", "sector_alpha": 0.9}))
+        "tangent_history": "restart", "transient": 1.0}))
     assert run(["simulate", "--config", "doc.json", "--out", "a.csv"]) == 0
     assert run(["stability", "--config", "doc.json", "--out", "s.json"]) == 0
 

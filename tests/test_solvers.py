@@ -163,10 +163,9 @@ def test_history_kernel_matches_naive_loop(window, n, row_shape):
             assert np.all(np.abs(value - naive) <= 1e-13 * scale)
 
 
-def test_history_kernel_pushes_through_and_resets():
+def test_history_kernel_pushes_through():
     # the tangent frame rescales its history by a triangular factor through
-    # the kernel, which must rescale its pending far sums the same way; a
-    # reset clears them
+    # the kernel, which must rescale its pending far sums the same way
     rng = np.random.default_rng(3)
     dim, m, n, window = 3, 2, 1500, 300
     weights = rng.normal(size=window)
@@ -183,11 +182,6 @@ def test_history_kernel_pushes_through_and_resets():
         if end % 70 == 0:
             hist.rescale(end, rinv)
             ref[:end + 1] = ref[:end + 1] @ rinv
-    buf[:] = rng.normal(size=buf.shape)
-    hist.reset()
-    for end in range(1, 200):
-        assert_allclose(hist(end, out), direct_dot(weights, buf, end),
-                        rtol=1e-12, atol=1e-12)
 
 
 def test_history_sum_accepts_flattened_tangent_rows():
