@@ -70,7 +70,6 @@ __all__ = [
     "LyapunovResult",
     "MatignonResult",
     "EquilibriumAssessment",
-    "StabilityReport",
     "lyapunov_spectrum",
     "kaplan_yorke",
     "classify_attractor",
@@ -192,15 +191,11 @@ class EquilibriumAssessment:
     saddle_focus: bool           # unstable eigenvalues: one complex pair
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    alpha: float
-    equilibria: tuple            # of EquilibriumAssessment
-
-
 def stability_report(system: SystemSpec, alpha: float,
-                     t: float = 0.0) -> StabilityReport:
-    """Equilibrium search plus the sector test at one order.
+                     t: float = 0.0) -> tuple:
+    """Equilibrium search plus the sector test at one order: a tuple with
+    one ``EquilibriumAssessment`` per equilibrium that ``find_equilibria``
+    returns, in its order.
 
     Each equilibrium also gets its critical order alpha* = (2/pi) *
     min|arg mu| over its nonzero eigenvalues (0 if none), below which it
@@ -223,7 +218,7 @@ def stability_report(system: SystemSpec, alpha: float,
             # a real Jacobian's nonreal roots come in conjugate pairs
             saddle_focus=bool(unstable.size == 2 and unstable[0].imag != 0.0),
         ))
-    return StabilityReport(alpha=alpha, equilibria=tuple(assessments))
+    return tuple(assessments)
 
 
 class _QRChain:

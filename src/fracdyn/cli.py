@@ -35,7 +35,6 @@ import sys
 import numpy as np
 
 from .chaos import (
-    ROWS,
     TANGENT_HISTORIES,
     classify_attractor,
     dimension_instability_check,
@@ -62,26 +61,22 @@ SCHEMA_VERSION = 2
 
 # --------------------------------------------------------------- plumbing
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+def _json_default(value):
+    """``json.dumps`` hook for the values json cannot encode itself."""
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
+        return value.tolist()
     if isinstance(value, (complex, np.complexfloating)):
         return {"re": float(value.real), "im": float(value.imag)}
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write_json(path, report):
-    atomic_write(path, json.dumps(_jsonable(report), indent=2) + "\n")
+    atomic_write(path, json.dumps(report, indent=2, default=_json_default)
+                 + "\n")
 
 
 # every key any command reads from a config document, so one document can
@@ -218,9 +213,9 @@ def _cmd_simulate(args):
     return 0
 
 
-def _equilibrium_entries(report):
+def _equilibrium_entries(assessments):
     entries = []
-    for a in report.equilibria:
+    for a in assessments:
         entries.append({
             "point": a.equilibrium.point,
             "eigenvalues": list(a.equilibrium.eigenvalues),
@@ -437,8 +432,18 @@ _CASES = {
 }
 
 
+def _band(err, pass_tol):
+    """pass within ``pass_tol``, soft-pass within 0.15, else (NaN too) fail."""
+    return ("pass" if err <= pass_tol
+            else "soft-pass" if err <= 0.15 else "fail")
+
+
+def _noninteger(value):
+    return abs(value - round(value)) > 0.01
+
+
 def _verdict_rows(claims, result, classification):
-    lam = result.exponents
+    lam, d_ky = result.exponents, result.d_ky
     rows = []
     for claim in claims:
         kind = claim[0]
@@ -448,31 +453,20 @@ def _verdict_rows(claims, result, classification):
             rows.append(("classification", expected, classification, verdict))
         elif kind == "d_ky_in":
             lo, hi = claim[1]
-            inside = lo < result.d_ky < hi
-            noninteger = abs(result.d_ky - round(result.d_ky)) > 0.01
-            verdict = "pass" if inside and noninteger else "fail"
+            ok = lo < d_ky < hi and _noninteger(d_ky)
             rows.append(("kaplan-yorke dimension",
                          f"non-integer in ({lo}, {hi})",
-                         f"{result.d_ky:.4f}", verdict))
+                         f"{d_ky:.4f}", "pass" if ok else "fail"))
         elif kind == "lambda":
             idx, target = claim[1], claim[2]
             got = lam[idx] if idx < lam.size else float("nan")
-            err = abs(got - target)
-            if err <= max(0.02, 0.1 * abs(target)):
-                verdict = "pass"
-            elif err <= 0.15:
-                verdict = "soft-pass"
-            else:
-                verdict = "fail"
+            verdict = _band(abs(got - target), max(0.02, 0.1 * abs(target)))
             rows.append((f"exponent {idx + 1}", f"{target:+.3f}",
                          f"{got:+.4f}", verdict))
         elif kind == "d_ky_near":
             target = claim[1]
-            err = abs(result.d_ky - target)
-            verdict = ("pass" if err <= 0.05
-                       else "soft-pass" if err <= 0.15 else "fail")
             rows.append(("kaplan-yorke dimension", f"{target:.3f}",
-                         f"{result.d_ky:.4f}", verdict))
+                         f"{d_ky:.4f}", _band(abs(d_ky - target), 0.05)))
         elif kind == "sign_pattern":
             l1, l2, l3 = lam[0], lam[1], lam[-1]
             if l1 > 0.01 and abs(l2) <= 0.05 and l3 < -0.01:
@@ -484,10 +478,9 @@ def _verdict_rows(claims, result, classification):
             rows.append(("exponent signs", "+, 0, -",
                          ", ".join(f"{v:+.4f}" for v in lam), verdict))
         elif kind == "d_ky_noninteger":
-            ok = result.d_ky > 0.0 and \
-                abs(result.d_ky - round(result.d_ky)) > 0.01
+            ok = d_ky > 0.0 and _noninteger(d_ky)
             rows.append(("kaplan-yorke dimension", "non-integer",
-                         f"{result.d_ky:.4f}", "pass" if ok else "fail"))
+                         f"{d_ky:.4f}", "pass" if ok else "fail"))
     return rows
 
 
@@ -608,10 +601,7 @@ def build_parser():
                     "T = renorm_every * h, which depend on T for alpha < 1; "
                     "'exact' pushes each QR factor through the stored "
                     "history, solves the variational equation exactly and "
-                    "does not depend on T, at O(N^2) cost in the steps N.  "
-                    "'restart' computes each block's transfer matrix, the "
-                    f"blocks of about {ROWS} steps at once, in "
-                    f"O(max({ROWS}, renorm_every) * dim^2) extra memory.")
+                    "does not depend on T, at O(N^2) cost in the steps N.")
     _add_system_flags(sp)
     _add_solver_flags(sp)
     sp.add_argument("--renorm-every", type=int, dest="renorm_every",
@@ -685,10 +675,7 @@ def main(argv=None):
         _bind_z_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except FracdynError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (FracdynError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -105,8 +105,15 @@ def _count_cells(pts, mins, spans, epsilon):
 
     interior = ~reduce(np.logical_or, on_line.T)
     # the interior points' cells, sorted: a count of the distinct keys and
-    # a membership test by bisection, without a set of every key
-    filled = np.sort(idx[interior] @ strides)
+    # a membership test by bisection, without a set of every key.  The key
+    # idx @ strides is built column by column (Horner's rule), since numpy
+    # runs an int64 matmul without BLAS
+    inner = idx[interior]
+    filled = inner[:, 0].copy()
+    for k in range(1, pts.shape[1]):
+        filled *= cells_per_axis[k]
+        filled += inner[:, k]
+    filled.sort()
     count = (int(np.count_nonzero(filled[1:] != filled[:-1])) + 1
              if filled.size else 0)
 

@@ -33,11 +33,6 @@ _MAX_TERMS_F64 = 100_000
 _MAX_TERMS_MP = 400_000
 
 
-def _gamma(x):
-    """Real gamma function (bound to the platform Lanczos implementation)."""
-    return math.gamma(x)
-
-
 def _validate(alpha, beta, z):
     if not (alpha > 0.0):
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -157,7 +152,8 @@ def _asymptotic(alpha, beta, z):
     |arg z| < alpha*pi; it is negligible when recessive and required when
     dominant.
 
-    Returns (value, error_estimate).
+    Returns the value, or None when the envelope of the first omitted term
+    misses the accuracy target.
     """
     zc = complex(z)
     log_az = math.log(abs(zc))
@@ -190,7 +186,10 @@ def _asymptotic(alpha, beta, z):
                 f"E_{{{alpha},{beta}}}({z!r}) exceeds the double range"
             )
         value = value + zc ** ((1.0 - beta) / alpha) * cmath.exp(w) / alpha
-    return value, math.exp(min(log_err, 700.0))
+    err = math.exp(min(log_err, 700.0))
+    if abs(value) > 0.0 and err <= 0.05 * _REL_TOL * abs(value):
+        return complex(value.real) if zc.imag == 0.0 else value
+    return None
 
 
 def _series_mp(alpha, beta, z, log_peak, k_stop):
@@ -253,14 +252,6 @@ def _series_mp(alpha, beta, z, log_peak, k_stop):
     raise NonConvergenceError(
         f"E_{{{alpha},{beta}}}({z!r}): could not certify the accuracy target"
     )
-
-
-def _asymptotic_certified(alpha, beta, z):
-    """Asymptotic value, or None when its error estimate misses the target."""
-    value, err = _asymptotic(alpha, beta, z)
-    if abs(value) > 0.0 and err <= 0.05 * _REL_TOL * abs(value):
-        return complex(value.real) if complex(z).imag == 0.0 else value
-    return None
 
 
 _EPS = 2.220446049250313e-16
@@ -439,7 +430,7 @@ def _contour(alpha, beta, z):
 def _ml_eval(alpha, beta, z):
     """(E_{alpha,beta}(z) as a complex, name of the route that certified it)."""
     if z == 0:
-        return complex(1.0 / _gamma(beta)), "zero"
+        return complex(1.0 / math.gamma(beta)), "zero"
     log_peak, k_stop = _series_scales(alpha, beta, abs(z))
     zr = complex(z)
     asym_applies = 0.0 < alpha < 1.0 and abs(z) > 1.0
@@ -448,7 +439,7 @@ def _ml_eval(alpha, beta, z):
     asym_first = asym_applies and zr.imag == 0.0 and zr.real <= -5.0
 
     if asym_first:
-        value = _asymptotic_certified(alpha, beta, z)
+        value = _asymptotic(alpha, beta, z)
         if value is not None:
             return value, "asymptotic"
 
@@ -458,7 +449,7 @@ def _ml_eval(alpha, beta, z):
             return value, "series"
 
     if asym_applies and not asym_first:
-        value = _asymptotic_certified(alpha, beta, z)
+        value = _asymptotic(alpha, beta, z)
         if value is not None:
             return value, "asymptotic"
 

@@ -526,9 +526,13 @@ def atomic_open(path: str):
 
     A clean exit from the ``with`` block moves it onto ``path`` with
     ``os.replace``; an exception deletes it and leaves ``path`` as it was.
+    A temp file that cannot be made raises ``OSError`` naming ``path``.
     """
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh

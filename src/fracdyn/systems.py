@@ -103,11 +103,6 @@ class BenchmarkId:
             raise ConfigError("chen requires b != 0")
 
 
-def default_initial_state(name: str) -> np.ndarray:
-    """Catalog default initial condition (chain-padded for duffing)."""
-    return np.array(make_system(name).params["default_x0"], dtype=float)
-
-
 def _from_template(template, x):
     """Jacobians at states ``x`` of shape (..., dim): copies of the constant
     ``template`` stacked over the leading axes, for the state-dependent

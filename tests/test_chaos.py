@@ -186,10 +186,8 @@ def test_dimension_instability_validation():
 def test_stability_report_lorenz_fractional_stabilization():
     system = make_system("lorenz")
     rep9 = stability_report(system, 0.9)
-    assert rep9.alpha == 0.9
-    assert len(rep9.equilibria) == 3
-    by_norm = sorted(rep9.equilibria,
-                     key=lambda a: np.linalg.norm(a.equilibrium.point))
+    assert len(rep9) == 3
+    by_norm = sorted(rep9, key=lambda a: np.linalg.norm(a.equilibrium.point))
     origin, w1, w2 = by_norm
     assert np.linalg.norm(origin.equilibrium.point) < 1e-8
     # origin has a positive real eigenvalue: unstable at every order
@@ -198,7 +196,7 @@ def test_stability_report_lorenz_fractional_stabilization():
     assert w1.classification == w2.classification == "stable"
     # ... but not at order 1 (1.5616 < pi/2)
     rep1 = stability_report(system, 1.0)
-    wings1 = sorted(rep1.equilibria,
+    wings1 = sorted(rep1,
                     key=lambda a: np.linalg.norm(a.equilibrium.point))[1:]
     assert all(a.classification == "unstable" for a in wings1)
 
@@ -206,8 +204,8 @@ def test_stability_report_lorenz_fractional_stabilization():
 def test_stability_report_carries_margins_and_critical_order():
     system = make_system("lorenz")
     rep = stability_report(system, 0.05)
-    assert all(a.margins.shape == (3,) for a in rep.equilibria)
-    origin, *wings = sorted(rep.equilibria,
+    assert all(a.margins.shape == (3,) for a in rep)
+    origin, *wings = sorted(rep,
                             key=lambda a: np.linalg.norm(a.equilibrium.point))
     # the origin is a real saddle: alpha* = 0, unstable at every order
     assert origin.alpha_star == 0.0 and not origin.saddle_focus
@@ -229,7 +227,7 @@ def scaled(system, k):
     ("lorenz", 0.9941), ("chen", 0.8244), ("rossler", 0.9381)])
 def test_alpha_star_is_the_argument_of_the_unstable_pair(name, expected):
     rep = stability_report(make_system(name), 1.0)
-    foci = [a for a in rep.equilibria if a.saddle_focus]
+    foci = [a for a in rep if a.saddle_focus]
     assert foci
     for a in foci:
         mu = a.equilibrium.eigenvalues[0]    # sorted by descending Re
@@ -244,8 +242,8 @@ def test_stable_iff_alpha_below_alpha_star(name):
     system = make_system(name)
     for alpha in (0.5, 0.9, 0.95, 0.995, 1.0):
         rep = stability_report(system, alpha)
-        assert rep.equilibria
-        for a in rep.equilibria:
+        assert rep
+        for a in rep:
             assert (a.classification == "stable") == (alpha < a.alpha_star)
 
 
@@ -258,7 +256,7 @@ def test_stability_verdicts_do_not_depend_on_the_time_unit(name, k):
     alpha = float(system.params["default_alpha"])
 
     def assessed(sys_):
-        return sorted(stability_report(sys_, alpha).equilibria,
+        return sorted(stability_report(sys_, alpha),
                       key=lambda a: tuple(a.equilibrium.point))
 
     gots, refs = assessed(scaled(system, k)), assessed(system)

@@ -6,11 +6,15 @@ import re
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import fracdyn
-from fracdyn.cli import _CASES, _CONFIG_KEYS, _format_table, main
+from fracdyn.cli import (_CASES, _CONFIG_KEYS, _format_table, _verdict_rows,
+                         _write_json, main)
+from fracdyn.solvers import read_trajectory_csv
 
 ARTIFACTS = ("comparison.txt", "dimension.json", "lyapunov.json",
              "stability.json", "trajectory.csv")
@@ -54,6 +58,8 @@ def lorenz_csv(tmp_path_factory):
     (["lyapunov", "--system", "lorenz", "--history-reset-blocks", "1",
       "--out", "unused.json"], 2),
     (["stability", "--system", "lorenz", "--sector-alpha", "0.9"], 2),
+    (["lyapunov", "--out", "unused.json"], 2),
+    (["stability"], 2),
 ])
 def test_exit_codes(argv, code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -133,6 +139,100 @@ def test_comparison_table_keeps_its_columns_apart(rows):
         assert line.rindex(row[3]) == lines[1].index("verdict")
 
 
+def test_reports_encode_numpy_values_and_refuse_other_types(tmp_path):
+    out = tmp_path / "report.json"
+    _write_json(str(out), {
+        "array": np.array([[1.5, 2.0]]), "roots": np.array([1 + 2j, 3.0]),
+        "z": complex(0.5, -1.0), "flag": np.bool_(True),
+        "count": np.int64(7), "small": np.float32(0.25),
+        "wide": np.float64(0.1), "pair": (1, None)})
+    assert json.loads(out.read_text()) == {
+        "array": [[1.5, 2.0]],
+        "roots": [{"re": 1.0, "im": 2.0}, {"re": 3.0, "im": 0.0}],
+        "z": {"re": 0.5, "im": -1.0}, "flag": True, "count": 7,
+        "small": 0.25, "wide": 0.1, "pair": [1, None]}
+    # nothing json cannot name is written, not even as null
+    with pytest.raises(TypeError):
+        _write_json(str(out), {"x": object()})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+def _graded(claim,exponents=(0.5, 0.0, -1.0), d_ky=2.5,
+            classification="strange"):
+    """The one comparison.txt row of ``claim`` for synthetic results."""
+    result = SimpleNamespace(exponents=np.array(exponents), d_ky=d_ky)
+    (row,) = _verdict_rows([claim], result, classification)
+    return row
+
+
+def test_verdict_rows_grade_every_claim_kind():
+    # classification: an exact match
+    assert _graded(("classification", "strange")) == (
+        "classification", "strange", "strange", "pass")
+    assert _graded(("classification", "strange"),
+                   classification="limit_cycle")[3] == "fail"
+
+    # d_ky_in: strictly inside the interval and 0.01 away from an integer
+    kyd = ("kaplan-yorke dimension", "non-integer in (2.0, 3.0)")
+    assert _graded(("d_ky_in", (2.0, 3.0))) == (*kyd, "2.5000", "pass")
+    for d_ky, verdict in [(2.02, "pass"), (2.98, "pass"), (2.005, "fail"),
+                          (2.995, "fail"), (2.0, "fail"), (3.0, "fail"),
+                          (1.5, "fail"), (3.5, "fail"), (0.0, "fail")]:
+        assert _graded(("d_ky_in", (2.0, 3.0)), d_ky=d_ky) == (
+            *kyd, f"{d_ky:.4f}", verdict), d_ky
+
+    # lambda: pass within max(0.02, 10% of |target|), soft-pass within 0.15,
+    # on either side of the target
+    for target, tol in [(0.143, 0.02), (-0.245, 0.0245)]:
+        for offset, verdict in [(0.0, "pass"), (tol - 0.001, "pass"),
+                                (tol + 0.001, "soft-pass"),
+                                (0.149, "soft-pass"), (0.151, "fail")]:
+            for got in (target + offset, target - offset):
+                row = _graded(("lambda", 1, target),
+                              exponents=(1.0, got, -1.0))
+                assert row == ("exponent 2", f"{target:+.3f}",
+                               f"{got:+.4f}", verdict), (target, got)
+    # an exponent index past the spectrum reads NaN, which fails
+    assert _graded(("lambda", 3, 0.143)) == (
+        "exponent 4", "+0.143", "+nan", "fail")
+
+    # d_ky_near: pass within 0.05, soft-pass within 0.15
+    for offset, verdict in [(0.0, "pass"), (0.049, "pass"),
+                            (0.051, "soft-pass"), (0.149, "soft-pass"),
+                            (0.151, "fail")]:
+        for d_ky in (1.584 + offset, 1.584 - offset):
+            assert _graded(("d_ky_near", 1.584), d_ky=d_ky) == (
+                "kaplan-yorke dimension", "1.584", f"{d_ky:.4f}",
+                verdict), d_ky
+    for d_ky in (0.0, 2.0):
+        assert _graded(("d_ky_near", 1.584), d_ky=d_ky)[3] == "fail"
+
+    # sign_pattern: (+, 0, -) with margins 0.01 and 0.05; soft-pass keeps
+    # the outer signs and |lambda_2| <= 0.1
+    for exponents, verdict in [
+            ((0.5, 0.0, -1.0), "pass"), ((0.011, 0.049, -0.011), "pass"),
+            ((0.5, -0.049, -1.0), "pass"), ((0.009, 0.0, -1.0), "soft-pass"),
+            ((0.5, 0.0, -0.009), "soft-pass"), ((0.5, 0.051, -1.0),
+                                                "soft-pass"),
+            ((0.5, -0.099, -1.0), "soft-pass"), ((0.5, 0.101, -1.0), "fail"),
+            ((0.0, 0.0, -1.0), "fail"), ((0.5, 0.0, 0.0), "fail"),
+            ((-0.1, -0.2, -1.0), "fail")]:
+        assert _graded(("sign_pattern", None), exponents=exponents) == (
+            "exponent signs", "+, 0, -",
+            ", ".join(f"{v:+.4f}" for v in exponents), verdict), exponents
+    # the middle exponent is the second, the last the smallest
+    assert _graded(("sign_pattern", None),
+                   exponents=(0.5, 0.0, -0.5, -1.0))[3] == "pass"
+
+    # d_ky_noninteger: positive and 0.01 away from an integer
+    for d_ky, verdict in [(2.5, "pass"), (0.5, "pass"), (2.02, "pass"),
+                          (1.98, "pass"), (2.005, "fail"), (1.995, "fail"),
+                          (2.0, "fail"), (0.0, "fail")]:
+        assert _graded(("d_ky_noninteger", None), d_ky=d_ky) == (
+            "kaplan-yorke dimension", "non-integer", f"{d_ky:.4f}",
+            verdict), d_ky
+
+
 # -- bad input -----------------------------------------------------------
 
 TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
@@ -145,6 +245,9 @@ TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
      {"traj.csv": TRAJECTORY}),
     (["dimension", "--input", "bare.csv"], {"bare.csv": "t,x0\n0,1\n"}),
     (["simulate", "--system", "lorenz", "--x0", "a,b,c"], {}),
+    (["simulate", "--system", "lorenz", "--x0", "1,2"], {}),
+    (["simulate", "--config", "doc.json"],
+     {"doc.json": '{"system": "lorenz", "x0": 0.5}'}),
     (["simulate", "--config", "doc.json"],
      {"doc.json": '{"system": "lorenz", "h": '}),
     (["simulate", "--config", "doc.json"],
@@ -170,8 +273,8 @@ TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
     (["dimension", "--input", "traj.csv", "--transient", "0"],
      {"traj.csv": "# alpha=0.9\n# h=0.1\nt,x0,x1\n"}),
 ], ids=["columns-a", "columns-empty", "csv-no-header", "x0-text",
-        "config-not-json", "config-h-text", "config-x0-text",
-        "config-alpha-text", "config-param-text", "config-transient-text",
+        "x0-short", "config-x0-scalar", "config-not-json", "config-h-text",
+        "config-x0-text", "config-alpha-text", "config-param-text", "config-transient-text",
         "config-tangent-history-text", "t-end-inf", "config-t0-inf",
         "stability-t-nan", "config-sector-alpha", "mlf-overflow",
         "csv-no-rows"])
@@ -183,6 +286,41 @@ def test_bad_input_is_a_config_error(argv, files, tmp_path, monkeypatch,
     assert run(argv + ["--out", "out"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+def test_unwritable_output_names_the_destination(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert run(["simulate", "--system", "lorenz", "--t-end", "0.1",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err
+    assert ".tmp" not in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_scalar_x0_pads_an_observable_chain(tmp_path):
+    out = tmp_path / "duffing.csv"
+    assert run(["simulate", "--system", "duffing", "--x0", "0.3",
+                "--t-end", "0.05", "--out", str(out)]) == 0
+    x = read_trajectory_csv(str(out)).x
+    assert x.shape[1] == 9
+    assert x[0].tolist() == [0.3] + [0.0] * 8
+
+
+def test_memory_window_reaches_the_csv_header(tmp_path):
+    out = tmp_path / "lorenz.csv"
+    assert run(["simulate", "--system", "lorenz", "--memory-window", "50",
+                "--t-end", "0.5", "--out", str(out)]) == 0
+    assert "# memory_window=50\n" in out.read_text()
+
+
+def test_list_systems_prints_the_catalog(capsys):
+    assert run(["list-systems"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "lorenz", "duffing", "chen", "rossler", "chua"]
+    assert lines[1].split()[1:3] == ["9", "0.9,0.8"]
 
 
 @pytest.mark.parametrize("alpha, z, route", [

@@ -11,7 +11,6 @@ from fracdyn.systems import (
     BenchmarkId,
     chua_nonlinearity,
     default_guesses,
-    default_initial_state,
     find_equilibria,
     jacobian_eigenvalues,
     make_system,
@@ -252,7 +251,7 @@ def test_duffing_chain_layout():
     assert sys_.dim == 9
     assert sys_.observables == (0, 8)
     assert sys_.params["base_order"] == pytest.approx(0.1)
-    x0 = default_initial_state("duffing")
+    x0 = np.asarray(sys_.params["default_x0"], dtype=float)
     assert x0.shape == (9,)
     assert x0[0] == 0.1
     assert np.all(x0[1:] == 0.0)
@@ -290,7 +289,7 @@ def test_unknown_system_name_rejected():
     with pytest.raises(ConfigError):
         BenchmarkId("lorentz")
     with pytest.raises(ConfigError):
-        default_initial_state("van_der_pol")
+        make_system("van_der_pol")
 
 
 def test_parameter_domain_errors():
