@@ -109,10 +109,17 @@ def _load_config_doc(path):
 
 
 def _number(kind, value, name):
-    """``kind(value)`` for a flag or config value; ConfigError if it fails."""
+    """``kind(value)`` for a flag or config value; ConfigError if it fails.
+
+    An integer takes neither a bool nor a number with a fractional part,
+    which ``int`` would truncate."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        number = kind(value)
+        if kind is int and (isinstance(value, bool) or (
+                isinstance(value, float) and number != value)):
+            raise ValueError
+        return number
+    except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {what}, got {value!r}") from None
 

@@ -13,13 +13,15 @@ alpha = 1.  ``multi_term_to_system`` rewrites a scalar equation with several
 derivative orders as a commensurate first-order-in-D^alpha chain.
 
 Per-step cost is one call of the shared history kernel ``HistoryKernel``
-(two for ABM): a direct dot over the last ``BASE`` - 1 lags, plus FFT tiles
-for the longer lags that run once per completed block of history, so a
-full-memory run over N steps costs O(N log^2 N * dim) flops.  A kernel is
-bound to the buffer it sums: ``hist(end, out)`` needs ``end <= len(buf) - 1``,
-writes the history sum into the caller's C-contiguous row ``out`` (for GL,
-the buffer's own row ``end``, which the step then finishes in place) and
-returns it; rows below ``end`` change only through ``hist.rescale``.
+(for ABM, one call with two weight rows, which returns the predictor and
+the corrector sum together): a direct dot over the last ``BASE`` - 1 lags,
+plus FFT tiles for the longer lags that run once per completed block of
+history, so a full-memory run over N steps costs O(N log^2 N * dim) flops.
+A kernel is bound to the buffer it sums: ``hist(end, out)`` needs
+``end <= len(buf) - 1``, writes the history sum into the caller's
+C-contiguous row ``out`` (for GL, the buffer's own row ``end``, which the
+step then finishes in place) and returns it; rows below ``end`` change
+only through ``hist.rescale``.
 
 Both steppers check divergence once per block of ``BASE`` steps (and once
 for the final partial block): the first row of the block whose max|x|
@@ -170,6 +172,15 @@ class HistoryKernel:
     a fresh kernel.  Trailing zero weights are dropped, so ``window`` is the
     longest contributing lag (one lag for GL at alpha = 1).
 
+    ``weights`` of shape (K, n) holds K weight rows over the same buffer:
+    ``out`` then has shape (K,) + a row's shape, and its entry j is the
+    sum with the weights ``weights[j]``, all K from one pass over ``buf``
+    (ABM's predictor and corrector).  ``pending``, a float array of shape
+    (len(buf),) + ``out``'s shape, is a term the sums start from: the call
+    at ``end`` adds ``pending[end]``, so a constant or boundary term costs
+    nothing per step.  The kernel keeps it as its far rows and adds the
+    tiles' sums into it, rather than holding a copy.
+
     The sum is split by lag.  Lags below ``BASE`` are the *near* part: one
     BLAS dot of the reversed weights against ``buf[end - n:end]``, written
     straight into ``out`` (rows of rank two or more enter it, and ``out``
@@ -177,56 +188,65 @@ class HistoryKernel:
     summed exactly as a plain direct dot.  Lags in [s, 2s), for
     each tile size s = BASE * 2^l <= window, are the *far* part: when an
     aligned input block ``buf[end - s:end]`` is complete (``end`` % s == 0),
-    one FFT tile convolves it with w_s .. w_{2s-1} and adds the result into
-    the pending far rows of the 2s - 1 outputs it reaches.  Every
-    (row, lag >= BASE) pair falls into exactly one tile, which runs before
-    its output is asked for.  Over N steps this costs O(N log^2 N) instead
-    of O(N * window).
+    one FFT tile convolves it with w_s .. w_{2s-1} (one forward transform
+    shared by the K weight rows) and adds the result into the pending far
+    rows of the 2s - 1 outputs it reaches; the far rows start as
+    ``pending``.  Every (row, lag >= BASE) pair falls into exactly one
+    tile, which runs before its output is asked for.  Over N steps this
+    costs O(N log^2 N) instead of O(N * window).
     """
 
-    __slots__ = ("window", "_buf", "_rows", "_near", "_rev", "_tiles",
-                 "_far", "_reach", "_spec", "_out")
+    __slots__ = ("window", "_buf", "_rows", "_flat", "_near", "_rev",
+                 "_tiles", "_far", "_reach", "_spec", "_prod", "_out")
 
-    def __init__(self, weights, buf):
+    def __init__(self, weights, buf, pending=None):
         w = np.asarray(weights, dtype=float)
-        nz = np.nonzero(w)[0]
+        nz = np.nonzero(np.atleast_2d(w).any(axis=0))[0]
         self.window = int(nz[-1]) + 1 if len(nz) else 0
         self._buf = buf
         self._rows = buf if buf.ndim <= 2 else np.reshape(
             buf, (len(buf), -1), copy=False)
+        # the shape ``out`` is viewed in to take the near dot
+        self._flat = None if self._rows is buf else w.shape[:-1] + (-1,)
         self._near = min(self.window, BASE - 1)
-        self._rev = np.ascontiguousarray(w[:self._near][::-1])
+        self._rev = np.ascontiguousarray(w[..., :self._near][..., ::-1])
         lifted = (1,) * (buf.ndim - 1)
         self._tiles = []
         s = BASE
         while s <= min(self.window, len(buf) - 1):
-            lags = np.zeros(2 * s)
-            part = w[s - 1:min(2 * s - 1, self.window)]   # w_s .. w_{2s-1}
-            lags[:len(part)] = part
-            self._tiles.append((s, np.fft.rfft(lags).reshape((s + 1,)
-                                                             + lifted)))
+            lags = np.zeros(w.shape[:-1] + (2 * s,))
+            part = w[..., s - 1:min(2 * s - 1, self.window)]  # w_s .. w_{2s-1}
+            lags[..., :part.shape[-1]] = part
+            spectrum = np.moveaxis(np.fft.rfft(lags), -1, 0)
+            self._tiles.append((s, spectrum.reshape(spectrum.shape + lifted)))
             s *= 2
         top = self._tiles[-1][0] if self._tiles else 0
         # outputs a tile of the largest size can still owe: end .. end+2s-2
         self._reach = 2 * top - 1
-        self._far = np.zeros_like(buf if top else buf[:0])
+        row = w.shape[:-1] + buf.shape[1:]
+        self._far = pending
+        if top and pending is None:
+            self._far = np.zeros((len(buf),) + row)
         # work buffers of the largest tile; smaller tiles use their heads
         self._spec = np.empty((top + 1,) + buf.shape[1:], dtype=complex)
-        self._out = np.empty((2 * top,) + buf.shape[1:])
+        self._prod = None if w.ndim == 1 else np.empty((top + 1,) + row,
+                                                       dtype=complex)
+        self._out = np.empty((2 * top,) + row)
 
     def __call__(self, end, out):
         # a non-contiguous ``out`` fails here or in ``np.dot``, never copied
-        flat = out if self._rows is self._buf else np.reshape(
-            out, (-1,), copy=False)
+        flat = out if self._flat is None else np.reshape(
+            out, self._flat, copy=False)
         near = self._near
         if end >= near:
             np.dot(self._rev, self._rows[end - near:end], out=flat)
         else:
-            np.dot(self._rev[near - end:], self._rows[:end], out=flat)
-        if self._tiles:
-            if end % BASE == 0:
+            np.dot(self._rev[..., near - end:], self._rows[:end], out=flat)
+        far = self._far
+        if far is not None:
+            if end % BASE == 0 and self._tiles:
                 self._run_tiles(end)
-            out += self._far[end]
+            out += far[end]
         return out
 
     def _run_tiles(self, end):
@@ -236,16 +256,24 @@ class HistoryKernel:
                 break
             spec = np.fft.rfft(self._buf[end - s:end], n=2 * s, axis=0,
                                out=self._spec[:s + 1])
-            spec *= spectrum
+            if self._prod is None:
+                spec *= spectrum
+            else:
+                # one input spectrum against each of the K weight spectra
+                spec = np.multiply(spec[:, None], spectrum,
+                                   out=self._prod[:s + 1])
             out = np.fft.irfft(spec, n=2 * s, axis=0, out=self._out[:2 * s])
             stop = min(end + 2 * s - 1, len(far))
             far[end:stop] += out[:stop - end]
 
     def rescale(self, end, matrix):
         """Right-multiply by ``matrix`` every row a later call reads: the
-        stored rows back to lag ``window`` and the pending far rows."""
-        for rows in (self._buf[max(0, end - self.window):end + 1],
-                     self._far[end + 1:end + self._reach]):
+        stored rows back to lag ``window`` and the far rows the tiles have
+        started (for a kernel without ``pending``)."""
+        rows = self._buf[max(0, end - self.window):end + 1]
+        rows[...] = rows @ matrix
+        if self._tiles:
+            rows = self._far[end + 1:end + self._reach]
             rows[...] = rows @ matrix
 
 
@@ -328,6 +356,17 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     form x(t) = x0 + I^alpha f: fractional product-rectangle predictor,
     product-trapezoid corrector.  ``memory_window`` truncates both
     convolution sums by lag.
+
+    Both sums come from one two-row ``HistoryKernel`` call per step over
+    f_1 .. f_{m-1} (row 0 of its buffer stays zero):
+
+        pred_m = x0 + cp * (b_{m-1} f_0 + sum_k b_{k-1} f_{m-k})
+        base_m = x0 + cc * (w0(m) f_0 + sum_k a_k f_{m-k})
+
+    with w0(m) = (m-1)^{a+1} - (m-1-a) m^a, f_0's boundary weight in place
+    of a_m.  x0 and the f_0 terms are the kernel's ``pending`` rows, zero
+    f_0 terms past the window.  Each corrector sweep is then
+    x_m = base_m + cc * f(t_m, x_m), starting from pred_m.
     """
     n_steps = _check_dims(system, config)
     x0 = config.x0
@@ -346,37 +385,36 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     t = config.t0 + h * np.arange(n_steps + 1)
     # zero rows pass the divergence check until they are written
     x = np.zeros((n_steps + 1, system.dim))
-    fx = np.empty((n_steps + 1, system.dim))
-    predictor = HistoryKernel(b[:window], fx)  # lag k: b_{k-1}
-    corrector = HistoryKernel(a[:window], fx)  # lag k: a_k
-    pred_row = np.empty(system.dim)
-    hist_row = np.empty(system.dim)
-    # a_m as Python floats for the boundary weight below
-    a_lag = a[:window].tolist()
+    fx = np.zeros((n_steps + 1, system.dim))
     x[0] = x0
     f = system.field
-    fx[0] = np.asarray(f(t[0], x0), dtype=float)
+    f0 = np.asarray(f(t[0], x0), dtype=float)
+    # w0(m) from Python floats: it cancels two O(m^{a+1}) terms, which a
+    # vectorized numpy power leaves less exact
+    w0 = np.array([(m - 1.0) ** (alpha + 1.0) - (m - 1.0 - alpha) * m ** alpha
+                   for m in range(1, window + 1)])
+    weights = np.stack((cp * b[:window], cc * a[:window]))
+    # x0 + f_0 * (cp b_{m-1}, cc w0(m)), built in place
+    pending = np.zeros((n_steps + 1, 2, system.dim))
+    pending[1:window + 1] = np.column_stack((weights[0], cc * w0))[:, :, None]
+    pending[1:window + 1] *= f0
+    pending += x0
+    hist = HistoryKernel(weights, fx, pending)
+    sums = np.empty((2, system.dim))
+    pred, base = sums
     bound = config.diverge_bound
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, n_steps + 1, BASE):
             stop = min(first + BASE, n_steps + 1)
             try:
                 for m in range(first, stop):
-                    pred = x0 + cp * predictor(m, pred_row)
-                    hist = corrector(m, hist_row)
-                    if m <= window:
-                        # f_0 takes the boundary weight
-                        # (m-1)^{a+1} - (m-1-a) m^a in place of the lag-m
-                        # weight a_m that the kernel summed
-                        hist += ((m - 1.0) ** (alpha + 1.0)
-                                 - (m - 1.0 - alpha) * m ** alpha
-                                 - a_lag[m - 1]) * fx[0]
+                    hist(m, sums)
                     cur = pred
                     for _ in range(config.corrector_iters):
-                        cur = x0 + cc * (hist + np.asarray(f(t[m], cur),
-                                                           dtype=float))
+                        cur = base + cc * np.asarray(f(t[m], cur),
+                                                     dtype=float)
                     x[m] = cur
-                    fx[m] = np.asarray(f(t[m], x[m]), dtype=float)
+                    fx[m] = f(t[m], cur)
             except Exception:
                 # a diverged state written before the failure explains it
                 _check_rows(x[first:m + 1], first, t, bound)

@@ -92,6 +92,11 @@ class BenchmarkId:
         if self.name == "duffing":
             if not all(0.0 < o <= 1.0 for o in alpha):
                 raise ConfigError(f"orders must lie in (0, 1], got {alpha}")
+            # the chain leads with alpha, so the damping order sits below it
+            if alpha[0] <= alpha[1]:
+                raise ConfigError(
+                    f"duffing's alpha ({alpha[0]}) must exceed its "
+                    f"order_beta ({alpha[1]})")
         else:
             if not (0.0 < alpha <= 1.0):
                 raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")

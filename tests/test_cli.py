@@ -365,6 +365,44 @@ def test_config_document_is_shared_across_commands(tmp_path, monkeypatch):
     assert run(["stability", "--config", "doc.json", "--out", "s.json"]) == 0
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "memory_window", 50.9),
+    ("simulate", "corrector_iters", 2.7),
+    ("lyapunov", "renorm_every", True),
+    ("simulate", "memory_window", float("inf")),
+])
+def test_config_integer_is_not_truncated(command, key, value, tmp_path,
+                                         monkeypatch, capsys):
+    # int() would run 50, 2 and 1 without a word, and overflow on Infinity
+    monkeypatch.chdir(tmp_path)
+    doc = {"system": "lorenz", "t_end": 0.5, "scheme": "abm", key: value}
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    assert run([command, "--config", "doc.json", "--out", "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+    # an integral float is still an integer
+    doc[key] = 50.0 if key == "memory_window" else 2.0
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    assert run([command, "--config", "doc.json", "--out", "out"]) == 0
+
+
+@pytest.mark.parametrize("alpha", ["0.8", "0.7"])
+def test_duffing_alpha_at_or_below_order_beta_is_a_config_error(
+        alpha, tmp_path, capsys):
+    # the chain would lead with order_beta: a clash at 0.8, a divergence
+    # at step 20 below it
+    out = tmp_path / "duffing.csv"
+    assert run(["simulate", "--system", "duffing", "--alpha", alpha,
+                "--t-end", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert alpha in err and "order_beta (0.8)" in err
+    for stale in ("Traceback", "duplicate leading order", "trust region"):
+        assert stale not in err
+    assert not out.exists()
+
+
 def test_reproduce_cases_use_only_known_config_keys():
     for case in _CASES.values():
         assert set(case) - {"claims"} <= _CONFIG_KEYS

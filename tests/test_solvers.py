@@ -96,10 +96,12 @@ def naive_history(weights, buf, end, lags):
     return acc
 
 
-def stream(kernel, buf, n):
+def stream(kernel, buf, n, rows=()):
     """Call ``kernel`` once per step with end = 1 .. n, as the solvers do,
-    each time into a fresh ``out`` row, so the values stay apart."""
-    return [kernel(end, np.empty(buf.shape[1:])) for end in range(1, n + 1)]
+    each time into a fresh ``out`` row (with leading axes ``rows`` for a
+    kernel of several weight rows), so the values stay apart."""
+    return [kernel(end, np.empty(rows + buf.shape[1:]))
+            for end in range(1, n + 1)]
 
 
 def rows_of(buf):
@@ -108,10 +110,12 @@ def rows_of(buf):
 
 
 def direct_dot(weights, buf, end):
-    """The plain direct dot over lags 1 .. min(end, len(weights))."""
-    n = min(end, len(weights))
-    rev = np.ascontiguousarray(weights[:n][::-1])
-    return (rev @ rows_of(buf)[end - n:end]).reshape(buf.shape[1:])
+    """The plain direct dot over lags 1 .. min(end, n) of the weights'
+    last axis (of length n), one sum per weight row."""
+    n = min(end, weights.shape[-1])
+    rev = np.ascontiguousarray(weights[..., :n][..., ::-1])
+    return (rev @ rows_of(buf)[end - n:end]).reshape(weights.shape[:-1]
+                                                     + buf.shape[1:])
 
 
 def rounding_scale(weights, buf, end):
@@ -161,6 +165,57 @@ def test_history_kernel_matches_naive_loop(window, n, row_shape):
         if end in checked:
             naive = naive_history(weights, buf, end, end)
             assert np.all(np.abs(value - naive) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("row_shape", [(), (3,), (3, 2)],
+                         ids=["scalar", "state", "tangent"])
+@pytest.mark.parametrize("n", [50, 777, 2100])
+@pytest.mark.parametrize("window", [1, 63, 64, 65, 200, 1000])
+@pytest.mark.parametrize("with_pending", [False, True],
+                         ids=["bare", "pending"])
+def test_history_kernel_weight_rows_match_naive_loop(window, n, row_shape,
+                                                     with_pending):
+    # two weight rows over one buffer, as ABM's predictor and corrector;
+    # the second stops short, so the rows' supports differ
+    rng = np.random.default_rng(window + 7 * n + len(row_shape) + 1)
+    weights = rng.normal(size=(2, window))
+    weights[1, (window + 1) // 2:] = 0.0
+    buf = rng.normal(size=(n + 1,) + row_shape)
+    pending = (rng.normal(size=(n + 1, 2) + row_shape) if with_pending
+               else np.zeros((n + 1, 2) + row_shape))
+    hist = HistoryKernel(weights, buf,
+                         pending.copy() if with_pending else None)
+    assert hist.window == window
+    got = stream(hist, buf, n, rows=(2,))
+    checked = {1, 2, n} | {e for e in (63, 64, 65, 127, 128, 129, 500, 1024,
+                                       1025, 1100, 2048, 2049) if e <= n}
+    for end, value in enumerate(got, start=1):
+        assert value.shape == (2,) + row_shape
+        for j in range(2):
+            scale = (rounding_scale(weights[j], buf, end)
+                     + np.abs(pending[end, j]))
+            ref = direct_dot(weights[j], buf, end) + pending[end, j]
+            assert np.all(np.abs(value[j] - ref) <= 1e-13 * scale)
+            if end in checked:
+                naive = naive_history(weights[j], buf, end, end)
+                assert np.all(np.abs(value[j] - naive - pending[end, j])
+                              <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("weights_shape", [(5,), (2, 5)],
+                         ids=["one-row", "two-rows"])
+def test_history_kernel_adds_pending_without_tiles(weights_shape):
+    # below BASE there are no FFT tiles; the pending row is added all the
+    # same, after the direct dot
+    rng = np.random.default_rng(5)
+    weights = rng.normal(size=weights_shape)
+    buf = rng.normal(size=(40, 3))
+    pending = rng.normal(size=(40,) + weights_shape[:-1] + (3,))
+    got = stream(HistoryKernel(weights, buf, pending.copy()), buf, 39,
+                 rows=weights_shape[:-1])
+    for end, value in enumerate(got, start=1):
+        assert np.array_equal(value,
+                              direct_dot(weights, buf, end) + pending[end])
 
 
 def test_history_kernel_pushes_through():
@@ -417,8 +472,9 @@ def two_step_gl(system, cfg):
 
 
 def two_step_abm(system, cfg):
-    """``solve_abm``'s update with fresh history arrays, and f_0's
-    boundary weight built on a numpy scalar a_m."""
+    """``solve_abm``'s update with fresh arrays: both history sums into a
+    new (2, dim) array, then each corrector sweep into a new array; x0
+    and f_0's terms are built row by row as the kernel's pending rows."""
     n, h, alpha, x0 = cfg.n_steps, cfg.h, cfg.alpha, cfg.x0
     window = n if cfg.memory_window is None else min(cfg.memory_window, n)
     r = np.arange(n + 2, dtype=float)
@@ -429,22 +485,22 @@ def two_step_abm(system, cfg):
     cc = h ** alpha / math.gamma(alpha + 2.0)
     t = cfg.t0 + h * np.arange(n + 1)
     x = np.zeros((n + 1, system.dim))
-    fx = np.empty((n + 1, system.dim))
-    predictor = HistoryKernel(b[:window], fx)
-    corrector = HistoryKernel(a[:window], fx)
+    fx = np.zeros((n + 1, system.dim))
     x[0] = x0
-    fx[0] = np.asarray(system.field(t[0], x0), dtype=float)
+    f0 = np.asarray(system.field(t[0], x0), dtype=float)
+    pending = np.empty((n + 1, 2, system.dim))
+    pending[...] = x0
+    for m in range(1, window + 1):
+        w0 = (m - 1.0) ** (alpha + 1.0) - (m - 1.0 - alpha) * m ** alpha
+        pending[m, 0] = x0 + f0 * (cp * b[m - 1])
+        pending[m, 1] = x0 + f0 * (cc * w0)
+    hist = HistoryKernel(np.stack((cp * b[:window], cc * a[:window])), fx,
+                         pending)
     for m in range(1, n + 1):
-        pred = x0 + cp * predictor(m, np.empty(system.dim))
-        hist = corrector(m, np.empty(system.dim))
-        if m <= window:
-            hist = hist + ((m - 1.0) ** (alpha + 1.0)
-                           - (m - 1.0 - alpha) * m ** alpha
-                           - a[m - 1]) * fx[0]
+        pred, base = hist(m, np.empty((2, system.dim)))
         cur = pred
         for _ in range(cfg.corrector_iters):
-            cur = x0 + cc * (hist + np.asarray(system.field(t[m], cur),
-                                               dtype=float))
+            cur = base + cc * np.asarray(system.field(t[m], cur), dtype=float)
         x[m] = cur
         fx[m] = np.asarray(system.field(t[m], x[m]), dtype=float)
     return x

@@ -310,6 +310,10 @@ def test_alpha_domain_errors():
         BenchmarkId("lorenz", alpha=0.0)
     with pytest.raises(ConfigError):
         BenchmarkId("duffing", alpha=(0.9, 1.2))
+    # alpha leads the chain: order_beta must sit below it
+    for alpha in (0.8, 0.7, (0.5, 0.6)):
+        with pytest.raises(ConfigError, match="order_beta"):
+            BenchmarkId("duffing", alpha=alpha)
 
 
 def test_parameter_override_applies():
