@@ -27,6 +27,7 @@ domain errors, 2 on usage errors.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -111,12 +112,12 @@ def _load_config_doc(path):
 def _number(kind, value, name):
     """``kind(value)`` for a flag or config value; ConfigError if it fails.
 
-    An integer takes neither a bool nor a number with a fractional part,
-    which ``int`` would truncate."""
+    No number takes a bool, and an integer takes no number with a
+    fractional part, which ``int`` would truncate."""
     try:
         number = kind(value)
-        if kind is int and (isinstance(value, bool) or (
-                isinstance(value, float) and number != value)):
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and number != value):
             raise ValueError
         return number
     except (TypeError, ValueError, OverflowError):
@@ -587,19 +588,21 @@ def _bind_z_values(argv):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="fracdyn",
+        prog="fracdyn", allow_abbrev=False,
         description="Simulate fractional-order systems and quantify chaos. "
                     "Flag precedence: command line > --config document > "
                     "catalog defaults.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags are spelt in full: ``reproduce --out`` is not ``--out-dir``
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    sp = sub.add_parser("simulate", help="integrate and write trajectory CSV")
+    sp = add_parser("simulate", help="integrate and write trajectory CSV")
     _add_system_flags(sp)
     _add_solver_flags(sp)
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.set_defaults(func=_cmd_simulate)
 
-    sp = sub.add_parser(
+    sp = add_parser(
         "lyapunov", help="exponent spectrum JSON report",
         description="Lyapunov spectrum by tangent-frame QR, with the "
                     "stability report.  --tangent-history names the "
@@ -621,8 +624,8 @@ def build_parser():
     sp.add_argument("--out", required=True, help="output JSON path")
     sp.set_defaults(func=_cmd_lyapunov)
 
-    sp = sub.add_parser("dimension",
-                        help="box-counting dimension of a trajectory CSV")
+    sp = add_parser("dimension",
+                    help="box-counting dimension of a trajectory CSV")
     sp.add_argument("--input", required=True, help="trajectory CSV path")
     sp.add_argument("--columns",
                     help="1-based CSV columns to use (column 1 is time; "
@@ -640,7 +643,7 @@ def build_parser():
                          "(default: OUT with .plot.txt suffix)")
     sp.set_defaults(func=_cmd_dimension)
 
-    sp = sub.add_parser(
+    sp = add_parser(
         "stability", help="equilibria, critical orders alpha*, saddle-foci",
         description="Equilibria at the system's order (--alpha), each with "
                     "its critical order alpha* = (2/pi) min|arg mu|, below "
@@ -654,7 +657,7 @@ def build_parser():
     sp.add_argument("--out", help="optional output JSON path")
     sp.set_defaults(func=_cmd_stability)
 
-    sp = sub.add_parser("mlf", help="evaluate E_[alpha,beta](z)")
+    sp = add_parser("mlf", help="evaluate E_[alpha,beta](z)")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--beta", type=float, default=1.0)
     sp.add_argument("--z", required=True, type=_complex_text,
@@ -662,11 +665,11 @@ def build_parser():
     sp.add_argument("--out", help="optional output JSON path")
     sp.set_defaults(func=_cmd_mlf)
 
-    sp = sub.add_parser("list-systems", help="print the system catalog")
+    sp = add_parser("list-systems", help="print the system catalog")
     sp.set_defaults(func=_cmd_list_systems)
 
-    sp = sub.add_parser("reproduce",
-                        help="full pipeline for one documented case (1-5)")
+    sp = add_parser("reproduce",
+                    help="full pipeline for one documented case (1-5)")
     sp.add_argument("example", type=int, help="case number, 1-5")
     sp.add_argument("--out-dir", required=True, dest="out_dir")
     sp.add_argument("--h", type=float, help="override the documented step")

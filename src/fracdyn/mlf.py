@@ -2,22 +2,25 @@
 
 These are the solution kernels of linear fractional relaxation and serve as
 the accuracy oracle for the fractional solvers.  Evaluation routes, tried in
-this order (the asymptotic expansion first on the real axis at z <= -5):
+this order:
 
-1. ``series``: the power series in float64, accepted when its rounding
-   bound (eps times the sum of |terms|, widened for the rounded gamma
-   argument and the phase of complex z) certifies the target;
-2. ``asymptotic``: the large-|z| expansion for 0 < a < 1, accepted when the
-   envelope of its first omitted term certifies the target;
-3. ``contour``: Garrappa's inverse Laplace transform on a parabolic contour
+1. ``zero``: z = 0 is the exact value 1/Gamma(b);
+2. ``exp``: a = b = 1 is the closed form e^z;
+3. ``asymptotic``: the large-|z| expansion for 0 < a < 1 and |z| > 1,
+   accepted when the envelope of its first omitted term certifies the
+   target;
+4. ``contour``: Garrappa's inverse Laplace transform on a parabolic contour
    in float64, accepted when its step-halving difference, its truncated
    tail and its rounding bound each certify the target;
-4. ``mpmath``: the power series in adaptive extended precision, sized from
-   the digits the series actually cancels; the last route.
+5. ``mpmath``: the power series in adaptive extended precision, sized from
+   the digits the series actually cancels; the last route.  Real z whose
+   sum exceeds the double range raises ``OverflowError`` before it.
 
-``z = 0`` is the exact value 1/Gamma(b) (route ``zero``).  Every returned
-value is accurate to ~1e-12 relative, comfortably inside the 1e-10 contract
-for |z| <= 50.
+The contour route certifies nearly every argument on its own.  The
+asymptotic route stays for the large |z| the contour declines: without it
+E_{1/2,1/2}(-80) and E_{0.995,1}(650) take seconds in mpmath, and so does
+finding that E_{1/2,1}(30-2i) overflows.  Every returned value is accurate
+to ~1e-12 relative, comfortably inside the 1e-10 contract for |z| <= 50.
 """
 
 import cmath
@@ -29,7 +32,6 @@ from .errors import NonConvergenceError
 # internal accuracy target; the public contract is 1e-10
 _REL_TOL = 1e-12
 
-_MAX_TERMS_F64 = 100_000
 _MAX_TERMS_MP = 400_000
 
 
@@ -42,6 +44,11 @@ def _validate(alpha, beta, z):
         raise ValueError(f"beta must be positive, got {beta}")
     if not (abs(z) < math.inf):
         raise ValueError(f"z must be finite, got {z!r}")
+
+
+def _overflow(alpha, beta, z):
+    return OverflowError(
+        f"E_{{{alpha},{beta}}}({z!r}) exceeds the double range")
 
 
 def _series_scales(alpha, beta, az):
@@ -83,58 +90,6 @@ def _series_overflows(alpha, beta, x):
     top = max(logs)
     bound = top + math.log(math.fsum(math.exp(v - top) for v in logs))
     return bound > _LOG_DBL_MAX + 1e-9 * max(1.0, ks[-1] * log_x)
-
-
-def _series_f64(alpha, beta, z, k_stop):
-    """Float64 series pass.
-
-    Returns (value, certified) where certified reports whether the
-    rounding-error bound stayed inside _REL_TOL.
-    """
-    is_complex = isinstance(z, complex) and z.imag != 0.0
-    log_az = math.log(abs(z))
-    arg_z = cmath.phase(complex(z)) if is_complex else (math.pi if z.real < 0 else 0.0)
-    negative_real = not is_complex and z.real < 0
-
-    s = 0.0 + 0.0j
-    sum_abs = 0.0
-    below = 0
-    k_final = 0
-    for k in range(min(k_stop, _MAX_TERMS_F64) + 1):
-        lm = k * log_az - math.lgamma(alpha * k + beta)
-        if lm > 700.0:
-            return None, False  # term overflows float64
-        mag = math.exp(lm)
-        if negative_real:
-            term = complex(-mag if k % 2 else mag, 0.0)
-        elif is_complex:
-            term = cmath.rect(mag, k * arg_z)
-        else:
-            term = complex(mag, 0.0)
-        s += term
-        sum_abs += mag
-        k_final = k
-        if mag <= 1e-16 * abs(s) and k > 0:
-            below += 1
-            if below >= 2:
-                break
-        else:
-            below = 0
-    else:
-        return None, False
-
-    if abs(s) == 0.0:
-        return None, False
-    # rounding bound: eps * (sum of |term|), plus phase error for complex z,
-    # plus the effect of the float-rounded gamma argument alpha*k + beta
-    # (that argument is ~x*eps off, amplified by psi(x) in the log)
-    x_max = alpha * k_final + beta
-    gamma_arg_pen = 1.5 * x_max * max(1.0, math.log(x_max))
-    err = 2.2e-16 * sum_abs * (
-        3.0 + gamma_arg_pen + (1e-2 * k_final if is_complex else 0.0))
-    if err > _REL_TOL * abs(s):
-        return None, False
-    return s, True
 
 
 _LOG_PI = math.log(math.pi)
@@ -182,9 +137,7 @@ def _asymptotic(alpha, beta, z):
     if abs(phi) < alpha * math.pi:
         w = cmath.exp(cmath.log(zc) / alpha)
         if w.real > 700.0:
-            raise OverflowError(
-                f"E_{{{alpha},{beta}}}({z!r}) exceeds the double range"
-            )
+            raise _overflow(alpha, beta, z)
         value = value + zc ** ((1.0 - beta) / alpha) * cmath.exp(w) / alpha
     err = math.exp(min(log_err, 700.0))
     if abs(value) > 0.0 and err <= 0.05 * _REL_TOL * abs(value):
@@ -192,12 +145,13 @@ def _asymptotic(alpha, beta, z):
     return None
 
 
-def _series_mp(alpha, beta, z, log_peak, k_stop):
+def _series_mp(alpha, beta, z):
     """Power series in extended precision sized to absorb cancellation."""
     # imported here: mpmath would be most of ``import fracdyn``'s time, and
     # the float64 routes serve nearly every argument
     import mpmath
 
+    log_peak, k_stop = _series_scales(alpha, beta, abs(z))
     if k_stop > _MAX_TERMS_MP:
         raise NonConvergenceError(
             f"series for E_{{{alpha},{beta}}}({z!r}) needs ~{k_stop} terms; "
@@ -244,9 +198,7 @@ def _series_mp(alpha, beta, z, log_peak, k_stop):
                 else:
                     out = float(s)
                 if not (abs(out) < math.inf):
-                    raise OverflowError(
-                        f"E_{{{alpha},{beta}}}({z!r}) exceeds the double range"
-                    )
+                    raise _overflow(alpha, beta, z)
                 return complex(out)
             dps = int(lost + 25)
     raise NonConvergenceError(
@@ -431,24 +383,16 @@ def _ml_eval(alpha, beta, z):
     """(E_{alpha,beta}(z) as a complex, name of the route that certified it)."""
     if z == 0:
         return complex(1.0 / math.gamma(beta)), "zero"
-    log_peak, k_stop = _series_scales(alpha, beta, abs(z))
     zr = complex(z)
-    asym_applies = 0.0 < alpha < 1.0 and abs(z) > 1.0
-    # on the strongly decaying side the expansion is both cheap and the
-    # only numerically stable route, so consult it before the series
-    asym_first = asym_applies and zr.imag == 0.0 and zr.real <= -5.0
+    if alpha == 1.0 and beta == 1.0:
+        try:
+            if zr.imag == 0.0:
+                return complex(math.exp(zr.real)), "exp"
+            return cmath.exp(zr), "exp"
+        except OverflowError:
+            raise _overflow(alpha, beta, z) from None
 
-    if asym_first:
-        value = _asymptotic(alpha, beta, z)
-        if value is not None:
-            return value, "asymptotic"
-
-    if k_stop <= _MAX_TERMS_F64:
-        value, ok = _series_f64(alpha, beta, z, k_stop)
-        if ok:
-            return value, "series"
-
-    if asym_applies and not asym_first:
+    if alpha < 1.0 and abs(z) > 1.0:
         value = _asymptotic(alpha, beta, z)
         if value is not None:
             return value, "asymptotic"
@@ -459,9 +403,8 @@ def _ml_eval(alpha, beta, z):
 
     if zr.imag == 0.0 and zr.real > 1.0 and _series_overflows(
             alpha, beta, zr.real):
-        raise OverflowError(
-            f"E_{{{alpha},{beta}}}({z!r}) exceeds the double range")
-    return _series_mp(alpha, beta, z, log_peak, k_stop), "mpmath"
+        raise _overflow(alpha, beta, z)
+    return _series_mp(alpha, beta, z), "mpmath"
 
 
 def ml_two(alpha, beta, z):
@@ -491,7 +434,7 @@ def ml_two(alpha, beta, z):
 
 def ml_route(alpha, beta, z):
     """E_{alpha,beta}(z) as a complex, and the name of the route that
-    evaluated it: ``zero``, ``series``, ``asymptotic``, ``contour`` or
+    evaluated it: ``zero``, ``exp``, ``asymptotic``, ``contour`` or
     ``mpmath``.  Raises what ``ml_two`` raises.
     """
     _validate(alpha, beta, z)

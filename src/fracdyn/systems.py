@@ -55,6 +55,13 @@ _DEFAULT_X0 = {
 }
 
 
+def _order(value):
+    """``float(value)`` for a derivative order; a bool is not a number."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return float(value)
+
+
 @dataclass(frozen=True)
 class BenchmarkId:
     """Identifies a catalog system plus its parameter values and order(s)."""
@@ -81,11 +88,11 @@ class BenchmarkId:
         alpha = self.alpha if self.alpha is not None else _DEFAULT_ALPHA[self.name]
         try:
             if self.name != "duffing":
-                alpha = float(alpha)
+                alpha = _order(alpha)
             elif np.isscalar(alpha):
-                alpha = (float(alpha), _DEFAULT_ALPHA["duffing"][1])
+                alpha = (_order(alpha), _DEFAULT_ALPHA["duffing"][1])
             else:
-                alpha = (float(alpha[0]), float(alpha[1]))
+                alpha = (_order(alpha[0]), _order(alpha[1]))
         except (TypeError, ValueError, IndexError):
             raise ConfigError(
                 f"alpha must be a number, got {alpha!r}") from None

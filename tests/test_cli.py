@@ -60,6 +60,7 @@ def lorenz_csv(tmp_path_factory):
     (["stability", "--system", "lorenz", "--sector-alpha", "0.9"], 2),
     (["lyapunov", "--out", "unused.json"], 2),
     (["stability"], 2),
+    (["reproduce", "1", "--out", "unused"], 2),
 ])
 def test_exit_codes(argv, code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -324,9 +325,9 @@ def test_list_systems_prints_the_catalog(capsys):
 
 
 @pytest.mark.parametrize("alpha, z, route", [
-    ("0.7", "0", "zero"), ("0.7", "0.5", "series"),
+    ("0.7", "0", "zero"), ("1", "-50", "exp"),
     ("0.7", "-20", "asymptotic"), ("0.7", "-3", "contour"),
-    ("0.7", "-3-5.5j", "contour"), ("1", "-50", "mpmath"),
+    ("0.7", "-3-5.5j", "contour"), ("1.001", "-10", "mpmath"),
 ])
 def test_mlf_reports_its_route_on_stderr_only(alpha, z, route, tmp_path,
                                               capsys):
@@ -385,6 +386,26 @@ def test_config_integer_is_not_truncated(command, key, value, tmp_path,
     doc[key] = 50.0 if key == "memory_window" else 2.0
     (tmp_path / "doc.json").write_text(json.dumps(doc))
     assert run([command, "--config", "doc.json", "--out", "out"]) == 0
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "h", True),
+    ("simulate", "t0", False),
+    ("simulate", "t_end", True),
+    ("lyapunov", "transient", False),
+    ("simulate", "x0", [1.0, True, 1.0]),
+    ("simulate", "alpha", True),
+])
+def test_config_bool_is_not_a_number(command, key, value, tmp_path,
+                                     monkeypatch, capsys):
+    # float() would run true as 1.0 and false as 0.0 without a word
+    monkeypatch.chdir(tmp_path)
+    doc = {"system": "lorenz", "t_end": 0.5, key: value}
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    assert run([command, "--config", "doc.json", "--out", "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
 
 
 @pytest.mark.parametrize("alpha", ["0.8", "0.7"])

@@ -1,7 +1,8 @@
 """Tests for the Mittag-Leffler functions.
 
 The reference oracle is direct series summation in extended precision
-(mpmath), independent of the float64/asymptotic machinery under test.  For
+(mpmath), independent of the float64 contour and asymptotic routes under
+test.  For
 small alpha, where the series needs astronomically many terms, a
 Mellin-Barnes contour integral provides a second, structurally different
 oracle.  Its values are frozen in ``contour_oracle.json`` (written by
@@ -245,8 +246,8 @@ def _relaxation_arguments(alpha, lam, times):
 @pytest.mark.parametrize("alpha", [0.5, 0.7, 0.9])
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
 def test_contour_route_against_series_oracle(alpha, beta):
-    # the series and asymptotic routes certify part of this grid first, so
-    # the contour route is called directly: it must certify every point
+    # the asymptotic route certifies part of this grid first, so the
+    # contour route is called directly: it must certify every point
     reals = [-15.0 + 2.0 * i for i in range(8)]
     rotations = _relaxation_arguments(alpha, complex(-0.6, -1.1),
                                       [0.5, 2.0, 4.5, 7.0, 10.0])
@@ -263,8 +264,8 @@ def test_contour_route_against_series_oracle(alpha, beta):
 
 def test_relaxation_grid_never_reaches_mpmath(monkeypatch):
     # the grid shape of the relaxation-oracle benchmark workload: 606 points,
-    # of which z = 0 and the float64 series take 73; the contour route must
-    # take the other 533, which would otherwise need the mpmath series
+    # of which z = 0 takes 6; the contour route must take the other 600,
+    # which would otherwise need the mpmath series
     def no_mpmath(*args):
         raise AssertionError(f"mpmath route taken for {args}")
 
@@ -278,18 +279,22 @@ def test_relaxation_grid_never_reaches_mpmath(monkeypatch):
                 assert value == ml_one(alpha, z) and math.isfinite(abs(value))
                 routes.append(route)
     assert {r: routes.count(r) for r in set(routes)} == {
-        "zero": 6, "series": 67, "contour": 533}
+        "zero": 6, "contour": 600}
 
 
 @pytest.mark.parametrize("x", [10.0, 50.0])
 def test_contour_rejection_falls_through_to_mpmath(x):
     # E_1(-x) = e^-x sits below the nodes' rounding bound (for x = 10 that
     # bound alone fails: the step difference and the tail pass), so the
-    # contour route declines it and the extended-precision series answers
+    # contour route declines it and the closed form answers; the contour
+    # declines its neighbour E_1.001(-x) too, and the extended-precision
+    # series answers that
     assert mlf._contour(1.0, 1.0, -x) is None
-    value, route = mlf.ml_route(1.0, 1.0, -x)
+    assert mlf.ml_route(1.0, 1.0, -x) == (complex(math.exp(-x)), "exp")
+    value, route = mlf.ml_route(1.001, 1.0, -x)
     assert route == "mpmath"
-    assert value.real == pytest.approx(math.exp(-x), rel=1e-12)
+    ref = ml_series_oracle(1.001, 1.0, -x)
+    assert abs(value - ref) <= 1e-12 * abs(ref)
 
 
 def test_contour_route_declines_overflow():
@@ -300,30 +305,35 @@ def test_contour_route_declines_overflow():
 
 
 def test_real_overflow_is_raised_before_the_mpmath_series(monkeypatch):
-    # every term of E_1(800) is positive and the largest is ~e^795.7, so
-    # the overflow is known without summing the series
+    # E_1(800) = e^800 overflows in the closed form; every term of
+    # E_1,2(800) is positive and the largest is ~e^789, so that overflow
+    # is known without summing the series
     def no_mpmath(*args):
         raise AssertionError(f"mpmath route taken for {args}")
 
     monkeypatch.setattr(mlf, "_series_mp", no_mpmath)
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match="exceeds the double range"):
         ml_one(1.0, 800.0)
+    with pytest.raises(OverflowError, match="exceeds the double range"):
+        ml_two(1.0, 2.0, 800.0)
 
 
 def test_overflow_of_the_sum_is_raised_without_summing(monkeypatch):
-    # E_1(710) = e^710 overflows although its largest term, ~e^706.2, does
-    # not: the bound on the terms near the peak must see that at once,
-    # before the mpmath series is entered
+    # E_1,2(717) = (e^717 - 1)/717 ~ e^710.4 overflows although its largest
+    # term, ~e^706.2, does not: the bound on the terms near the peak must
+    # see that at once, before the mpmath series is entered
     def never(*args):
         raise AssertionError("the mpmath series was entered")
 
     with monkeypatch.context() as patch:
         patch.setattr(mlf, "_series_mp", never)
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match="exceeds the double range"):
+            mlf.ml_route(1.0, 2.0, 717.0)
+        with pytest.raises(OverflowError, match="exceeds the double range"):
             mlf.ml_route(1.0, 1.0, 710.0)
-    # e^709.5 is below the double maximum e^709.78 and is summed
-    value, _ = mlf.ml_route(1.0, 1.0, 709.5)
-    assert value.real == 1.3549863193146328e308
+        # e^709.5 is below the double maximum e^709.78 and is returned
+        value, route = mlf.ml_route(1.0, 1.0, 709.5)
+    assert (value.real, route) == (1.3549863193146328e308, "exp")
 
 
 @pytest.mark.parametrize("alpha, beta, x, overflows", [
@@ -332,14 +342,15 @@ def test_overflow_of_the_sum_is_raised_without_summing(monkeypatch):
     (2.0, 1.0, 710.0 ** 2, False),  # cosh(710) ~ e^709.3
     (2.0, 1.0, 711.0 ** 2, True),
     (0.01, 1.0, 1.07, True),      # ~100 e^867, window sampled by stride
+    (1.0, 2.0, 715.0, False),     # (e^x - 1)/x: e^708.4
+    (1.0, 2.0, 717.0, True),      # e^710.4
 ])
 def test_series_overflow_bound(alpha, beta, x, overflows):
     assert mlf._series_overflows(alpha, beta, x) == overflows
 
 
 def test_largest_term_below_the_double_range_is_summed():
-    # the largest term of E_1(709) is ~e^704.8: the overflow check must
-    # let it through to the series
+    # E_1(709) = e^709 is below the double maximum e^709.78: no overflow
     assert ml_one(1.0, 709.0) == pytest.approx(math.exp(709.0), rel=1e-12)
 
 
@@ -351,6 +362,27 @@ def test_import_fracdyn_loads_neither_numpy_nor_mpmath():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_asymptotic_route_keeps_large_arguments_out_of_mpmath(monkeypatch):
+    # the contour route declines each of these; without the expansion the
+    # values take seconds in mpmath, and so does finding the overflows
+    def no_mpmath(*args):
+        raise AssertionError(f"mpmath route taken for {args}")
+
+    monkeypatch.setattr(mlf, "_series_mp", no_mpmath)
+    for alpha, beta, z in [(0.5, 0.5, -80.0), (0.995, 1.0, 650.0)]:
+        assert mlf.ml_route(alpha, beta, z)[1] == "asymptotic"
+    for alpha, z in [(0.5, 30 - 2j), (0.2, 5 - 1j)]:
+        with pytest.raises(OverflowError, match="exceeds the double range"):
+            ml_one(alpha, z)
+    # E_1/2,1/2(z) = 1/sqrt(pi) + z e^(z^2) erfc(-z); every term of
+    # E_0.995(650) is positive, so the series oracle needs no extra digits
+    with mpmath.workdps(40):
+        ref = 1 / mpmath.sqrt(mpmath.pi) - 80 * mpmath.exp(6400) * mpmath.erfc(80)
+    assert ml_two(0.5, 0.5, -80.0) == pytest.approx(float(ref), rel=1e-10)
+    assert ml_one(0.995, 650.0) == pytest.approx(
+        ml_series_oracle(0.995, 1.0, 650.0, dps=30).real, rel=1e-10)
 
 
 def test_asymptotic_route_is_real_on_the_real_axis():
