@@ -289,8 +289,7 @@ def _exact_flow(system, config, traj, renorm_every, n_blocks, v0, chain):
     The Jacobians come ``ROWS`` steps at a time."""
     span = n_blocks * renorm_every
     dev = np.zeros((span + 1,) + v0.shape)
-    hist = gl_history(config.alpha, span if config.memory_window is None
-                      else min(config.memory_window, span), dev)
+    hist = gl_history(config.alpha, span, dev)
     ha = config.h ** config.alpha
     v_base = v_prev = v0
     step = 0                         # base-trajectory index of v_prev
@@ -322,8 +321,6 @@ def _restart_blocks(system, config, traj, renorm_every, n_blocks, v0, chain):
     chain over the blocks stays sequential.
     """
     dim, R = system.dim, renorm_every
-    window = R if config.memory_window is None else min(
-        config.memory_window, R)
     ha = config.h ** config.alpha
     eye = np.eye(dim)
     per_chunk = max(1, ROWS // R)
@@ -331,7 +328,7 @@ def _restart_blocks(system, config, traj, renorm_every, n_blocks, v0, chain):
     for first in range(0, n_blocks, per_chunk):
         count = min(per_chunk, n_blocks - first)
         dev = np.zeros((R + 1, count, dim, dim))
-        hist = gl_history(config.alpha, window, dev)
+        hist = gl_history(config.alpha, R, dev)
         start = first * R
         hj = ha * _jacobians(system, traj, slice(start, start + count * R))
         # (R, count, dim, dim): row j holds step j of every block
@@ -358,6 +355,8 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
     the variational equation, so the classical limit alpha = 1 collapses
     to the standard map-Jacobian product.  ``transient`` (default 20% of
     the horizon) is integrated but excluded from exponent accumulation.
+    A config with a ``memory_window`` raises ``ConfigError``: a windowed
+    base trajectory under a full-memory tangent flow would be inconsistent.
 
     ``tangent_history`` is the convention (see the module docstring):
     ``"restart"`` restarts the tangent convolution history at every QR and
@@ -385,6 +384,9 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
         raise ConfigError(
             f"tangent_history must be 'restart' or 'exact', "
             f"got {tangent_history!r}")
+    if config.memory_window is not None:
+        raise ConfigError("lyapunov_spectrum needs a full-memory config, "
+                          f"got memory_window={config.memory_window}")
     n_steps = config.n_steps
     if transient is None:
         transient = 0.2 * (config.t_end - config.t0)

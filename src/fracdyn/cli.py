@@ -84,8 +84,7 @@ def _write_json(path, report):
 # serve several commands; any other key is a ConfigError
 _CONFIG_KEYS = frozenset({
     "system", "params", "alpha", "x0", "h", "t_end", "t0", "scheme",
-    "memory_window", "corrector_iters", "renorm_every", "transient",
-    "tangent_history",
+    "corrector_iters", "renorm_every", "transient", "tangent_history",
 })
 
 
@@ -188,13 +187,6 @@ def _solver_config(args, doc, system):
         x0 = np.asarray(system.params["default_x0"], dtype=float)
     else:
         x0 = _parse_x0(x0, system)
-    kwargs = {}
-    window = _resolve(args, doc, "memory_window", kind=int)
-    if window is not None:
-        kwargs["memory_window"] = window
-    iters = _resolve(args, doc, "corrector_iters", kind=int)
-    if iters is not None:
-        kwargs["corrector_iters"] = iters
     return SolverConfig(
         alpha=float(system.params["default_alpha"]),
         h=_resolve(args, doc, "h", 0.005, float),
@@ -202,7 +194,7 @@ def _solver_config(args, doc, system):
         x0=x0,
         t0=_resolve(args, doc, "t0", 0.0, float),
         scheme=_resolve(args, doc, "scheme", "gl"),
-        **kwargs,
+        corrector_iters=_resolve(args, doc, "corrector_iters", 1, int),
     )
 
 
@@ -558,8 +550,6 @@ def _add_solver_flags(sp):
     sp.add_argument("--x0", help="comma-separated initial state")
     sp.add_argument("--scheme", choices=["gl", "abm"],
                     help="integration scheme (default gl)")
-    sp.add_argument("--memory-window", type=int, dest="memory_window",
-                    help="history truncation length (default: full memory)")
     sp.add_argument("--corrector-iters", type=int, dest="corrector_iters",
                     help="corrector sweeps for the abm scheme (default 1)")
 
@@ -574,12 +564,27 @@ def _complex_text(text):
     return text
 
 
-def _bind_z_values(argv):
-    """Join ``--z -2+0.5j`` into ``--z=-2+0.5j``: argparse takes a separate
-    value that starts with '-' and is not a plain real for an option."""
+def _is_number_list(text):
+    """Whether ``text`` is a real or complex number, or a comma list of
+    numbers."""
+    try:
+        for piece in text.split(","):
+            complex(piece)
+    except ValueError:
+        return False
+    return True
+
+
+def _bind_negative_values(argv):
+    """Join ``--x0 -9,-5,14`` into ``--x0=-9,-5,14``: argparse takes a
+    separate value that starts with '-' for an option unless it is a plain
+    negative real, so a number, complex number or comma list of numbers
+    that starts with '-' is bound to the ``--flag`` before it."""
     joined = []
     for arg in argv:
-        if joined and joined[-1] == "--z" and arg.startswith("-"):
+        flag = joined[-1] if joined else ""
+        if (arg.startswith("-") and flag.startswith("--") and len(flag) > 2
+                and "=" not in flag and _is_number_list(arg)):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
@@ -682,7 +687,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(
-        _bind_z_values(sys.argv[1:] if argv is None else argv))
+        _bind_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (FracdynError, OSError) as err:

@@ -40,8 +40,8 @@ def _validate(alpha, beta, z):
         raise ValueError(f"alpha must be positive, got {alpha}")
     if alpha > 2.0:
         raise ValueError(f"alpha > 2 is unsupported, got {alpha}")
-    if not (beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not (0.0 < beta < math.inf):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     if not (abs(z) < math.inf):
         raise ValueError(f"z must be finite, got {z!r}")
 

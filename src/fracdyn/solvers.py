@@ -3,10 +3,15 @@
 Two schemes over the commensurate system D^alpha x = f(t, x), 0 < alpha <= 1:
 
 * ``solve_gl``  -- explicit Grunwald-Letnikov scheme applied to x - x0 (the
-  shift makes it a Caputo discretization), first-order accurate, with an
-  optional finite memory window;
+  shift makes it a Caputo discretization), first-order accurate;
 * ``solve_abm`` -- Adams-Bashforth-Moulton predictor-corrector on the
   Volterra integral form, order ~ 1 + alpha.
+
+``SolverConfig.memory_window`` drops the history lags past a window (the
+short-memory principle) in these two steppers and nowhere else.  It exists
+only for the error study of the ``relaxation-oracle`` benchmark, which
+measures how far a windowed run strays from the Caputo solution; no other
+layer accepts a windowed config, and trajectory files do not record it.
 
 Both reduce to their classical counterparts (Euler, Heun/trapezoid) at
 alpha = 1.  ``multi_term_to_system`` rewrites a scalar equation with several
@@ -98,6 +103,10 @@ class SolverConfig:
         if not (self.t_end > self.t0):
             raise ConfigError(
                 f"t_end ({self.t_end}) must exceed t0 ({self.t0})")
+        if not isfinite((self.t_end - self.t0) / self.h):
+            raise ConfigError(
+                f"(t_end - t0) / h must be finite, got ({self.t_end} - "
+                f"{self.t0}) / {self.h}")
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         if x0.ndim != 1 or not np.all(np.isfinite(x0)):
             raise ConfigError("x0 must be a finite 1-d array")
@@ -127,7 +136,6 @@ class Trajectory:
     h: float
     system_name: str
     scheme: str
-    memory_window: Optional[int] = None
 
 
 def gl_weights(alpha: float, count: int) -> np.ndarray:
@@ -305,6 +313,19 @@ def _check_dims(system, config):
     return n_steps
 
 
+def _step_arrays(config, n_steps, *shapes):
+    """The time grid and one zero array of shape (n_steps + 1,) + s per
+    ``s`` in ``shapes``; a refused allocation raises ``ConfigError`` naming
+    the step count."""
+    try:
+        t = config.t0 + config.h * np.arange(n_steps + 1)
+        return (t,) + tuple(np.zeros((n_steps + 1,) + s) for s in shapes)
+    except (MemoryError, ValueError):
+        raise ConfigError(
+            f"{n_steps:.6g} steps need arrays larger than can be allocated; "
+            "raise h or shorten t_end - t0") from None
+
+
 def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
     """Integrate D^alpha x = f(t, x) with the explicit GL scheme.
 
@@ -314,7 +335,8 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
         d_m = h^alpha * f(t_{m-1}, x_{m-1}) - sum_{k=1}^{min(m-1,L)} c_k d_{m-k}
 
     With ``memory_window`` L the tail of the convolution is dropped
-    (short-memory principle); None keeps the exact full-memory sum.
+    (short-memory principle), for the oracle's error study only; None
+    keeps the exact full-memory sum.
     """
     n_steps = _check_dims(system, config)
     x0 = config.x0
@@ -322,8 +344,7 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
     window = n_steps if config.memory_window is None else min(
         config.memory_window, n_steps)
     ha = h ** alpha
-    t = config.t0 + h * np.arange(n_steps + 1)
-    dev = np.zeros((n_steps + 1, system.dim))
+    t, dev = _step_arrays(config, n_steps, (system.dim,))
     # at alpha = 1 only c_1 = -1 survives: the classical Euler step
     hist = gl_history(alpha, window, dev)
     f = system.field
@@ -345,8 +366,7 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
                 raise
             _check_rows(dev[first:stop] + x0, first, t, bound)
     return Trajectory(t=t, x=dev + x0, alpha=alpha, h=h,
-                      system_name=system.name, scheme="gl",
-                      memory_window=config.memory_window)
+                      system_name=system.name, scheme="gl")
 
 
 def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
@@ -355,7 +375,7 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     One predict-evaluate-correct-evaluate sweep per step on the Volterra
     form x(t) = x0 + I^alpha f: fractional product-rectangle predictor,
     product-trapezoid corrector.  ``memory_window`` truncates both
-    convolution sums by lag.
+    convolution sums by lag, for the oracle's error study only.
 
     Both sums come from one two-row ``HistoryKernel`` call per step over
     f_1 .. f_{m-1} (row 0 of its buffer stays zero):
@@ -373,6 +393,9 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     h, alpha = config.h, config.alpha
     window = n_steps if config.memory_window is None else min(
         config.memory_window, n_steps)
+    # zero rows pass the divergence check until they are written
+    t, x, fx, pending = _step_arrays(config, n_steps, (system.dim,),
+                                     (system.dim,), (2, system.dim))
 
     r = np.arange(n_steps + 2, dtype=float)
     pw = r ** alpha
@@ -382,10 +405,6 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     cp = h ** alpha / gamma(alpha + 1.0)      # predictor scale
     cc = h ** alpha / gamma(alpha + 2.0)      # corrector scale
 
-    t = config.t0 + h * np.arange(n_steps + 1)
-    # zero rows pass the divergence check until they are written
-    x = np.zeros((n_steps + 1, system.dim))
-    fx = np.zeros((n_steps + 1, system.dim))
     x[0] = x0
     f = system.field
     f0 = np.asarray(f(t[0], x0), dtype=float)
@@ -395,7 +414,6 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
                    for m in range(1, window + 1)])
     weights = np.stack((cp * b[:window], cc * a[:window]))
     # x0 + f_0 * (cp b_{m-1}, cc w0(m)), built in place
-    pending = np.zeros((n_steps + 1, 2, system.dim))
     pending[1:window + 1] = np.column_stack((weights[0], cc * w0))[:, :, None]
     pending[1:window + 1] *= f0
     pending += x0
@@ -421,7 +439,7 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
                 raise
             _check_rows(x[first:stop], first, t, bound)
     return Trajectory(t=t, x=x, alpha=alpha, h=h, system_name=system.name,
-                      scheme="abm", memory_window=config.memory_window)
+                      scheme="abm")
 
 
 def solve(system: SystemSpec, config: SolverConfig) -> Trajectory:
@@ -612,13 +630,11 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     written ``CSV_ROWS`` at a time.
     """
     dim = traj.x.shape[1]
-    mw = "" if traj.memory_window is None else str(traj.memory_window)
     with atomic_open(path) as fh:
         fh.write(f"# system={traj.system_name}\n")
         fh.write(f"# scheme={traj.scheme}\n")
         fh.write(f"# alpha={traj.alpha!r}\n")
         fh.write(f"# h={traj.h!r}\n")
-        fh.write(f"# memory_window={mw}\n")
         fh.write("t," + ",".join(f"x{i}" for i in range(dim)) + "\n")
         for text in _csv_chunks(traj.t, traj.x):
             fh.write(text)
@@ -643,7 +659,6 @@ def read_trajectory_csv(path: str) -> Trajectory:
     except (KeyError, ValueError) as err:
         raise ConfigError(f"{path!r} is not a trajectory CSV with "
                           f"'# alpha=' and '# h=' lines ({err!r})") from None
-    mw = meta.get("memory_window", "")
     return Trajectory(
         t=data[:, 0],
         x=data[:, 1:],
@@ -651,5 +666,4 @@ def read_trajectory_csv(path: str) -> Trajectory:
         h=h,
         system_name=meta.get("system", ""),
         scheme=meta.get("scheme", ""),
-        memory_window=int(mw) if mw else None,
     )

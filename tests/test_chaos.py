@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fracdyn import chaos
 from fracdyn.chaos import (
+    TANGENT_HISTORIES,
     classify_attractor,
     dimension_instability_check,
     kaplan_yorke,
@@ -357,10 +358,9 @@ def test_lyapunov_explicit_base_trajectory_matches():
 
 def naive_tangent_history(system, cfg, base, renorm_every, tangent_history):
     """The tangent loop of ``lyapunov_spectrum`` with every history sum a
-    direct dot over the lags of the memory window and the push-through
-    applied to every row."""
+    direct dot over every lag and the push-through applied to every
+    row."""
     n_steps, h, alpha, dim = cfg.n_steps, cfg.h, cfg.alpha, system.dim
-    window = cfg.memory_window or n_steps
     rows = list(system.observables or range(dim))
     n_blocks = n_steps // renorm_every
     skip = math.ceil(0.2 * (cfg.t_end - cfg.t0) / (h * renorm_every))
@@ -373,8 +373,7 @@ def naive_tangent_history(system, cfg, base, renorm_every, tangent_history):
             s, i = s + 1, i + 1
             d = h ** alpha * (system.jacobian(base.t[s - 1], base.x[s - 1])
                               @ v_prev)
-            lo = max(1, i - window)
-            d -= np.tensordot(c[1:i - lo + 1][::-1], dev[lo:i], axes=1)
+            d -= np.tensordot(c[1:i][::-1], dev[1:i], axes=1)
             dev[i] = d
             v_prev = v_base + d
         q, r = np.linalg.qr(v_prev[rows])
@@ -514,13 +513,6 @@ def test_restart_blocks_run_fft_tiles_in_the_batch(rows, monkeypatch):
     assert_restart_matches_direct_sum(system, cfg, 130)
 
 
-def test_restart_blocks_with_a_memory_window_shorter_than_a_block():
-    system = make_system("lorenz")
-    cfg = SolverConfig(alpha=0.9, h=0.01, t_end=5.0, memory_window=7,
-                       x0=system.params["default_x0"])
-    assert_restart_matches_direct_sum(system, cfg, 20)
-
-
 def test_restart_blocks_on_the_observable_subframe(monkeypatch):
     # the Duffing chain: 2 observable columns of a 9-d frame
     monkeypatch.setattr(chaos, "ROWS", 128)
@@ -614,3 +606,11 @@ def test_lyapunov_validation_errors():
     other = SolverConfig(alpha=1.0, h=0.01, t_end=5.0, x0=np.array([1.0]))
     with pytest.raises(ConfigError):
         lyapunov_spectrum(system, cfg, base_trajectory=solve(system, other))
+    # a windowed base trajectory under a full-memory tangent flow would
+    # measure neither system
+    windowed = SolverConfig(alpha=0.9, h=0.01, t_end=10.0,
+                            x0=np.array([1.0]), memory_window=7)
+    for tangent_history in TANGENT_HISTORIES:
+        with pytest.raises(ConfigError, match="memory_window=7"):
+            lyapunov_spectrum(system, windowed,
+                              tangent_history=tangent_history)

@@ -61,6 +61,9 @@ def lorenz_csv(tmp_path_factory):
     (["lyapunov", "--out", "unused.json"], 2),
     (["stability"], 2),
     (["reproduce", "1", "--out", "unused"], 2),
+    (["simulate", "--system", "lorenz", "--memory-window", "50",
+      "--out", "unused.csv"], 2),
+    (["mlf", "--alpha", "0.5", "--beta", "inf", "--z", "3"], 1),
 ])
 def test_exit_codes(argv, code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -94,6 +97,22 @@ def test_reproduce_is_byte_identical_and_leaves_no_temp_files(tmp_path,
         blobs.append([(out_dir / n).read_bytes() for n in ARTIFACTS])
     assert blobs[0] == blobs[1]
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("case, code", [(3, 0), (4, 0), (5, 1)])
+def test_reproduce_cases_3_to_5_at_a_short_horizon(case, code, tmp_path,
+                                                   capsys):
+    out_dir = tmp_path / "out"
+    assert run(["reproduce", str(case), "--t-end", "5",
+                "--out-dir", str(out_dir)]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert sorted(p.name for p in out_dir.iterdir()) == list(ARTIFACTS)
+        assert f" {len(ARTIFACTS)} artifacts in " in captured.out
+    else:
+        # the catalog's Chua field lacks its -x term, so case 5 diverges
+        assert "step 1447 (t = 2.894)" in captured.err
+        assert not any(out_dir.iterdir())
 
 
 @pytest.fixture(scope="module")
@@ -273,12 +292,17 @@ TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
     (["mlf", "--alpha", "0.1", "--z", "10"], {}),
     (["dimension", "--input", "traj.csv", "--transient", "0"],
      {"traj.csv": "# alpha=0.9\n# h=0.1\nt,x0,x1\n"}),
+    (["simulate", "--system", "lorenz", "--t0", "-1e308", "--t-end", "1e308"],
+     {}),
+    (["simulate", "--system", "lorenz", "--h", "1e-300", "--t-end", "1"], {}),
+    (["lyapunov", "--system", "lorenz", "--t-end", "1e13"], {}),
 ], ids=["columns-a", "columns-empty", "csv-no-header", "x0-text",
         "x0-short", "config-x0-scalar", "config-not-json", "config-h-text",
         "config-x0-text", "config-alpha-text", "config-param-text", "config-transient-text",
         "config-tangent-history-text", "t-end-inf", "config-t0-inf",
         "stability-t-nan", "config-sector-alpha", "mlf-overflow",
-        "csv-no-rows"])
+        "csv-no-rows", "span-inf", "steps-past-array-size",
+        "steps-past-address-space"])
 def test_bad_input_is_a_config_error(argv, files, tmp_path, monkeypatch,
                                      capsys):
     monkeypatch.chdir(tmp_path)
@@ -309,11 +333,17 @@ def test_scalar_x0_pads_an_observable_chain(tmp_path):
     assert x[0].tolist() == [0.3] + [0.0] * 8
 
 
-def test_memory_window_reaches_the_csv_header(tmp_path):
-    out = tmp_path / "lorenz.csv"
-    assert run(["simulate", "--system", "lorenz", "--memory-window", "50",
-                "--t-end", "0.5", "--out", str(out)]) == 0
-    assert "# memory_window=50\n" in out.read_text()
+@pytest.mark.parametrize("flags, first_row", [
+    (["--x0", "-9,-5,14"], [0.0, -9.0, -5.0, 14.0]),
+    (["--t0", "-1e-3"], [-1e-3, -9.0, -5.0, 14.0]),
+])
+def test_negative_flag_values_are_not_options(flags, first_row, tmp_path):
+    # (-9, -5, 14) is Chen's own default state
+    out = tmp_path / "chen.csv"
+    assert run(["simulate", "--system", "chen", *flags, "--t-end", "0.05",
+                "--out", str(out)]) == 0
+    traj = read_trajectory_csv(str(out))
+    assert [traj.t[0], *traj.x[0]] == first_row
 
 
 def test_list_systems_prints_the_catalog(capsys):
@@ -343,10 +373,11 @@ def test_mlf_reports_its_route_on_stderr_only(alpha, z, route, tmp_path,
 # -- config document keys ------------------------------------------------
 
 
-@pytest.mark.parametrize("key", ["tangent_histroy", "history_reset_blocks"])
+@pytest.mark.parametrize("key", ["tangent_histroy", "history_reset_blocks",
+                                 "memory_window"])
 def test_unknown_config_key_is_a_config_error(key, tmp_path, monkeypatch,
                                               capsys):
-    # a misspelt key would otherwise run the default convention silently
+    # a misspelt or retired key would otherwise be ignored without a word
     monkeypatch.chdir(tmp_path)
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps({"system": "lorenz", "t_end": 5, key: "exact"}))
@@ -367,14 +398,14 @@ def test_config_document_is_shared_across_commands(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command, key, value", [
-    ("simulate", "memory_window", 50.9),
+    ("lyapunov", "renorm_every", 10.5),
     ("simulate", "corrector_iters", 2.7),
     ("lyapunov", "renorm_every", True),
-    ("simulate", "memory_window", float("inf")),
+    ("simulate", "corrector_iters", float("inf")),
 ])
 def test_config_integer_is_not_truncated(command, key, value, tmp_path,
                                          monkeypatch, capsys):
-    # int() would run 50, 2 and 1 without a word, and overflow on Infinity
+    # int() would run 10, 2 and 1 without a word, and overflow on Infinity
     monkeypatch.chdir(tmp_path)
     doc = {"system": "lorenz", "t_end": 0.5, "scheme": "abm", key: value}
     (tmp_path / "doc.json").write_text(json.dumps(doc))
@@ -383,7 +414,7 @@ def test_config_integer_is_not_truncated(command, key, value, tmp_path,
     assert err.startswith("error: ") and key in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
     # an integral float is still an integer
-    doc[key] = 50.0 if key == "memory_window" else 2.0
+    doc[key] = 2.0
     (tmp_path / "doc.json").write_text(json.dumps(doc))
     assert run([command, "--config", "doc.json", "--out", "out"]) == 0
 

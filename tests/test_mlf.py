@@ -205,10 +205,10 @@ def test_one_parameter_matches_two_parameter():
 
 
 def test_domain_errors():
-    for bad_alpha in [0.0, -0.5, 2.5]:
+    for bad_alpha in [0.0, -0.5, 2.5, math.inf, math.nan]:
         with pytest.raises(ValueError):
             ml_one(bad_alpha, 1.0)
-    for bad_beta in [0.0, -1.0]:
+    for bad_beta in [0.0, -1.0, math.inf, math.nan]:
         with pytest.raises(ValueError):
             ml_two(0.8, bad_beta, 1.0)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import re
 import warnings
 from fractions import Fraction
 
@@ -545,13 +546,6 @@ def test_short_window_stays_close_on_relaxation():
     assert 0.0 < dev < 1e-2
 
 
-def test_window_metadata_recorded():
-    cfg = SolverConfig(alpha=0.9, h=0.01, t_end=1.0, x0=[1.0],
-                       memory_window=50)
-    assert solve_gl(RELAX, cfg).memory_window == 50
-    assert solve_abm(RELAX, cfg).memory_window == 50
-
-
 # -- config validation and failure modes ---------------------------------
 
 
@@ -573,6 +567,20 @@ def test_config_rejects_bad_values():
         SolverConfig(**{**ok, "x0": [np.nan]})
     with pytest.raises(ConfigError):
         SolverConfig(**{**ok, "memory_window": 0})
+    # each end is finite, the span is not
+    with pytest.raises(ConfigError, match="must be finite"):
+        SolverConfig(**{**ok, "t0": -1e308, "t_end": 1e308})
+
+
+# sizes the allocator refuses before touching a page: 1e300 steps are past
+# numpy's largest array, 2e15 past a 47-bit address space (16 PB of t alone)
+@pytest.mark.parametrize("h, t_end", [(1e-300, 1.0), (0.005, 1e13)])
+@pytest.mark.parametrize("solver", [solve_gl, solve_abm])
+def test_oversized_step_count_is_a_config_error(solver, h, t_end):
+    cfg = SolverConfig(alpha=0.9, h=h, t_end=t_end, x0=[1.0])
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{cfg.n_steps:.6g} steps ")):
+        solver(RELAX, cfg)
 
 
 def test_dimension_mismatch_rejected():
@@ -757,8 +765,7 @@ def test_chain_agrees_with_direct_two_term_discretization():
 
 
 def test_csv_roundtrip_is_lossless(tmp_path):
-    cfg = SolverConfig(alpha=0.9, h=1e-2, t_end=1.0, x0=[1.0, 0.0],
-                       memory_window=40)
+    cfg = SolverConfig(alpha=0.9, h=1e-2, t_end=1.0, x0=[1.0, 0.0])
     traj = solve_abm(ROTATE, cfg)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, str(path))
@@ -769,7 +776,6 @@ def test_csv_roundtrip_is_lossless(tmp_path):
     assert back.h == traj.h
     assert back.system_name == traj.system_name
     assert back.scheme == traj.scheme
-    assert back.memory_window == traj.memory_window
 
 
 def test_csv_write_replaces_atomically(tmp_path):
@@ -783,11 +789,18 @@ def test_csv_write_replaces_atomically(tmp_path):
     assert os.listdir(tmp_path) == ["out.csv"]
 
 
-def test_csv_full_memory_roundtrips_as_none(tmp_path):
+def test_csv_with_an_old_memory_window_line_reads_back(tmp_path):
+    # files written before the window left the format carry one more line
     cfg = SolverConfig(alpha=0.9, h=0.1, t_end=1.0, x0=[1.0])
-    path = tmp_path / "full.csv"
+    path = tmp_path / "new.csv"
     write_trajectory_csv(solve_gl(RELAX, cfg), str(path))
-    assert read_trajectory_csv(str(path)).memory_window is None
+    text = path.read_text()
+    assert text.count("#") == 4
+    old = tmp_path / "old.csv"
+    old.write_text(text.replace("t,x0\n", "# memory_window=50\nt,x0\n"))
+    new, back = read_trajectory_csv(str(path)), read_trajectory_csv(str(old))
+    assert np.array_equal(back.t, new.t) and np.array_equal(back.x, new.x)
+    assert (back.alpha, back.h) == (new.alpha, new.h)
 
 
 def string_buffer_csv(traj):
@@ -795,8 +808,6 @@ def string_buffer_csv(traj):
     buf = io.StringIO()
     buf.write(f"# system={traj.system_name}\n# scheme={traj.scheme}\n"
               f"# alpha={traj.alpha!r}\n# h={traj.h!r}\n")
-    mw = "" if traj.memory_window is None else str(traj.memory_window)
-    buf.write(f"# memory_window={mw}\n")
     buf.write("t," + ",".join(f"x{i}" for i in range(traj.x.shape[1]))
               + "\n")
     np.savetxt(buf, np.column_stack((traj.t, traj.x)), fmt="%.17g",
