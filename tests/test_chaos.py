@@ -513,6 +513,18 @@ def test_restart_blocks_run_fft_tiles_in_the_batch(rows, monkeypatch):
     assert_restart_matches_direct_sum(system, cfg, 130)
 
 
+def test_restart_blocks_with_a_memory_window_shorter_than_a_block():
+    # a windowed base trajectory under a full-memory tangent flow would
+    # measure neither system, so a window is refused under both conventions
+    system = make_system("lorenz")
+    cfg = SolverConfig(alpha=0.9, h=0.01, t_end=5.0, memory_window=7,
+                       x0=system.params["default_x0"])
+    for tangent_history in TANGENT_HISTORIES:
+        with pytest.raises(ConfigError, match="memory_window=7"):
+            lyapunov_spectrum(system, cfg, renorm_every=20,
+                              tangent_history=tangent_history)
+
+
 def test_restart_blocks_on_the_observable_subframe(monkeypatch):
     # the Duffing chain: 2 observable columns of a 9-d frame
     monkeypatch.setattr(chaos, "ROWS", 128)
@@ -606,11 +618,3 @@ def test_lyapunov_validation_errors():
     other = SolverConfig(alpha=1.0, h=0.01, t_end=5.0, x0=np.array([1.0]))
     with pytest.raises(ConfigError):
         lyapunov_spectrum(system, cfg, base_trajectory=solve(system, other))
-    # a windowed base trajectory under a full-memory tangent flow would
-    # measure neither system
-    windowed = SolverConfig(alpha=0.9, h=0.01, t_end=10.0,
-                            x0=np.array([1.0]), memory_window=7)
-    for tangent_history in TANGENT_HISTORIES:
-        with pytest.raises(ConfigError, match="memory_window=7"):
-            lyapunov_spectrum(system, windowed,
-                              tangent_history=tangent_history)
