@@ -61,6 +61,8 @@ from .systems import Equilibrium, find_equilibria
 
 # lambda_1 counts as converged when its last-quarter drift is below this
 _DRIFT_TOL = 5e-2
+# classify_attractor counts an exponent within this of 0 as neutral
+_ZERO_TOL = 0.01
 TANGENT_HISTORIES = ("restart", "exact")
 # steps per chunk of the restart convention: its Jacobians and transfer
 # matrices are held for max(1, ROWS // renorm_every) blocks at a time
@@ -89,8 +91,6 @@ class LyapunovResult:
     transient_discarded: float   # time units dropped before accumulation
     converged: bool              # last-quarter drift of lambda_1 below tol
     drift: float
-    alpha: float
-    system_name: str
 
 
 def kaplan_yorke(exponents) -> float:
@@ -116,22 +116,21 @@ def kaplan_yorke(exponents) -> float:
     return j + float(sums[j - 1]) / abs(float(lam[j]))
 
 
-def classify_attractor(result, zero_tol: float = 0.01) -> str:
+def classify_attractor(result) -> str:
     """Sign-pattern classification of a Lyapunov spectrum.
 
     strange: expansion plus contraction; limit_cycle: leading exponent
     neutral, the rest contracting; fixed_point: everything contracting.
+    An exponent within ``_ZERO_TOL`` of 0 is neutral.
     """
     lam = np.asarray(getattr(result, "exponents", result), dtype=float)
     if lam.size == 0:
         raise ValueError("empty exponent vector")
-    if zero_tol <= 0.0:
-        raise ValueError("zero_tol must be positive")
-    if lam[0] > zero_tol and np.any(lam < -zero_tol):
+    if lam[0] > _ZERO_TOL and np.any(lam < -_ZERO_TOL):
         return "strange"
-    if np.all(lam < -zero_tol):
+    if np.all(lam < -_ZERO_TOL):
         return "fixed_point"
-    if abs(lam[0]) <= zero_tol and np.all(lam[1:] < -zero_tol):
+    if abs(lam[0]) <= _ZERO_TOL and np.all(lam[1:] < -_ZERO_TOL):
         return "limit_cycle"
     return "undetermined"
 
@@ -142,7 +141,6 @@ class MatignonResult:
 
     margins: np.ndarray          # |arg lambda_i| - alpha*pi/2
     stable: bool                 # all non-marginal margins positive
-    marginal: tuple              # indices of exactly-zero eigenvalues
 
 
 def matignon_stability(eigenvalues, alpha: float) -> MatignonResult:
@@ -158,15 +156,13 @@ def matignon_stability(eigenvalues, alpha: float) -> MatignonResult:
     lam = np.atleast_1d(np.asarray(eigenvalues, dtype=complex))
     threshold = 0.5 * alpha * math.pi
     margins = np.abs(np.angle(lam)) - threshold
-    marginal = tuple(int(i) for i in np.nonzero(lam == 0.0)[0])
-    if marginal:
+    active = lam != 0.0
+    if not active.all():
         warnings.warn(
-            f"{len(marginal)} zero eigenvalue(s) excluded from the sector "
-            "test as marginal", stacklevel=2)
-    active = np.ones(lam.size, dtype=bool)
-    active[list(marginal)] = False
+            f"{int(lam.size - active.sum())} zero eigenvalue(s) excluded from "
+            "the sector test as marginal", stacklevel=2)
     stable = bool(np.all(margins[active] > 0.0)) if active.any() else False
-    return MatignonResult(margins=margins, stable=stable, marginal=marginal)
+    return MatignonResult(margins=margins, stable=stable)
 
 
 def dimension_instability_check(dimension_estimate: float, n: int) -> bool:
@@ -436,6 +432,4 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
         transient_discarded=transient_discarded,
         converged=bool(drift < _DRIFT_TOL),
         drift=drift,
-        alpha=alpha,
-        system_name=system.name,
     )

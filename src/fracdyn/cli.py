@@ -68,8 +68,6 @@ def _json_default(value):
         return value.tolist()
     if isinstance(value, (complex, np.complexfloating)):
         return {"re": float(value.real), "im": float(value.imag)}
-    if isinstance(value, np.bool_):
-        return bool(value)
     if isinstance(value, np.generic):
         return value.item()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
@@ -502,7 +500,6 @@ def _cmd_reproduce(args):
     if example_id not in _CASES:
         return _usage_error(f"example must be 1..5, got {example_id}")
     case = _CASES[example_id]
-    os.makedirs(args.out_dir, exist_ok=True)
     written = []
 
     def out(name):
@@ -512,6 +509,8 @@ def _cmd_reproduce(args):
     system = _build_system(args, case)
     config = _solver_config(args, case, system)
     traj = solve(system, config)
+    # made after the solve, so a case that diverges leaves no directory
+    os.makedirs(args.out_dir, exist_ok=True)
     write_trajectory_csv(traj, out("trajectory.csv"))
     result, stab_doc, report = _lyapunov_run(args, case, system, config, traj)
     _write_json(out("lyapunov.json"), report)

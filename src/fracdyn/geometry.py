@@ -39,6 +39,12 @@ _SNAP_TOL = 1e-12
 # saturated: every point is alone in its cell and the slope flattens
 _SATURATION_FRACTION = 0.9
 
+# the longest scale ladder box_dimension fits.  Its window search fits
+# O(levels^2) windows and a finer ladder only shortens the best one: on
+# case 1's 80 001 points, 0.18 s and slope 1.86 at 12 levels, 0.93 s at
+# 64, 2.4 s and slope 1.39 at 128; 10^8 levels would need an 800 MB ladder
+MAX_LEVELS = 64
+
 _MAX_CELLS = np.iinfo(np.int64).max
 
 
@@ -173,8 +179,9 @@ def box_dimension(points, eps_max: float = None, eps_min: float = None,
     if not (0.0 < eps_min < eps_max):
         raise ConfigError(
             f"need 0 < eps_min < eps_max, got ({eps_min}, {eps_max})")
-    if levels < 4:
-        raise ConfigError(f"levels must be >= 4, got {levels}")
+    if not 4 <= levels <= MAX_LEVELS:
+        raise ConfigError(
+            f"levels must lie in [4, {MAX_LEVELS}], got {levels}")
 
     scales = np.geomspace(eps_max, eps_min, levels)
     counts = np.array([_count_cells(pts, mins, spans, e) for e in scales],

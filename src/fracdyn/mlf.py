@@ -7,8 +7,9 @@ this order:
 1. ``zero``: z = 0 is the exact value 1/Gamma(b);
 2. ``exp``: a = b = 1 is the closed form e^z;
 3. ``asymptotic``: the large-|z| expansion for 0 < a < 1 and |z| > 1,
-   accepted when the envelope of its first omitted term certifies the
-   target;
+   accepted when its term envelope falls from the first term (for a large
+   b it grows from there, and the expansion is not yet asymptotic) and the
+   envelope of its first omitted term certifies the target;
 4. ``contour``: Garrappa's inverse Laplace transform on a parabolic contour
    in float64, accepted when its step-halving difference, its truncated
    tail and its rounding bound each certify the target;
@@ -58,7 +59,7 @@ def _series_scales(alpha, beta, az):
     m = az ** (1.0 / alpha)  # value of alpha*k + beta at the largest term
     k_peak = max(0.0, (m - beta) / alpha)
     log_peak = k_peak * math.log(az) - math.lgamma(alpha * k_peak + beta)
-    k_stop = int((math.e * m - beta) / alpha) + 200
+    k_stop = int(max(0.0, math.e * m - beta) / alpha) + 200
     return log_peak, k_stop
 
 
@@ -107,8 +108,8 @@ def _asymptotic(alpha, beta, z):
     |arg z| < alpha*pi; it is negligible when recessive and required when
     dominant.
 
-    Returns the value, or None when the envelope of the first omitted term
-    misses the accuracy target.
+    Returns the value, or None when the envelope grows from the first term
+    or the envelope of the first omitted term misses the accuracy target.
     """
     zc = complex(z)
     log_az = math.log(abs(zc))
@@ -125,6 +126,8 @@ def _asymptotic(alpha, beta, z):
             log_env = -k * log_az + math.lgamma(1.0 - x) - _LOG_PI
             sin_fac = math.sin(math.pi * x)
         if log_env >= min_log_env:
+            if k == 2:
+                return None  # growing from the first term: not asymptotic
             log_err = log_env  # envelope started growing: stop before this
             break
         min_log_env = log_env
@@ -135,10 +138,16 @@ def _asymptotic(alpha, beta, z):
             break
     value = -s
     if abs(phi) < alpha * math.pi:
-        w = cmath.exp(cmath.log(zc) / alpha)
-        if w.real > 700.0:
-            raise _overflow(alpha, beta, z)
-        value = value + zc ** ((1.0 - beta) / alpha) * cmath.exp(w) / alpha
+        log_w = cmath.log(zc) / alpha
+        if log_w.real > 700.0:
+            # |w| > e^700: e^w overflows, or vanishes when Re w < 0
+            if math.cos(log_w.imag) > 0.0:
+                raise _overflow(alpha, beta, z)
+        else:
+            w = cmath.exp(log_w)
+            if w.real > 700.0:
+                raise _overflow(alpha, beta, z)
+            value = value + zc ** ((1.0 - beta) / alpha) * cmath.exp(w) / alpha
     err = math.exp(min(log_err, 700.0))
     if abs(value) > 0.0 and err <= 0.05 * _REL_TOL * abs(value):
         return complex(value.real) if zc.imag == 0.0 else value
@@ -189,7 +198,8 @@ def _series_mp(alpha, beta, z):
             # digits actually cancelled; invisible a priori because the
             # result magnitude enters (e.g. E_1(-50) = e^-50)
             if abs(s) > 0:
-                lost = peak_digits - math.log10(float(abs(s)) or 1e-300)
+                lost = (log_peak / math.log(10.0)
+                        - float(mpmath.log10(abs(s))))
             else:
                 lost = peak_digits + dps
             if dps - lost >= 18.0:
@@ -229,7 +239,10 @@ def _optimal_rb(phi_j, phi_j1, p, log_tol):
         bar_j = sq_j
         bar_j1 = (2.0 * sq_j1 - fq * sq_j) / (2.0 + fq)
     else:
-        f_min = 1.01 * (sq_j + sq_j1) / (sq_j1 - sq_j) ** max(p, 1.0)
+        try:
+            f_min = 1.01 * (sq_j + sq_j1) / (sq_j1 - sq_j) ** max(p, 1.0)
+        except (OverflowError, ZeroDivisionError):
+            return None  # the power leaves the double range for a large p
         if f_min >= f_max:
             return None
         f_min = max(f_min, 1.5)
@@ -261,8 +274,11 @@ def _optimal_ru(phi_j, p, log_tol):
             1.0 - 1.5 * log_ratio + math.sqrt(1.0 - 2.0 * log_ratio)))
         a = math.pi * n / phi_bar
         sq_mu = sq_bar * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
-        if p < 1e-14 or 1.0 < ((sq_bar - sq_j) / sq_mu) ** (-p) < 10.0:
-            break
+        try:
+            if p < 1e-14 or 1.0 < ((sq_bar - sq_j) / sq_mu) ** (-p) < 10.0:
+                break
+        except OverflowError:
+            pass  # the power is far above 10 for a large p
         sq_bar = 5.0 ** (-1.0 / p) * sq_mu + sq_j
         phi_bar = sq_bar * sq_bar
     else:
@@ -419,7 +435,8 @@ def ml_two(alpha, beta, z):
     z : real or complex argument
 
     Returns a float for real ``z``, a complex for complex ``z``.  Accuracy is
-    1e-10 relative or better for |z| <= 50.
+    1e-10 relative or better for |z| <= 50.  A value below the double range
+    comes back as 0.0 or a subnormal.
 
     Raises ``ValueError`` for parameters outside the supported domain,
     ``OverflowError`` when the value exceeds the double range and

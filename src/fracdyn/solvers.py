@@ -30,7 +30,7 @@ only through ``hist.rescale``.
 
 Both steppers check divergence once per block of ``BASE`` steps (and once
 for the final partial block): the first row of the block whose max|x|
-exceeds ``diverge_bound``, or is not finite, ends the run in
+exceeds ``DIVERGE_BOUND``, or is not finite, ends the run in
 ``DivergenceError`` with that row's step and time, as a per-step check
 would.  The rows past it still run, so the stepping keeps numpy's overflow
 and invalid-value warnings off.  When the field raises inside a block, the
@@ -90,7 +90,6 @@ class SolverConfig:
     scheme: str = "gl"
     memory_window: Optional[int] = None
     corrector_iters: int = 1
-    diverge_bound: float = 1e10
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
@@ -120,8 +119,6 @@ class SolverConfig:
         if self.corrector_iters < 1:
             raise ConfigError(
                 f"corrector_iters must be >= 1, got {self.corrector_iters}")
-        if not (self.diverge_bound > 0):
-            raise ConfigError("diverge_bound must be positive")
 
     @property
     def n_steps(self) -> int:
@@ -160,6 +157,8 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
 # Lags below BASE are summed by a direct dot; longer ones by FFT tiles of
 # BASE * 2^l rows.
 BASE = 64
+# the steppers' trust region: a state with max|x| past it has diverged
+DIVERGE_BOUND = 1e10
 
 
 class HistoryKernel:
@@ -290,11 +289,11 @@ def gl_history(alpha: float, window: int, buf) -> HistoryKernel:
     return HistoryKernel(gl_weights(alpha, window + 1)[1:], buf)
 
 
-def _check_rows(x, first, t, bound):
+def _check_rows(x, first, t):
     """Raise ``DivergenceError`` at the first row of ``x`` (the states of
-    steps ``first``, ``first`` + 1, ...) with not max|x| <= ``bound``."""
+    steps ``first``, ``first`` + 1, ...) with not max|x| <= DIVERGE_BOUND."""
     # NaN compares False, so NaN and +-inf fail the one test as well
-    ok = np.abs(x).max(axis=1) <= bound
+    ok = np.abs(x).max(axis=1) <= DIVERGE_BOUND
     if not ok.all():
         step = first + int(np.argmin(ok))
         raise DivergenceError(
@@ -349,7 +348,6 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
     hist = gl_history(alpha, window, dev)
     f = system.field
     x_prev = x0.copy()
-    bound = config.diverge_bound
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, n_steps + 1, BASE):
             stop = min(first + BASE, n_steps + 1)
@@ -362,9 +360,9 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
                     x_prev = x0 + d
             except Exception:
                 # a diverged state written before the failure explains it
-                _check_rows(dev[first:m] + x0, first, t, bound)
+                _check_rows(dev[first:m] + x0, first, t)
                 raise
-            _check_rows(dev[first:stop] + x0, first, t, bound)
+            _check_rows(dev[first:stop] + x0, first, t)
     return Trajectory(t=t, x=dev + x0, alpha=alpha, h=h,
                       system_name=system.name, scheme="gl")
 
@@ -420,7 +418,6 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     hist = HistoryKernel(weights, fx, pending)
     sums = np.empty((2, system.dim))
     pred, base = sums
-    bound = config.diverge_bound
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, n_steps + 1, BASE):
             stop = min(first + BASE, n_steps + 1)
@@ -435,9 +432,9 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
                     fx[m] = f(t[m], cur)
             except Exception:
                 # a diverged state written before the failure explains it
-                _check_rows(x[first:m + 1], first, t, bound)
+                _check_rows(x[first:m + 1], first, t)
                 raise
-            _check_rows(x[first:stop], first, t, bound)
+            _check_rows(x[first:stop], first, t)
     return Trajectory(t=t, x=x, alpha=alpha, h=h, system_name=system.name,
                       scheme="abm")
 
@@ -477,17 +474,21 @@ class MultiTermSpec:
             raise ConfigError("the leading-order coefficient must be nonzero")
 
 
-def commensurate_order(orders, tol: float = 1e-9) -> float:
+# how far an order may sit from its rational form and from a multiple of q
+_ORDER_TOL = 1e-9
+
+
+def commensurate_order(orders) -> float:
     """Largest base order q such that every order is an integer multiple.
 
     Orders are rationalized with denominators up to 1000; raises
     ``IncommensurableOrdersError`` when no common base exists within
-    ``tol``.
+    ``_ORDER_TOL``.
     """
     fracs = []
     for o in orders:
         fr = Fraction(o).limit_denominator(1000)
-        if abs(float(fr) - o) > tol:
+        if abs(float(fr) - o) > _ORDER_TOL:
             raise IncommensurableOrdersError(
                 f"order {o} is not a ratio of small integers")
         fracs.append(fr)
@@ -499,7 +500,7 @@ def commensurate_order(orders, tol: float = 1e-9) -> float:
                         base.denominator * fr.denominator)
     q = float(base)
     for o in orders:
-        if abs(round(o / q) - o / q) > tol / q:
+        if abs(round(o / q) - o / q) > _ORDER_TOL / q:
             raise IncommensurableOrdersError(
                 f"order {o} is not an integer multiple of base {q}")
     return q
@@ -564,8 +565,7 @@ def multi_term_to_system(spec: MultiTermSpec):
         dim=n,
         field=chain_field,
         jacobian=chain_jacobian,
-        params={"base_order": q, "orders": tuple(spec.orders),
-                "coeffs": tuple(spec.coeffs)},
+        params={"base_order": q},
         observables=(0, n - 1) if n >= 2 else (0,),
     )
     x0_chain = np.zeros(n)

@@ -273,10 +273,6 @@ def make_system(bid: BenchmarkId) -> SystemSpec:
     params = dict(p)
     params["default_x0"] = _DEFAULT_X0[name]
     params["default_alpha"] = bid.alpha
-    if name == "chua":
-        # coordinate 0 has slope discontinuities at +-1: Newton steps are
-        # nudged off them so the one-sided Jacobian stays meaningful
-        params["kinks"] = (0, (-1.0, 1.0))
     return SystemSpec(name=name, dim=3, field=field, jacobian=jacobian,
                       params=params)
 
@@ -285,7 +281,6 @@ def make_system(bid: BenchmarkId) -> SystemSpec:
 class Equilibrium:
     point: np.ndarray
     eigenvalues: np.ndarray  # complex, sorted by descending real part
-    residual: float
 
 
 def default_guesses(dim: int) -> np.ndarray:
@@ -316,8 +311,13 @@ def jacobian_eigenvalues(system: SystemSpec, point, t: float = 0.0) -> np.ndarra
     return eig[order]
 
 
+# a Newton search converges at |field| < _NEWTON_TOL in _NEWTON_MAX_ITER steps
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 100
+
+
 def find_equilibria(system: SystemSpec, guesses: Optional[np.ndarray] = None,
-                    t: float = 0.0, tol: float = 1e-12, max_iter: int = 100):
+                    t: float = 0.0):
     """Damped-Newton equilibrium search from each guess.
 
     Solves field(t, x) = 0 (forced systems are frozen at time ``t``).
@@ -333,16 +333,15 @@ def find_equilibria(system: SystemSpec, guesses: Optional[np.ndarray] = None,
     if guesses is None:
         guesses = default_guesses(system.dim)
     guesses = np.atleast_2d(np.asarray(guesses, dtype=float))
-    kink = system.params.get("kinks")
     found = []
     dropped = 0
     for g in guesses:
         x = g.copy()
         converged = False
         fx = np.asarray(system.field(t, x), dtype=float)
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_MAX_ITER):
             res = np.linalg.norm(fx)
-            if res < tol:
+            if res < _NEWTON_TOL:
                 converged = True
                 break
             try:
@@ -352,11 +351,6 @@ def find_equilibria(system: SystemSpec, guesses: Optional[np.ndarray] = None,
             lam = 1.0
             for _ in range(30):
                 x_new = x + lam * step
-                if kink is not None:
-                    coord, locs = kink
-                    for k in locs:
-                        if abs(x_new[coord] - k) < 1e-9:
-                            x_new[coord] += 1e-8
                 f_new = np.asarray(system.field(t, x_new), dtype=float)
                 if np.linalg.norm(f_new) < res:
                     break
@@ -365,7 +359,7 @@ def find_equilibria(system: SystemSpec, guesses: Optional[np.ndarray] = None,
                 break  # no damping factor reduced the residual
             x, fx = x_new, f_new
         else:
-            converged = np.linalg.norm(fx) < tol
+            converged = np.linalg.norm(fx) < _NEWTON_TOL
         if not converged:
             dropped += 1
             continue
@@ -374,7 +368,6 @@ def find_equilibria(system: SystemSpec, guesses: Optional[np.ndarray] = None,
         found.append(Equilibrium(
             point=x,
             eigenvalues=jacobian_eigenvalues(system, x, t=t),
-            residual=float(np.linalg.norm(np.asarray(system.field(t, x)))),
         ))
     if dropped:
         logger.info("find_equilibria: %d of %d guesses did not converge",

@@ -64,10 +64,13 @@ def lorenz_csv(tmp_path_factory):
     (["simulate", "--system", "lorenz", "--memory-window", "50",
       "--out", "unused.csv"], 2),
     (["mlf", "--alpha", "0.5", "--beta", "inf", "--z", "3"], 1),
+    # refused before the ladder is built: 10^8 scales would take minutes
+    (["dimension", "--input", "{lorenz_csv}", "--levels", "100000000",
+      "--out", "unused.json"], 1),
 ])
-def test_exit_codes(argv, code, tmp_path, monkeypatch):
+def test_exit_codes(argv, code, tmp_path, monkeypatch, lorenz_csv):
     monkeypatch.chdir(tmp_path)
-    assert run(argv) == code
+    assert run([a.format(lorenz_csv=lorenz_csv) for a in argv]) == code
     assert not any(tmp_path.iterdir())
 
 
@@ -112,7 +115,7 @@ def test_reproduce_cases_3_to_5_at_a_short_horizon(case, code, tmp_path,
     else:
         # the catalog's Chua field lacks its -x term, so case 5 diverges
         assert "step 1447 (t = 2.894)" in captured.err
-        assert not any(out_dir.iterdir())
+        assert not out_dir.exists()
 
 
 @pytest.fixture(scope="module")

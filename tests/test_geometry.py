@@ -181,6 +181,18 @@ def test_box_dimension_counts_match_box_count():
                            [box_count(pts, e) for e in res.scales])
 
 
+def test_box_dimension_levels_are_bounded():
+    # the bound is checked before the ladder is built, so 10^8 levels fail
+    # at once rather than after an 800 MB ladder and its window search
+    pts = np.linspace(0.0, 1.0, 5001)[:, None]
+    assert geometry.MAX_LEVELS == 64
+    res = box_dimension(pts, eps_max=0.5, eps_min=0.01, levels=64)
+    assert len(res.scales) == 64 and abs(res.slope - 1.0) < 0.05
+    for levels in (65, 10 ** 8):
+        with pytest.raises(ConfigError, match=r"levels must lie in \[4, 64\]"):
+            box_dimension(pts, levels=levels)
+
+
 def test_box_dimension_validation():
     pts = np.linspace(0.0, 1.0, 50)[:, None]
     with pytest.raises(ConfigError):

@@ -391,3 +391,55 @@ def test_asymptotic_route_is_real_on_the_real_axis():
     assert value.imag == 0.0
     assert ml_two(0.3, 1.0, complex(-20.0)) == ml_two(0.3, 1.0, -20.0)
 
+
+
+# -- large beta -------------------------------------------------------------
+
+@pytest.mark.parametrize("beta", [30.0, 50.0, 100.0, 170.0])
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 0.9])
+def test_large_beta_against_series_oracle(alpha, beta):
+    # for a large beta the asymptotic envelope grows from its first term, so
+    # the expansion is not yet asymptotic and must not certify the value;
+    # every value here is a normal double, so no absolute floor is needed
+    for z in [-10.0, -2.0, 1.5, 2.0, 5.0, 10.0, 3 + 4j, -8 + 3j, 6 - 6j]:
+        ref = ml_series_oracle(alpha, beta, z)
+        got = mlf.ml_route(alpha, beta, z)[0]
+        assert abs(got - ref) <= 1e-10 * abs(ref), (alpha, beta, z, got, ref)
+
+
+def test_value_below_the_double_range_is_zero_or_subnormal():
+    # E_0.5,175(2) = 1.8e-316 is subnormal; E_1,180(5) = 9.2e-328 and
+    # E_1,1e6(5) ~ 1/Gamma(1e6) are below the smallest subnormal
+    ref = ml_series_oracle(0.5, 175.0, 2.0).real
+    assert 1e-316 < ref < 1e-315
+    assert abs(ml_two(0.5, 175.0, 2.0) - ref) <= 1e-323
+    assert ml_two(1.0, 180.0, 5.0) == 0.0
+    assert ml_two(1.0, 1e6, 5.0) == 0.0
+
+
+def test_contour_parameters_decline_a_power_outside_the_double_range():
+    # the strength p = 2 (beta - alpha - 1) of the origin singularity is the
+    # exponent of a power that underflows or overflows for a large beta
+    log_tol = math.log(1e-15)
+    # 0.1^336.2 underflows to 0, 2^(2e6) overflows, and so does
+    # (sq_bar / sq_mu)^(-231) in the search right of the origin
+    assert mlf._optimal_rb(0.0, 0.01, 336.2, log_tol) is None
+    assert mlf._optimal_rb(0.0, 4.0, 2e6, log_tol) is None
+    assert mlf._optimal_ru(0.0, 231.0, log_tol) is None
+    for alpha, beta, z in [(0.9, 170.0, -8 + 3j), (0.5, 117.0, -2.0)]:
+        ref = ml_series_oracle(alpha, beta, z)
+        got = mlf.ml_route(alpha, beta, z)[0]
+        assert abs(got - ref) <= 1e-10 * abs(ref), (alpha, beta, z)
+
+
+def test_asymptotic_overflow_past_the_double_range_of_w():
+    # w = z^(1/alpha) itself overflows: e^w overflows where Re w > 0 and
+    # vanishes where Re w < 0, leaving the algebraic part
+    with pytest.raises(OverflowError, match="exceeds the double range"):
+        ml_one(0.5, 1e300)
+    z = complex(math.cos(0.4 * math.pi), math.sin(0.4 * math.pi)) * 1e300
+    with mpmath.workdps(30):
+        ref = -sum(mpmath.mpc(z) ** -k * mpmath.rgamma(1 - 0.5 * k)
+                   for k in range(1, 4))
+    assert mlf.ml_route(0.5, 1.0, z) == (
+        pytest.approx(complex(ref), rel=1e-12), "asymptotic")

@@ -589,6 +589,14 @@ def test_dimension_mismatch_rejected():
         solve_gl(RELAX, cfg)
 
 
+@pytest.fixture
+def trust_region_1e6(monkeypatch):
+    """Shrink the steppers' trust region so a test's blow-up leaves it
+    within a few steps."""
+    monkeypatch.setattr(solvers, "DIVERGE_BOUND", 1e6)
+
+
+@pytest.mark.usefixtures("trust_region_1e6")
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e9],
                          ids=["nan", "inf", "-inf", "past-bound"])
 @pytest.mark.parametrize("solver, step", [(solve_gl, 6), (solve_abm, 5)],
@@ -599,8 +607,7 @@ def test_divergence_reports_step_and_time(solver, step, value):
     def field(t, x):
         return np.full(1, value if t > 0.45 else 0.0)
 
-    cfg = SolverConfig(alpha=1.0, h=0.1, t_end=100.0, x0=[1.0],
-                       diverge_bound=1e6)
+    cfg = SolverConfig(alpha=1.0, h=0.1, t_end=100.0, x0=[1.0])
     with pytest.raises(DivergenceError) as exc:
         solver(SystemSpec(name="blow", dim=1, field=field), cfg)
     assert exc.value.step == step
@@ -628,6 +635,7 @@ def python_power(x):
 
 
 # GL feels the switch at t_{m-1}, ABM at t_m, so GL reports one step later
+@pytest.mark.usefixtures("trust_region_1e6")
 @pytest.mark.parametrize("power", [numpy_power, python_power],
                          ids=["numpy-overflow", "field-raises"])
 @pytest.mark.parametrize("solver, step", [
@@ -636,8 +644,7 @@ def python_power(x):
 ], ids=["gl-mid", "abm-mid", "gl-tail", "abm-tail"])
 def test_divergence_is_located_inside_its_block(solver, step, power):
     h = 0.125
-    cfg = SolverConfig(alpha=1.0, h=h, t_end=200 * h, x0=[1.0],
-                       diverge_bound=1e6)
+    cfg = SolverConfig(alpha=1.0, h=h, t_end=200 * h, x0=[1.0])
     assert cfg.n_steps % BASE and step > BASE
     t_switch = (step - 0.5 - (solver is solve_gl)) * h
     with warnings.catch_warnings(record=True) as caught:
@@ -651,6 +658,7 @@ def test_divergence_is_located_inside_its_block(solver, step, power):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.usefixtures("trust_region_1e6")
 @pytest.mark.parametrize("solver, step", [(solve_gl, 18), (solve_abm, 17)],
                          ids=["gl", "abm"])
 def test_field_failing_on_the_diverged_state_is_a_divergence(solver, step):
@@ -661,8 +669,7 @@ def test_field_failing_on_the_diverged_state_is_a_divergence(solver, step):
             raise OverflowError("field fails on the diverged state")
         return np.array([1e8 if t > 2.0 else 0.0])
 
-    cfg = SolverConfig(alpha=1.0, h=0.125, t_end=25.0, x0=[1.0],
-                       diverge_bound=1e6)
+    cfg = SolverConfig(alpha=1.0, h=0.125, t_end=25.0, x0=[1.0])
     with pytest.raises(DivergenceError) as exc:
         solver(SystemSpec(name="fails", dim=1, field=field), cfg)
     assert exc.value.step == step

@@ -79,7 +79,7 @@ def test_lorenz_equilibria_closed_form():
     assert_allclose(pts[0], [-w, -w, 27.0], atol=1e-9)
     assert_allclose(pts[1], [0.0, 0.0, 0.0], atol=1e-9)
     assert_allclose(pts[2], [w, w, 27.0], atol=1e-9)
-    assert all(e.residual < 1e-9 for e in eqs)
+    assert all(np.linalg.norm(sys_.field(0.0, e.point)) < 1e-9 for e in eqs)
 
 
 def test_chen_equilibria_closed_form():
@@ -112,6 +112,28 @@ def test_chua_origin_is_only_equilibrium():
     eqs = find_equilibria(sys_)
     assert len(eqs) == 1
     assert_allclose(eqs[0].point, np.zeros(3), atol=1e-10)
+
+
+@pytest.mark.parametrize("params", [
+    None,
+    {"m0": -1.27, "m1": 0.68},                              # x = +-2.868
+    {"a": 15.6, "b": 28.0, "m0": -1.143, "m1": 0.714},      # x = +-2.601
+])
+def test_chua_search_started_on_the_kinks_finds_the_lattice_points(params):
+    # Newton needs no nudge off the slope discontinuities at x = +-1: guesses
+    # exactly on them and one ulp to either side find what the default
+    # lattice finds (with m0 and m1 of opposite sign, three equilibria)
+    sys_ = make_system(BenchmarkId(name="chua", params=params))
+    ref = sorted((e.point for e in find_equilibria(sys_)), key=lambda p: p[0])
+    xs = [np.nextafter(-1.0, -2.0), -1.0, np.nextafter(-1.0, 0.0),
+          np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+    guesses = [[x, y, z] for x in xs for y in (-20.0, 0.0, 20.0)
+               for z in (-20.0, 0.0, 20.0)]
+    got = sorted((e.point for e in find_equilibria(sys_, guesses=guesses)),
+                 key=lambda p: p[0])
+    assert len(ref) == (1 if params is None else 3)
+    assert len(got) == len(ref)
+    assert_allclose(got, ref, rtol=0, atol=1e-9)
 
 
 def test_zero_field_returns_guess():
