@@ -285,7 +285,10 @@ def _exact_flow(system, config, traj, renorm_every, n_blocks, v0, chain):
     The Jacobians come ``ROWS`` steps at a time."""
     span = n_blocks * renorm_every
     dev = np.zeros((span + 1,) + v0.shape)
-    hist = gl_history(config.alpha, span, dev)
+    # the tiles add their far sums into dev's rows ahead of the step, so
+    # the history sum goes to a scratch block
+    hist = gl_history(config.alpha, span, dev, pending=dev)
+    acc = np.empty(v0.shape)
     ha = config.h ** config.alpha
     v_base = v_prev = v0
     step = 0                         # base-trajectory index of v_prev
@@ -293,8 +296,9 @@ def _exact_flow(system, config, traj, renorm_every, n_blocks, v0, chain):
         for jac in _jacobians(system, traj,
                               slice(first, min(first + ROWS, span))):
             step += 1
-            d = hist(step, dev[step])
-            np.subtract(ha * (jac @ v_prev), d, out=d)
+            hist(step, acc)
+            d = dev[step]
+            np.subtract(ha * (jac @ v_prev), acc, out=d)
             v_prev = v_base + d
             if step % renorm_every == 0:
                 v_prev, rinv = chain(v_prev, traj.t[step])

@@ -89,12 +89,15 @@ _CONFIG_KEYS = frozenset({
 def _load_config_doc(path):
     if path is None:
         return {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise ConfigError(
                 f"config document {path!r} is not JSON: {err}") from None
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"config document {path!r} is not UTF-8 "
+                              f"text ({err.reason})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config document {path!r} must hold an object")
     unknown = sorted(set(doc) - _CONFIG_KEYS)

@@ -88,6 +88,18 @@ def box_count(points, epsilon: float) -> int:
     return _count_cells(pts, *_bounds(pts), epsilon)
 
 
+def _grid_coords(pts, mins, epsilon, upper):
+    """Cell coordinates of points (one column, or rows of every column):
+    the offset u in cell units, the nearest grid line, whether the point
+    sits on it, and the cell index clipped to [0, ``upper``]."""
+    u = (pts - mins) / epsilon
+    nearest = np.round(u)
+    on_line = np.abs(u - nearest) <= _SNAP_TOL * (1.0 + np.abs(u))
+    idx = np.floor(u)
+    np.clip(idx, 0.0, upper, out=idx)
+    return u, nearest, on_line, idx.astype(np.int64)
+
+
 def _count_cells(pts, mins, spans, epsilon):
     """``box_count`` on validated points with their per-axis minimum and
     span, so a scale ladder takes those once."""
@@ -101,24 +113,24 @@ def _count_cells(pts, mins, spans, epsilon):
     strides = np.ones(pts.shape[1], dtype=np.int64)
     for k in range(pts.shape[1] - 1, 0, -1):
         strides[k - 1] = strides[k] * cells_per_axis[k]
+    upper = cells_per_axis - 1
 
-    u = (pts - mins) / epsilon
-    nearest = np.round(u)
-    on_line = np.abs(u - nearest) <= _SNAP_TOL * (1.0 + np.abs(u))
-    idx = np.floor(u)
-    np.clip(idx, 0.0, (cells_per_axis - 1).astype(float), out=idx)
-    idx = idx.astype(np.int64)
-
-    interior = ~reduce(np.logical_or, on_line.T)
+    # every point's cell key idx @ strides (Horner's rule, since numpy
+    # runs an int64 matmul without BLAS) and whether it sits on a grid
+    # line, built one column at a time, so no temporary is (n, d)
+    cell = np.zeros(len(pts), dtype=np.int64)
+    interior = np.ones(len(pts), dtype=bool)
+    for k, col in enumerate(pts.T):
+        _, _, on_line, idx = _grid_coords(col, mins[k], epsilon,
+                                          float(upper[k]))
+        interior &= ~on_line
+        cell *= cells_per_axis[k]
+        cell += idx
+        # drop this column's arrays before the next column's are made
+        del _, on_line, idx
     # the interior points' cells, sorted: a count of the distinct keys and
-    # a membership test by bisection, without a set of every key.  The key
-    # idx @ strides is built column by column (Horner's rule), since numpy
-    # runs an int64 matmul without BLAS
-    inner = idx[interior]
-    filled = inner[:, 0].copy()
-    for k in range(1, pts.shape[1]):
-        filled *= cells_per_axis[k]
-        filled += inner[:, k]
+    # a membership test by bisection, without a set of every key
+    filled = cell[interior]
     filled.sort()
     count = (int(np.count_nonzero(filled[1:] != filled[:-1])) + 1
              if filled.size else 0)
@@ -128,10 +140,10 @@ def _count_cells(pts, mins, spans, epsilon):
     # in lexicographic order so runs of aligned points share cells
     b_rows = np.nonzero(~interior)[0]
     if b_rows.size:
+        u, nearest, on_line, idx = _grid_coords(pts[b_rows], mins, epsilon,
+                                                upper.astype(float))
         added = set()
-        order = b_rows[np.lexsort(u[b_rows].T[::-1])]
-        upper = cells_per_axis - 1
-        for row in order:
+        for row in np.lexsort(u.T[::-1]):
             cands = [idx[row]]
             for ax in np.nonzero(on_line[row])[0]:
                 line = int(nearest[row, ax])

@@ -24,9 +24,18 @@ plus FFT tiles for the longer lags that run once per completed block of
 history, so a full-memory run over N steps costs O(N log^2 N * dim) flops.
 A kernel is bound to the buffer it sums: ``hist(end, out)`` needs
 ``end <= len(buf) - 1``, writes the history sum into the caller's
-C-contiguous row ``out`` (for GL, the buffer's own row ``end``, which the
-step then finishes in place) and returns it; rows below ``end`` change
-only through ``hist.rescale``.
+C-contiguous row ``out`` and returns it; rows below ``end`` change only
+through ``hist.rescale``.
+
+Memory: the GL stepper's deviation array is its kernel's ``pending``, so
+the tiles add their far sums into its rows ahead of the step, the sum
+goes to a scratch row, and the step subtracts it into row m; the result
+is that array shifted by x0 in place.  A full-memory GL solve over N
+steps then holds the (N + 1, dim) trajectory, its time grid, the tiles'
+weight spectra (at most 32 bytes per step) and, while the largest tile
+runs, one column's transform pair (at most 32 bytes per step again): at
+N = 10^5 in 3-d, a traced peak of 7.9 MB for a 2.4 MB trajectory.  ABM
+keeps separate (N + 1, 2, dim) pending rows for x0 and f_0's terms.
 
 Both steppers check divergence once per block of ``BASE`` steps (and once
 for the final partial block): the first row of the block whose max|x|
@@ -171,13 +180,14 @@ class HistoryKernel:
     once per step with ``end`` = 1, 2, ... <= len(buf) - 1,
     ``hist(end, out)`` writes sum_{k=1}^{min(end, window)} w_k * buf[end - k]
     into ``out`` and returns ``out``, with ``weights[k - 1]`` = w_k.
-    ``out`` is a C-contiguous array in the shape of a row, usually
-    ``buf[end]`` itself; one that is not contiguous raises ``ValueError``
-    rather than being written through a copy.  Rows below ``end`` must be
-    final: the caller finishes row ``end`` after the call and changes
-    earlier rows only through ``rescale``.  A restart at ``end`` = 1 takes
-    a fresh kernel.  Trailing zero weights are dropped, so ``window`` is the
-    longest contributing lag (one lag for GL at alpha = 1).
+    ``out`` is a C-contiguous array in the shape of a row, which may be
+    ``buf[end]`` itself unless ``pending`` is ``buf`` (below); one that is
+    not contiguous raises ``ValueError`` rather than being written through
+    a copy.  Rows below ``end`` must be final: the caller finishes row
+    ``end`` after the call and changes earlier rows only through
+    ``rescale``.  A restart at ``end`` = 1 takes a fresh kernel.  Trailing
+    zero weights are dropped, so ``window`` is the longest contributing
+    lag (one lag for GL at alpha = 1).
 
     ``weights`` of shape (K, n) holds K weight rows over the same buffer:
     ``out`` then has shape (K,) + a row's shape, and its entry j is the
@@ -186,7 +196,12 @@ class HistoryKernel:
     (len(buf),) + ``out``'s shape, is a term the sums start from: the call
     at ``end`` adds ``pending[end]``, so a constant or boundary term costs
     nothing per step.  The kernel keeps it as its far rows and adds the
-    tiles' sums into it, rather than holding a copy.
+    tiles' sums into it, rather than holding a copy.  ``pending`` may be
+    ``buf`` itself (the GL and exact-flow steppers), its rows from ``end``
+    on left at zero for the tiles to add into: the kernel then holds no
+    far rows beside the buffer, and ``out`` must be a separate row, since
+    the near dot overwrites ``out`` before the far sum ``buf[end]`` is
+    added to it.
 
     The sum is split by lag.  Lags below ``BASE`` are the *near* part: one
     BLAS dot of the reversed weights against ``buf[end - n:end]``, written
@@ -200,11 +215,14 @@ class HistoryKernel:
     rows of the 2s - 1 outputs it reaches; the far rows start as
     ``pending``.  Every (row, lag >= BASE) pair falls into exactly one
     tile, which runs before its output is asked for.  Over N steps this
-    costs O(N log^2 N) instead of O(N * window).
+    costs O(N log^2 N) instead of O(N * window).  A tile transforms one
+    column of the flattened row at a time, through views that need
+    ``buf`` and ``pending`` C-contiguous, so its transient is one
+    column's transform pair rather than the whole block's.
     """
 
     __slots__ = ("window", "_buf", "_rows", "_flat", "_near", "_rev",
-                 "_tiles", "_far", "_reach", "_spec", "_prod", "_out")
+                 "_tiles", "_far", "_reach")
 
     def __init__(self, weights, buf, pending=None):
         w = np.asarray(weights, dtype=float)
@@ -217,15 +235,13 @@ class HistoryKernel:
         self._flat = None if self._rows is buf else w.shape[:-1] + (-1,)
         self._near = min(self.window, BASE - 1)
         self._rev = np.ascontiguousarray(w[..., :self._near][..., ::-1])
-        lifted = (1,) * (buf.ndim - 1)
         self._tiles = []
         s = BASE
         while s <= min(self.window, len(buf) - 1):
-            lags = np.zeros(w.shape[:-1] + (2 * s,))
             part = w[..., s - 1:min(2 * s - 1, self.window)]  # w_s .. w_{2s-1}
-            lags[..., :part.shape[-1]] = part
-            spectrum = np.moveaxis(np.fft.rfft(lags), -1, 0)
-            self._tiles.append((s, spectrum.reshape(spectrum.shape + lifted)))
+            # (s + 1,), or (s + 1, K) for K weight rows
+            spectrum = np.moveaxis(np.fft.rfft(part, n=2 * s), -1, 0)
+            self._tiles.append((s, spectrum))
             s *= 2
         top = self._tiles[-1][0] if self._tiles else 0
         # outputs a tile of the largest size can still owe: end .. end+2s-2
@@ -234,11 +250,10 @@ class HistoryKernel:
         self._far = pending
         if top and pending is None:
             self._far = np.zeros((len(buf),) + row)
-        # work buffers of the largest tile; smaller tiles use their heads
-        self._spec = np.empty((top + 1,) + buf.shape[1:], dtype=complex)
-        self._prod = None if w.ndim == 1 else np.empty((top + 1,) + row,
-                                                       dtype=complex)
-        self._out = np.empty((2 * top,) + row)
+        elif pending is buf and not top:
+            # no tile runs, so buf's rows ahead of ``end`` stay zero and a
+            # call need not add them
+            self._far = None
 
     def __call__(self, end, out):
         # a non-contiguous ``out`` fails here or in ``np.dot``, never copied
@@ -257,26 +272,36 @@ class HistoryKernel:
         return out
 
     def _run_tiles(self, end):
-        far = self._far
+        # the buffer's and the far rows' columns, one per flattened entry
+        buf, far = self._buf, self._far
+        rows = np.reshape(buf, (len(buf), -1), copy=False)
+        # (len, columns), or (len, K, columns) for K weight rows
+        far = np.reshape(far, far.shape[:1 + far.ndim - buf.ndim] + (-1,),
+                         copy=False)
         for s, spectrum in self._tiles:
             if end % s:
                 break
-            spec = np.fft.rfft(self._buf[end - s:end], n=2 * s, axis=0,
-                               out=self._spec[:s + 1])
-            if self._prod is None:
-                spec *= spectrum
+            stop = min(end + 2 * s - 1, len(far))
+            # one column's transform pair, reused by every column
+            spec = np.empty(s + 1, dtype=complex)
+            if spectrum.ndim == 1:
+                lhs = prod = spec
             else:
                 # one input spectrum against each of the K weight spectra
-                spec = np.multiply(spec[:, None], spectrum,
-                                   out=self._prod[:s + 1])
-            out = np.fft.irfft(spec, n=2 * s, axis=0, out=self._out[:2 * s])
-            stop = min(end + 2 * s - 1, len(far))
-            far[end:stop] += out[:stop - end]
+                lhs, prod = spec[:, None], np.empty(spectrum.shape,
+                                                    dtype=complex)
+            out = np.empty((2 * s,) + spectrum.shape[1:])
+            for col in range(rows.shape[1]):
+                np.fft.rfft(rows[end - s:end, col], n=2 * s, out=spec)
+                np.multiply(lhs, spectrum, out=prod)
+                np.fft.irfft(prod, n=2 * s, axis=0, out=out)
+                far[end:stop, ..., col] += out[:stop - end]
 
     def rescale(self, end, matrix):
         """Right-multiply by ``matrix`` every row a later call reads: the
         stored rows back to lag ``window`` and the far rows the tiles have
-        started (for a kernel without ``pending``)."""
+        started (for a kernel without ``pending``, or with ``buf`` as its
+        ``pending``)."""
         rows = self._buf[max(0, end - self.window):end + 1]
         rows[...] = rows @ matrix
         if self._tiles:
@@ -284,9 +309,10 @@ class HistoryKernel:
             rows[...] = rows @ matrix
 
 
-def gl_history(alpha: float, window: int, buf) -> HistoryKernel:
+def gl_history(alpha: float, window: int, buf,
+               pending=None) -> HistoryKernel:
     """GL kernel on ``buf`` with lag weights c_1 .. c_window."""
-    return HistoryKernel(gl_weights(alpha, window + 1)[1:], buf)
+    return HistoryKernel(gl_weights(alpha, window + 1)[1:], buf, pending)
 
 
 def _check_rows(x, first, t):
@@ -310,6 +336,17 @@ def _check_dims(system, config):
     if n_steps < 1:
         raise ConfigError("t_end - t0 must cover at least one step")
     return n_steps
+
+
+def _field_value(system, t, x):
+    """``system.field(t, x)`` as floats; ``ConfigError`` unless it has
+    shape (dim,), which the steppers would otherwise broadcast."""
+    value = np.asarray(system.field(t, x), dtype=float)
+    if value.shape != (system.dim,):
+        raise ConfigError(
+            f"field of system {system.name!r} returned shape {value.shape}; "
+            f"expected ({system.dim},)")
+    return value
 
 
 def _step_arrays(config, n_steps, *shapes):
@@ -344,26 +381,33 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
         config.memory_window, n_steps)
     ha = h ** alpha
     t, dev = _step_arrays(config, n_steps, (system.dim,))
-    # at alpha = 1 only c_1 = -1 survives: the classical Euler step
-    hist = gl_history(alpha, window, dev)
+    # f(t_0, x_0), whose shape is checked here rather than broadcast
+    fx = _field_value(system, t[0], x0)
+    # at alpha = 1 only c_1 = -1 survives: the classical Euler step.  The
+    # tiles add their far sums into dev's rows ahead of m, so the history
+    # sum goes to a scratch row and the step subtracts it into dev[m]
+    hist = gl_history(alpha, window, dev, pending=dev)
+    acc = np.empty(system.dim)
     f = system.field
-    x_prev = x0.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, n_steps + 1, BASE):
             stop = min(first + BASE, n_steps + 1)
             try:
                 for m in range(first, stop):
                     # d_0 = 0, so lag m contributes nothing
-                    d = hist(m, dev[m])
-                    np.subtract(ha * np.asarray(f(t[m - 1], x_prev),
-                                                dtype=float), d, out=d)
+                    hist(m, acc)
+                    d = dev[m]
+                    if m > 1:
+                        fx = np.asarray(f(t[m - 1], x_prev), dtype=float)
+                    np.subtract(ha * fx, acc, out=d)
                     x_prev = x0 + d
             except Exception:
                 # a diverged state written before the failure explains it
                 _check_rows(dev[first:m] + x0, first, t)
                 raise
             _check_rows(dev[first:stop] + x0, first, t)
-    return Trajectory(t=t, x=dev + x0, alpha=alpha, h=h,
+    dev += x0
+    return Trajectory(t=t, x=dev, alpha=alpha, h=h,
                       system_name=system.name, scheme="gl")
 
 
@@ -405,7 +449,7 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
 
     x[0] = x0
     f = system.field
-    f0 = np.asarray(f(t[0], x0), dtype=float)
+    f0 = _field_value(system, t[0], x0)
     # w0(m) from Python floats: it cancels two O(m^{a+1}) terms, which a
     # vectorized numpy power leaves less exact
     w0 = np.array([(m - 1.0) ** (alpha + 1.0) - (m - 1.0 - alpha) * m ** alpha
@@ -578,7 +622,7 @@ def multi_term_to_system(spec: MultiTermSpec):
 
 @contextmanager
 def atomic_open(path: str):
-    """Open a text temp file beside ``path`` for writing.
+    """Open a UTF-8 text temp file beside ``path`` for writing.
 
     A clean exit from the ``with`` block moves it onto ``path`` with
     ``os.replace``; an exception deletes it and leaves ``path`` as it was.
@@ -590,7 +634,7 @@ def atomic_open(path: str):
     except OSError as err:
         raise OSError(err.errno, err.strerror, path) from None
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -643,19 +687,23 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
 def read_trajectory_csv(path: str) -> Trajectory:
     """Read a trajectory written by ``write_trajectory_csv``."""
     meta = {}
-    with open(path) as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            key, _, value = line[1:].strip().partition("=")
-            meta[key.strip()] = value.strip()
-        has_rows = any(line.strip() for line in fh)
     try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                if not line.startswith("#"):
+                    break
+                key, _, value = line[1:].strip().partition("=")
+                meta[key.strip()] = value.strip()
+            has_rows = any(line.strip() for line in fh)
         alpha, h = float(meta["alpha"]), float(meta["h"])
         if not has_rows:
             raise ConfigError(f"{path!r} has no data rows")
         data = np.loadtxt(path, delimiter=",", skiprows=len(meta) + 1,
-                          ndmin=2)
+                          ndmin=2, encoding="utf-8")
+    except UnicodeDecodeError as err:
+        # a ValueError, so caught first wherever the bad byte lies
+        raise ConfigError(
+            f"{path!r} is not UTF-8 text ({err.reason})") from None
     except (KeyError, ValueError) as err:
         raise ConfigError(f"{path!r} is not a trajectory CSV with "
                           f"'# alpha=' and '# h=' lines ({err!r})") from None

@@ -299,20 +299,33 @@ TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
      {}),
     (["simulate", "--system", "lorenz", "--h", "1e-300", "--t-end", "1"], {}),
     (["lyapunov", "--system", "lorenz", "--t-end", "1e13"], {}),
+    (["simulate", "--config", "doc.json"],
+     {"doc.json": b'{"system": "lor\xe9nz"}'}),
+    (["dimension", "--input", "traj.csv"],
+     {"traj.csv": b"# alpha=0.9\n# h=0.1\nt,x0\n0,1\xff\n"}),
+    # the bad byte past the first 8 KB, which the header pass never decodes
+    (["dimension", "--input", "traj.csv"],
+     {"traj.csv": b"# alpha=0.9\n# h=0.1\nt,x0\n" + b"0.1,2\n" * 3000
+      + b"0.2,3\xff\n"}),
 ], ids=["columns-a", "columns-empty", "csv-no-header", "x0-text",
         "x0-short", "config-x0-scalar", "config-not-json", "config-h-text",
         "config-x0-text", "config-alpha-text", "config-param-text", "config-transient-text",
         "config-tangent-history-text", "t-end-inf", "config-t0-inf",
         "stability-t-nan", "config-sector-alpha", "mlf-overflow",
         "csv-no-rows", "span-inf", "steps-past-array-size",
-        "steps-past-address-space"])
+        "steps-past-address-space", "config-not-utf8", "csv-not-utf8",
+        "csv-not-utf8-past-8kb"])
 def test_bad_input_is_a_config_error(argv, files, tmp_path, monkeypatch,
                                      capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(
+            text if isinstance(text, bytes) else text.encode())
     assert run(argv + ["--out", "out"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if any(isinstance(text, bytes) for text in files.values()):
+        assert f"{next(iter(files))!r} is not UTF-8 text" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
