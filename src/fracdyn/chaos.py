@@ -2,10 +2,10 @@
 
 The spectrum computation is Benettin-style: integrate the base trajectory
 once, then drive an orthonormal tangent frame through the linearized
-(variational) dynamics D^alpha dx = Df(x(t)) dx with the same binomial
-history-sum scheme used for trajectories.  Every ``renorm_every`` steps the
-frame is re-orthonormalized by QR and the log stretch factors accumulate
-into exponent estimates.
+(variational) dynamics D^alpha dx = Df(x(t)) dx with the GL scheme, whose
+map it linearizes, so a base trajectory of another scheme is refused.  Every
+``renorm_every`` steps the frame is re-orthonormalized by QR and the log
+stretch factors accumulate into exponent estimates.
 
 ``tangent_history`` names the convention the exponents are measured in:
 
@@ -350,13 +350,14 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
                       ) -> LyapunovResult:
     """Lyapunov exponents of a fractional system by tangent-frame QR.
 
-    The base trajectory is integrated with ``config.scheme``; the tangent
-    frame always runs through the binomial history-sum discretization of
-    the variational equation, so the classical limit alpha = 1 collapses
-    to the standard map-Jacobian product.  ``transient`` (default 20% of
-    the horizon) is integrated but excluded from exponent accumulation.
-    A config with a ``memory_window`` raises ``ConfigError``: a windowed
-    base trajectory under a full-memory tangent flow would be inconsistent.
+    The base trajectory is integrated by GL, and the tangent frame steps
+    the GL discretization of the variational equation, the derivative of
+    that map, so alpha = 1 collapses to the map-Jacobian product.  Another
+    scheme's config or ``base_trajectory`` raises ``ConfigError`` before
+    any solve: the frame would report the spectrum of a map it never
+    linearized.  So does a ``memory_window``: a windowed base under a
+    full-memory tangent flow would be inconsistent.  ``transient`` (default
+    20% of the horizon) is integrated but excluded from exponent sums.
 
     ``tangent_history`` is the convention (see the module docstring):
     ``"restart"`` restarts the tangent convolution history at every QR and
@@ -387,6 +388,10 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
     if config.memory_window is not None:
         raise ConfigError("lyapunov_spectrum needs a full-memory config, "
                           f"got memory_window={config.memory_window}")
+    for source in (config, base_trajectory):
+        if source is not None and source.scheme != "gl":
+            raise ConfigError("lyapunov_spectrum linearizes the GL map "
+                              f"only; got scheme {source.scheme!r}")
     n_steps = config.n_steps
     if transient is None:
         transient = 0.2 * (config.t_end - config.t0)

@@ -82,7 +82,7 @@ def _write_json(path, report):
 # serve several commands; any other key is a ConfigError
 _CONFIG_KEYS = frozenset({
     "system", "params", "alpha", "x0", "h", "t_end", "t0", "scheme",
-    "corrector_iters", "renorm_every", "transient", "tangent_history",
+    "renorm_every", "transient", "tangent_history",
 })
 
 
@@ -195,7 +195,6 @@ def _solver_config(args, doc, system):
         x0=x0,
         t0=_resolve(args, doc, "t0", 0.0, float),
         scheme=_resolve(args, doc, "scheme", "gl"),
-        corrector_iters=_resolve(args, doc, "corrector_iters", 1, int),
     )
 
 
@@ -321,7 +320,8 @@ def _dimension_report(traj, input_name, cols, transient, **box_kwargs):
         raise ConfigError(
             f"transient must be a fraction in [0, 1), got {transient}")
     skip = int(round(transient * traj.x.shape[0]))
-    pts = traj.x[skip:, cols]
+    every = cols == list(range(traj.x.shape[1]))
+    pts = traj.x[skip:] if every else traj.x[skip:, cols]  # view or copy
     if pts.shape[0] == 0:
         raise ConfigError("transient fraction discards every row")
     res = box_dimension(pts, **box_kwargs)
@@ -550,10 +550,6 @@ def _add_solver_flags(sp):
                     help="integration horizon (default 100)")
     sp.add_argument("--t0", type=float, help="start time (default 0)")
     sp.add_argument("--x0", help="comma-separated initial state")
-    sp.add_argument("--scheme", choices=["gl", "abm"],
-                    help="integration scheme (default gl)")
-    sp.add_argument("--corrector-iters", type=int, dest="corrector_iters",
-                    help="corrector sweeps for the abm scheme (default 1)")
 
 
 def _complex_text(text):
@@ -606,19 +602,22 @@ def build_parser():
     sp = add_parser("simulate", help="integrate and write trajectory CSV")
     _add_system_flags(sp)
     _add_solver_flags(sp)
+    sp.add_argument("--scheme", choices=["gl", "abm"],
+                    help="integration scheme (default gl)")
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.set_defaults(func=_cmd_simulate)
 
     sp = add_parser(
         "lyapunov", help="exponent spectrum JSON report",
-        description="Lyapunov spectrum by tangent-frame QR, with the "
-                    "stability report.  --tangent-history names the "
-                    "convention: 'restart' restarts the tangent history at "
-                    "every QR and gives finite-time exponents over "
-                    "T = renorm_every * h, which depend on T for alpha < 1; "
-                    "'exact' pushes each QR factor through the stored "
-                    "history, solves the variational equation exactly and "
-                    "does not depend on T, at O(N^2) cost in the steps N.")
+        description="Lyapunov spectrum by tangent-frame QR over a GL base "
+                    "trajectory, with the stability report.  "
+                    "--tangent-history names the convention: 'restart' "
+                    "restarts the tangent history at every QR and gives "
+                    "finite-time exponents over T = renorm_every * h, which "
+                    "depend on T for alpha < 1; 'exact' pushes each QR "
+                    "factor through the stored history, solves the "
+                    "variational equation exactly and does not depend on T, "
+                    "at O(N^2) cost in the steps N.")
     _add_system_flags(sp)
     _add_solver_flags(sp)
     sp.add_argument("--renorm-every", type=int, dest="renorm_every",

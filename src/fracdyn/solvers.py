@@ -4,8 +4,8 @@ Two schemes over the commensurate system D^alpha x = f(t, x), 0 < alpha <= 1:
 
 * ``solve_gl``  -- explicit Grunwald-Letnikov scheme applied to x - x0 (the
   shift makes it a Caputo discretization), first-order accurate;
-* ``solve_abm`` -- Adams-Bashforth-Moulton predictor-corrector on the
-  Volterra integral form, order ~ 1 + alpha.
+* ``solve_abm`` -- Adams-Bashforth-Moulton PECE scheme (one corrector
+  evaluation per step) on the Volterra integral form, order ~ 1 + alpha.
 
 ``SolverConfig.memory_window`` drops the history lags past a window (the
 short-memory principle) in these two steppers and nowhere else.  It exists
@@ -96,9 +96,8 @@ class SolverConfig:
     t_end: float
     x0: np.ndarray
     t0: float = 0.0
-    scheme: str = "gl"
+    scheme: str = "gl"      # or "abm": one corrector evaluation per step
     memory_window: Optional[int] = None
-    corrector_iters: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
@@ -125,9 +124,6 @@ class SolverConfig:
         if self.memory_window is not None and self.memory_window < 1:
             raise ConfigError(
                 f"memory_window must be >= 1, got {self.memory_window}")
-        if self.corrector_iters < 1:
-            raise ConfigError(
-                f"corrector_iters must be >= 1, got {self.corrector_iters}")
 
     @property
     def n_steps(self) -> int:
@@ -414,10 +410,10 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
 def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     """Integrate D^alpha x = f(t, x) with the Adams predictor-corrector.
 
-    One predict-evaluate-correct-evaluate sweep per step on the Volterra
-    form x(t) = x0 + I^alpha f: fractional product-rectangle predictor,
-    product-trapezoid corrector.  ``memory_window`` truncates both
-    convolution sums by lag, for the oracle's error study only.
+    One PECE step (Diethelm, Ford & Freed, Nonlinear Dyn. 29, 2002) on the
+    Volterra form x(t) = x0 + I^alpha f: fractional product-rectangle
+    predictor, one product-trapezoid corrector evaluation.  ``memory_window``
+    truncates both sums by lag, for the oracle's error study only.
 
     Both sums come from one two-row ``HistoryKernel`` call per step over
     f_1 .. f_{m-1} (row 0 of its buffer stays zero):
@@ -427,8 +423,8 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
 
     with w0(m) = (m-1)^{a+1} - (m-1-a) m^a, f_0's boundary weight in place
     of a_m.  x0 and the f_0 terms are the kernel's ``pending`` rows, zero
-    f_0 terms past the window.  Each corrector sweep is then
-    x_m = base_m + cc * f(t_m, x_m), starting from pred_m.
+    f_0 terms past the window.  The corrector is then
+    x_m = base_m + cc * f(t_m, pred_m).
     """
     n_steps = _check_dims(system, config)
     x0 = config.x0
@@ -439,25 +435,26 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     t, x, fx, pending = _step_arrays(config, n_steps, (system.dim,),
                                      (system.dim,), (2, system.dim))
 
-    r = np.arange(n_steps + 2, dtype=float)
-    pw = r ** alpha
-    pw1 = r ** (alpha + 1.0)
-    b = pw[1:] - pw[:-1]                      # b_r = (r+1)^a - r^a, r >= 0
-    a = pw1[2:] - 2.0 * pw1[1:-1] + pw1[:-2]  # a_r for r >= 1
+    r = np.arange(window + 2, dtype=float)
+    pw, pw1 = r ** alpha, r ** (alpha + 1.0)
     cp = h ** alpha / gamma(alpha + 1.0)      # predictor scale
     cc = h ** alpha / gamma(alpha + 2.0)      # corrector scale
+    # cp * b_r, b_r = (r+1)^a - r^a for r >= 0, and cc * a_r for r >= 1
+    weights = np.stack((cp * (pw[1:-1] - pw[:-2]),
+                        cc * (pw1[2:] - 2.0 * pw1[1:-1] + pw1[:-2])))
+    del r, pw, pw1
 
     x[0] = x0
     f = system.field
     f0 = _field_value(system, t[0], x0)
-    # w0(m) from Python floats: it cancels two O(m^{a+1}) terms, which a
-    # vectorized numpy power leaves less exact
-    w0 = np.array([(m - 1.0) ** (alpha + 1.0) - (m - 1.0 - alpha) * m ** alpha
-                   for m in range(1, window + 1)])
-    weights = np.stack((cp * b[:window], cc * a[:window]))
+    # cc * w0(m) from Python floats: w0 cancels two O(m^{a+1}) terms, which
+    # a vectorized numpy power leaves less exact
+    w0 = np.fromiter((cc * ((m - 1.0) ** (alpha + 1.0)
+                            - (m - 1.0 - alpha) * m ** alpha)
+                      for m in range(1, window + 1)), float, window)
     # x0 + f_0 * (cp b_{m-1}, cc w0(m)), built in place
-    pending[1:window + 1] = np.column_stack((weights[0], cc * w0))[:, :, None]
-    pending[1:window + 1] *= f0
+    np.multiply(weights[0][:, None], f0, out=pending[1:window + 1, 0])
+    np.multiply(w0[:, None], f0, out=pending[1:window + 1, 1])
     pending += x0
     hist = HistoryKernel(weights, fx, pending)
     sums = np.empty((2, system.dim))
@@ -468,11 +465,8 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
             try:
                 for m in range(first, stop):
                     hist(m, sums)
-                    cur = pred
-                    for _ in range(config.corrector_iters):
-                        cur = base + cc * np.asarray(f(t[m], cur),
-                                                     dtype=float)
-                    x[m] = cur
+                    x[m] = cur = base + cc * np.asarray(f(t[m], pred),
+                                                        dtype=float)
                     fx[m] = f(t[m], cur)
             except Exception:
                 # a diverged state written before the failure explains it

@@ -619,3 +619,22 @@ def test_lyapunov_validation_errors():
     other = SolverConfig(alpha=1.0, h=0.01, t_end=5.0, x0=np.array([1.0]))
     with pytest.raises(ConfigError):
         lyapunov_spectrum(system, cfg, base_trajectory=solve(system, other))
+    # the tangent frame linearizes the GL map, so another scheme's base is
+    # refused, under either convention, before any solve
+    abm = SolverConfig(alpha=0.9, h=0.01, t_end=10.0, x0=np.array([1.0]),
+                       scheme="abm")
+    gl = SolverConfig(alpha=0.9, h=0.01, t_end=10.0, x0=np.array([1.0]))
+    abm_base = solve(system, abm)
+
+    def no_solve(t, x):
+        raise AssertionError("the base trajectory was solved")
+
+    unsolvable = SystemSpec(name="unsolvable", dim=1, field=no_solve,
+                            jacobian=system.jacobian)
+    for tangent_history in TANGENT_HISTORIES:
+        with pytest.raises(ConfigError, match="got scheme 'abm'"):
+            lyapunov_spectrum(unsolvable, abm,
+                              tangent_history=tangent_history)
+        with pytest.raises(ConfigError, match="got scheme 'abm'"):
+            lyapunov_spectrum(system, gl, tangent_history=tangent_history,
+                              base_trajectory=abm_base)

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import fracdyn
-from fracdyn.cli import (_CASES, _CONFIG_KEYS, _format_table, _verdict_rows,
-                         _write_json, main)
+from fracdyn import cli
+from fracdyn.cli import (_CASES, _CONFIG_KEYS, _dimension_report,
+                         _format_table, _verdict_rows, _write_json, main)
 from fracdyn.solvers import read_trajectory_csv
 
 ARTIFACTS = ("comparison.txt", "dimension.json", "lyapunov.json",
@@ -67,6 +68,11 @@ def lorenz_csv(tmp_path_factory):
     # refused before the ladder is built: 10^8 scales would take minutes
     (["dimension", "--input", "{lorenz_csv}", "--levels", "100000000",
       "--out", "unused.json"], 1),
+    # the spectrum takes a GL base only, and ABM has one corrector step
+    (["lyapunov", "--system", "lorenz", "--scheme", "abm",
+      "--out", "unused.json"], 2),
+    (["simulate", "--system", "lorenz", "--corrector-iters", "2",
+      "--out", "unused.csv"], 2),
 ])
 def test_exit_codes(argv, code, tmp_path, monkeypatch, lorenz_csv):
     monkeypatch.chdir(tmp_path)
@@ -116,6 +122,35 @@ def test_reproduce_cases_3_to_5_at_a_short_horizon(case, code, tmp_path,
         # the catalog's Chua field lacks its -x term, so case 5 diverges
         assert "step 1447 (t = 2.894)" in captured.err
         assert not out_dir.exists()
+
+
+# the verdict column of each case's comparison.txt at its documented
+# settings, or None for a case that diverges; a change that moves a verdict
+# updates this table and says why
+VERDICTS = {
+    1: ["pass", "pass"],
+    2: ["fail", "fail", "fail"],
+    3: ["fail", "pass"],
+    4: ["fail", "pass"],
+    5: None,
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", sorted(VERDICTS))
+def test_reproduce_verdicts_at_the_documented_settings(case, tmp_path,
+                                                       capsys):
+    out_dir = tmp_path / "out"
+    code = run(["reproduce", str(case), "--out-dir", str(out_dir)])
+    if VERDICTS[case] is None:
+        # the catalog's Chua field lacks its -x term
+        assert code == 1
+        assert ("state left the trust region at step 1447 (t = 2.894)"
+                in capsys.readouterr().err)
+        return
+    assert code == 0
+    lines = (out_dir / "comparison.txt").read_text().splitlines()
+    assert [line.split()[-1] for line in lines[2:]] == VERDICTS[case]
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +291,30 @@ def test_verdict_rows_grade_every_claim_kind():
             verdict), d_ky
 
 
+@pytest.mark.filterwarnings("ignore:.*are saturated:UserWarning")
+@pytest.mark.parametrize("cols, shared", [([0, 1, 2], True),
+                                          ([0, 2], False), ([2, 1, 0], False)])
+def test_dimension_counts_every_column_on_a_view(cols, shared, lorenz_csv,
+                                                 monkeypatch):
+    # every column in order is box-counted on a slice of the trajectory, a
+    # subset or a reordering on a copy of its columns
+    traj = read_trajectory_csv(str(lorenz_csv))
+    count, seen = cli.box_dimension, []
+    monkeypatch.setattr(cli, "box_dimension", lambda points, **kwargs: (
+        seen.append(points) or count(points, **kwargs)))
+    report = _dimension_report(traj, "lorenz.csv", cols, 0.2)
+    assert np.shares_memory(seen[0], traj.x) == shared
+    # the CSV's columns are strided views, and the counts are those of a
+    # contiguous copy
+    traj.x = np.ascontiguousarray(traj.x[:, cols])
+    again = _dimension_report(traj, "lorenz.csv", list(range(len(cols))),
+                              0.2)
+    for doc in (report, again):
+        del doc["columns"]
+    assert json.dumps(report, default=cli._json_default) == json.dumps(
+        again, default=cli._json_default)
+
+
 # -- bad input -----------------------------------------------------------
 
 TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
@@ -307,6 +366,9 @@ TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
     (["dimension", "--input", "traj.csv"],
      {"traj.csv": b"# alpha=0.9\n# h=0.1\nt,x0\n" + b"0.1,2\n" * 3000
       + b"0.2,3\xff\n"}),
+    # the tangent frame linearizes the GL map only
+    (["lyapunov", "--config", "doc.json"],
+     {"doc.json": '{"system": "lorenz", "t_end": 5, "scheme": "abm"}'}),
 ], ids=["columns-a", "columns-empty", "csv-no-header", "x0-text",
         "x0-short", "config-x0-scalar", "config-not-json", "config-h-text",
         "config-x0-text", "config-alpha-text", "config-param-text", "config-transient-text",
@@ -314,7 +376,7 @@ TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
         "stability-t-nan", "config-sector-alpha", "mlf-overflow",
         "csv-no-rows", "span-inf", "steps-past-array-size",
         "steps-past-address-space", "config-not-utf8", "csv-not-utf8",
-        "csv-not-utf8-past-8kb"])
+        "csv-not-utf8-past-8kb", "config-lyapunov-scheme-abm"])
 def test_bad_input_is_a_config_error(argv, files, tmp_path, monkeypatch,
                                      capsys):
     monkeypatch.chdir(tmp_path)
@@ -390,7 +452,7 @@ def test_mlf_reports_its_route_on_stderr_only(alpha, z, route, tmp_path,
 
 
 @pytest.mark.parametrize("key", ["tangent_histroy", "history_reset_blocks",
-                                 "memory_window"])
+                                 "memory_window", "corrector_iters"])
 def test_unknown_config_key_is_a_config_error(key, tmp_path, monkeypatch,
                                               capsys):
     # a misspelt or retired key would otherwise be ignored without a word
@@ -415,15 +477,14 @@ def test_config_document_is_shared_across_commands(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command, key, value", [
     ("lyapunov", "renorm_every", 10.5),
-    ("simulate", "corrector_iters", 2.7),
     ("lyapunov", "renorm_every", True),
-    ("simulate", "corrector_iters", float("inf")),
+    ("lyapunov", "renorm_every", float("inf")),
 ])
 def test_config_integer_is_not_truncated(command, key, value, tmp_path,
                                          monkeypatch, capsys):
-    # int() would run 10, 2 and 1 without a word, and overflow on Infinity
+    # int() would run 10 and 1 without a word, and overflow on Infinity
     monkeypatch.chdir(tmp_path)
-    doc = {"system": "lorenz", "t_end": 0.5, "scheme": "abm", key: value}
+    doc = {"system": "lorenz", "t_end": 0.5, key: value}
     (tmp_path / "doc.json").write_text(json.dumps(doc))
     assert run([command, "--config", "doc.json", "--out", "out"]) == 1
     err = capsys.readouterr().err
