@@ -59,7 +59,8 @@ from .errors import ConfigError, NonConvergenceError
 from .solvers import SolverConfig, SystemSpec, Trajectory, gl_history, solve
 from .systems import Equilibrium, find_equilibria
 
-# lambda_1 counts as converged when its last-quarter drift is below this
+# lambda_1 counts as converged when its drift over the last quarter of its
+# estimates, and at least the last two, is below this
 _DRIFT_TOL = 5e-2
 # classify_attractor counts an exponent within this of 0 as neutral
 _ZERO_TOL = 0.01
@@ -89,8 +90,9 @@ class LyapunovResult:
     history: np.ndarray          # (n_renorms, m) running estimates
     d_ky: float
     transient_discarded: float   # time units dropped before accumulation
-    converged: bool              # last-quarter drift of lambda_1 below tol
-    drift: float
+    converged: bool              # drift below tol, over two or more estimates
+    drift: float                 # max |lambda_1 - its last estimate| over
+                                 # the last max(2, n_renorms // 4) estimates
 
 
 def kaplan_yorke(exponents) -> float:
@@ -285,10 +287,7 @@ def _exact_flow(system, config, traj, renorm_every, n_blocks, v0, chain):
     The Jacobians come ``ROWS`` steps at a time."""
     span = n_blocks * renorm_every
     dev = np.zeros((span + 1,) + v0.shape)
-    # the tiles add their far sums into dev's rows ahead of the step, so
-    # the history sum goes to a scratch block
-    hist = gl_history(config.alpha, span, dev, pending=dev)
-    acc = np.empty(v0.shape)
+    hist = gl_history(config.alpha, span, dev)
     ha = config.h ** config.alpha
     v_base = v_prev = v0
     step = 0                         # base-trajectory index of v_prev
@@ -296,9 +295,8 @@ def _exact_flow(system, config, traj, renorm_every, n_blocks, v0, chain):
         for jac in _jacobians(system, traj,
                               slice(first, min(first + ROWS, span))):
             step += 1
-            hist(step, acc)
             d = dev[step]
-            np.subtract(ha * (jac @ v_prev), acc, out=d)
+            np.subtract(ha * (jac @ v_prev), hist(step), out=d)
             v_prev = v_base + d
             if step % renorm_every == 0:
                 v_prev, rinv = chain(v_prev, traj.t[step])
@@ -317,8 +315,9 @@ def _restart_blocks(system, config, traj, renorm_every, n_blocks, v0, chain):
     D_j = h^alpha J_{j-1} Phi_{j-1} - sum_k c_k D_{j-k} and
     Phi_j = I + D_j.  The blocks of a chunk of about ``ROWS`` steps step
     together: row j of the history buffer holds D_j of every block, so one
-    ``HistoryKernel`` call per j sums all their histories.  Only the QR
-    chain over the blocks stays sequential.
+    ``HistoryKernel`` call per j sums all their histories, and the step
+    subtracts that sum into row j, as ``solve_gl`` does.  Only the QR chain
+    over the blocks stays sequential.
     """
     dim, R = system.dim, renorm_every
     ha = config.h ** config.alpha
@@ -334,8 +333,7 @@ def _restart_blocks(system, config, traj, renorm_every, n_blocks, v0, chain):
         # (R, count, dim, dim): row j holds step j of every block
         hj = hj.reshape(count, R, dim, dim).swapaxes(0, 1)
         for j in range(1, R + 1):
-            d = hist(j, dev[j])
-            np.subtract(hj[j - 1] @ (eye + dev[j - 1]), d, out=d)
+            np.subtract(hj[j - 1] @ (eye + dev[j - 1]), hist(j), out=dev[j])
         phi = eye + dev[R]
         for b in range(count):
             v, _ = chain(phi[b] @ v, traj.t[start + (b + 1) * R])
@@ -431,14 +429,15 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
 
     history = chain.history
     exponents = np.sort(history[-1])[::-1]
-    quarter = max(1, len(history) // 4)
+    last = max(2, len(history) // 4)
     lam1 = history[:, np.argmax(history[-1])]
-    drift = float(np.max(np.abs(lam1[-quarter:] - lam1[-1])))
+    drift = float(np.max(np.abs(lam1[-last:] - lam1[-1])))
     return LyapunovResult(
         exponents=exponents,
         history=history,
         d_ky=kaplan_yorke(exponents),
         transient_discarded=transient_discarded,
-        converged=bool(drift < _DRIFT_TOL),
+        # one estimate has no drift to measure
+        converged=len(history) > 1 and drift < _DRIFT_TOL,
         drift=drift,
     )

@@ -512,16 +512,16 @@ def _cmd_reproduce(args):
     system = _build_system(args, case)
     config = _solver_config(args, case, system)
     traj = solve(system, config)
-    # made after the solve, so a case that diverges leaves no directory
+    result, stab_doc, report = _lyapunov_run(args, case, system, config, traj)
+    cols = list(system.observables or range(system.dim))
+    dim_doc = _dimension_report(traj, "trajectory.csv", cols, 0.2)
+    rows = _verdict_rows(case["claims"], result, report["classification"])
+    # made after every report, so a case that fails leaves no directory
     os.makedirs(args.out_dir, exist_ok=True)
     write_trajectory_csv(traj, out("trajectory.csv"))
-    result, stab_doc, report = _lyapunov_run(args, case, system, config, traj)
     _write_json(out("lyapunov.json"), report)
-    cols = list(system.observables or range(system.dim))
-    _write_json(out("dimension.json"),
-                _dimension_report(traj, "trajectory.csv", cols, 0.2))
+    _write_json(out("dimension.json"), dim_doc)
     _write_json(out("stability.json"), stab_doc)
-    rows = _verdict_rows(case["claims"], result, report["classification"])
     atomic_write(out("comparison.txt"),
                  _format_table(example_id, system.name, rows))
 

@@ -22,20 +22,19 @@ Per-step cost is one call of the shared history kernel ``HistoryKernel``
 the corrector sum together): a direct dot over the last ``BASE`` - 1 lags,
 plus FFT tiles for the longer lags that run once per completed block of
 history, so a full-memory run over N steps costs O(N log^2 N * dim) flops.
-A kernel is bound to the buffer it sums: ``hist(end, out)`` needs
-``end <= len(buf) - 1``, writes the history sum into the caller's
-C-contiguous row ``out`` and returns it; rows below ``end`` change only
-through ``hist.rescale``.
+A kernel is bound to the buffer it sums: ``hist(end)`` needs
+``end <= len(buf) - 1`` and returns the history sum in the kernel's own
+row ``hist.sum``; rows below ``end`` change only through ``hist.rescale``.
 
 Memory: the GL stepper's deviation array is its kernel's ``pending``, so
-the tiles add their far sums into its rows ahead of the step, the sum
-goes to a scratch row, and the step subtracts it into row m; the result
-is that array shifted by x0 in place.  A full-memory GL solve over N
-steps then holds the (N + 1, dim) trajectory, its time grid, the tiles'
-weight spectra (at most 32 bytes per step) and, while the largest tile
-runs, one column's transform pair (at most 32 bytes per step again): at
-N = 10^5 in 3-d, a traced peak of 7.9 MB for a 2.4 MB trajectory.  ABM
-keeps separate (N + 1, 2, dim) pending rows for x0 and f_0's terms.
+the tiles add their far sums into its rows ahead of the step, and the
+step subtracts ``hist.sum`` into row m; the result is that array shifted
+by x0 in place.  A full-memory GL solve over N steps then holds the
+(N + 1, dim) trajectory, its time grid, the tiles' weight spectra (at
+most 32 bytes per step) and, while the largest tile runs, one column's
+transform pair (at most 32 bytes per step again): at N = 10^5 in 3-d, a
+traced peak of 7.9 MB for a 2.4 MB trajectory.  ABM keeps separate
+(N + 1, 2, dim) pending rows for x0 and f_0's terms.
 
 Both steppers check divergence once per block of ``BASE`` steps (and once
 for the final partial block): the first row of the block whose max|x|
@@ -173,62 +172,56 @@ class HistoryKernel:
     GL and ABM, a (dim, m) block for the exact-flow tangent frame, a
     (n_blocks, dim, dim) batch of transfer-matrix deviations for the
     restart convention, so one call sums every block's history) and called
-    once per step with ``end`` = 1, 2, ... <= len(buf) - 1,
-    ``hist(end, out)`` writes sum_{k=1}^{min(end, window)} w_k * buf[end - k]
-    into ``out`` and returns ``out``, with ``weights[k - 1]`` = w_k.
-    ``out`` is a C-contiguous array in the shape of a row, which may be
-    ``buf[end]`` itself unless ``pending`` is ``buf`` (below); one that is
-    not contiguous raises ``ValueError`` rather than being written through
-    a copy.  Rows below ``end`` must be final: the caller finishes row
-    ``end`` after the call and changes earlier rows only through
-    ``rescale``.  A restart at ``end`` = 1 takes a fresh kernel.  Trailing
-    zero weights are dropped, so ``window`` is the longest contributing
-    lag (one lag for GL at alpha = 1).
+    once per step with ``end`` = 1, 2, ... <= len(buf) - 1, ``hist(end)``
+    writes sum_{k=1}^{min(end, window)} w_k * buf[end - k] + pending[end]
+    into its own C-contiguous array ``hist.sum`` and returns it, with
+    ``weights[k - 1]`` = w_k.  Rows below ``end`` must be final: the caller
+    finishes row ``end`` after the call and changes earlier rows only
+    through ``rescale``.  A restart at ``end`` = 1 takes a fresh kernel.
+    Trailing zero weights are dropped, so ``window`` is the longest
+    contributing lag (one lag for GL at alpha = 1).
 
     ``weights`` of shape (K, n) holds K weight rows over the same buffer:
-    ``out`` then has shape (K,) + a row's shape, and its entry j is the
+    ``sum`` then has shape (K,) + a row's shape, and its entry j is the
     sum with the weights ``weights[j]``, all K from one pass over ``buf``
-    (ABM's predictor and corrector).  ``pending``, a float array of shape
-    (len(buf),) + ``out``'s shape, is a term the sums start from: the call
-    at ``end`` adds ``pending[end]``, so a constant or boundary term costs
-    nothing per step.  The kernel keeps it as its far rows and adds the
-    tiles' sums into it, rather than holding a copy.  ``pending`` may be
-    ``buf`` itself (the GL and exact-flow steppers), its rows from ``end``
-    on left at zero for the tiles to add into: the kernel then holds no
-    far rows beside the buffer, and ``out`` must be a separate row, since
-    the near dot overwrites ``out`` before the far sum ``buf[end]`` is
-    added to it.
+    (ABM's predictor and corrector).  ``pending``, of shape (len(buf),) +
+    ``sum``'s shape, holds the kernel's far rows: the tiles add into it,
+    and any term it starts with (ABM's x0 and f_0 terms) costs nothing
+    per step.  It is ``buf`` itself for the GL steppers, whose rows from
+    ``end`` on are zero until the caller writes them, so the kernel holds
+    no far rows beside the buffer.
 
     The sum is split by lag.  Lags below ``BASE`` are the *near* part: one
-    BLAS dot of the reversed weights against ``buf[end - n:end]``, written
-    straight into ``out`` (rows of rank two or more enter it, and ``out``
-    takes it, through flat views), so a window shorter than ``BASE`` is
-    summed exactly as a plain direct dot.  Lags in [s, 2s), for
+    BLAS dot of the reversed weights against ``buf[end - n:end]`` (rows of
+    rank two or more through flat views), so a window shorter than
+    ``BASE`` is summed exactly as a plain direct dot.  Lags in [s, 2s), for
     each tile size s = BASE * 2^l <= window, are the *far* part: when an
     aligned input block ``buf[end - s:end]`` is complete (``end`` % s == 0),
     one FFT tile convolves it with w_s .. w_{2s-1} (one forward transform
-    shared by the K weight rows) and adds the result into the pending far
-    rows of the 2s - 1 outputs it reaches; the far rows start as
-    ``pending``.  Every (row, lag >= BASE) pair falls into exactly one
-    tile, which runs before its output is asked for.  Over N steps this
-    costs O(N log^2 N) instead of O(N * window).  A tile transforms one
-    column of the flattened row at a time, through views that need
-    ``buf`` and ``pending`` C-contiguous, so its transient is one
+    shared by the K weight rows) and adds the result into the far rows of
+    the 2s - 1 outputs it reaches.  Every (row, lag >= BASE) pair falls
+    into exactly one tile, which runs before its output is asked for.
+    Over N steps this costs O(N log^2 N) instead of O(N * window).  A tile
+    transforms one column of the flattened row at a time, through views
+    that need ``buf`` and ``pending`` C-contiguous, so its transient is one
     column's transform pair rather than the whole block's.
     """
 
-    __slots__ = ("window", "_buf", "_rows", "_flat", "_near", "_rev",
+    __slots__ = ("window", "sum", "_buf", "_rows", "_flat", "_near", "_rev",
                  "_tiles", "_far", "_reach")
 
-    def __init__(self, weights, buf, pending=None):
+    def __init__(self, weights, buf, pending):
         w = np.asarray(weights, dtype=float)
         nz = np.nonzero(np.atleast_2d(w).any(axis=0))[0]
         self.window = int(nz[-1]) + 1 if len(nz) else 0
         self._buf = buf
         self._rows = buf if buf.ndim <= 2 else np.reshape(
             buf, (len(buf), -1), copy=False)
-        # the shape ``out`` is viewed in to take the near dot
-        self._flat = None if self._rows is buf else w.shape[:-1] + (-1,)
+        self.sum = np.empty(w.shape[:-1] + buf.shape[1:])
+        # ``sum`` as the near dot's output: a row's axes flattened as in
+        # ``_rows``
+        self._flat = self.sum if self._rows is buf else self.sum.reshape(
+            w.shape[:-1] + (-1,))
         self._near = min(self.window, BASE - 1)
         self._rev = np.ascontiguousarray(w[..., :self._near][..., ::-1])
         self._tiles = []
@@ -242,30 +235,22 @@ class HistoryKernel:
         top = self._tiles[-1][0] if self._tiles else 0
         # outputs a tile of the largest size can still owe: end .. end+2s-2
         self._reach = 2 * top - 1
-        row = w.shape[:-1] + buf.shape[1:]
-        self._far = pending
-        if top and pending is None:
-            self._far = np.zeros((len(buf),) + row)
-        elif pending is buf and not top:
-            # no tile runs, so buf's rows ahead of ``end`` stay zero and a
-            # call need not add them
-            self._far = None
+        # with no tile, buf's rows ahead of ``end`` stay zero: nothing to add
+        self._far = None if pending is buf and not top else pending
 
-    def __call__(self, end, out):
-        # a non-contiguous ``out`` fails here or in ``np.dot``, never copied
-        flat = out if self._flat is None else np.reshape(
-            out, self._flat, copy=False)
+    def __call__(self, end):
         near = self._near
         if end >= near:
-            np.dot(self._rev, self._rows[end - near:end], out=flat)
+            np.dot(self._rev, self._rows[end - near:end], out=self._flat)
         else:
-            np.dot(self._rev[..., near - end:], self._rows[:end], out=flat)
+            np.dot(self._rev[..., near - end:], self._rows[:end],
+                   out=self._flat)
         far = self._far
         if far is not None:
             if end % BASE == 0 and self._tiles:
                 self._run_tiles(end)
-            out += far[end]
-        return out
+            self.sum += far[end]
+        return self.sum
 
     def _run_tiles(self, end):
         # the buffer's and the far rows' columns, one per flattened entry
@@ -296,8 +281,7 @@ class HistoryKernel:
     def rescale(self, end, matrix):
         """Right-multiply by ``matrix`` every row a later call reads: the
         stored rows back to lag ``window`` and the far rows the tiles have
-        started (for a kernel without ``pending``, or with ``buf`` as its
-        ``pending``)."""
+        started (for a kernel with ``buf`` as its ``pending``)."""
         rows = self._buf[max(0, end - self.window):end + 1]
         rows[...] = rows @ matrix
         if self._tiles:
@@ -305,10 +289,10 @@ class HistoryKernel:
             rows[...] = rows @ matrix
 
 
-def gl_history(alpha: float, window: int, buf,
-               pending=None) -> HistoryKernel:
-    """GL kernel on ``buf`` with lag weights c_1 .. c_window."""
-    return HistoryKernel(gl_weights(alpha, window + 1)[1:], buf, pending)
+def gl_history(alpha: float, window: int, buf) -> HistoryKernel:
+    """GL kernel on ``buf``, its own ``pending``, with lag weights
+    c_1 .. c_window."""
+    return HistoryKernel(gl_weights(alpha, window + 1)[1:], buf, buf)
 
 
 def _check_rows(x, first, t):
@@ -379,23 +363,19 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
     t, dev = _step_arrays(config, n_steps, (system.dim,))
     # f(t_0, x_0), whose shape is checked here rather than broadcast
     fx = _field_value(system, t[0], x0)
-    # at alpha = 1 only c_1 = -1 survives: the classical Euler step.  The
-    # tiles add their far sums into dev's rows ahead of m, so the history
-    # sum goes to a scratch row and the step subtracts it into dev[m]
-    hist = gl_history(alpha, window, dev, pending=dev)
-    acc = np.empty(system.dim)
+    # at alpha = 1 only c_1 = -1 survives: the classical Euler step
+    hist = gl_history(alpha, window, dev)
     f = system.field
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, n_steps + 1, BASE):
             stop = min(first + BASE, n_steps + 1)
             try:
                 for m in range(first, stop):
-                    # d_0 = 0, so lag m contributes nothing
-                    hist(m, acc)
                     d = dev[m]
                     if m > 1:
                         fx = np.asarray(f(t[m - 1], x_prev), dtype=float)
-                    np.subtract(ha * fx, acc, out=d)
+                    # d_0 = 0, so lag m contributes nothing
+                    np.subtract(ha * fx, hist(m), out=d)
                     x_prev = x0 + d
             except Exception:
                 # a diverged state written before the failure explains it
@@ -457,14 +437,14 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     np.multiply(w0[:, None], f0, out=pending[1:window + 1, 1])
     pending += x0
     hist = HistoryKernel(weights, fx, pending)
-    sums = np.empty((2, system.dim))
-    pred, base = sums
+    # views of hist.sum, which every call refills
+    pred, base = hist.sum
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, n_steps + 1, BASE):
             stop = min(first + BASE, n_steps + 1)
             try:
                 for m in range(first, stop):
-                    hist(m, sums)
+                    hist(m)
                     x[m] = cur = base + cc * np.asarray(f(t[m], pred),
                                                         dtype=float)
                     fx[m] = f(t[m], cur)

@@ -295,6 +295,24 @@ def test_lyapunov_scalar_contraction_rate():
     assert res.d_ky == 0.0
 
 
+@pytest.mark.parametrize("transient, n_estimates", [(None, 3), (1.6, 1)])
+def test_lyapunov_few_estimates_are_not_converged(transient, n_estimates):
+    # four blocks of 0.5 time units: a quarter of three estimates is none,
+    # yet the drift is still measured over the last two; one estimate has
+    # no drift at all
+    system = make_system("lorenz")
+    cfg = SolverConfig(alpha=0.995, h=0.005, t_end=2.0,
+                       x0=system.params["default_x0"])
+    res = lyapunov_spectrum(system, cfg, renorm_every=100,
+                            transient=transient)
+    assert len(res.history) == n_estimates
+    lam1 = res.history[:, np.argmax(res.history[-1])]
+    assert res.drift == np.max(np.abs(lam1[-2:] - lam1[-1]))
+    assert not res.converged
+    if n_estimates > 1:
+        assert res.drift > chaos._DRIFT_TOL
+
+
 def test_lyapunov_spiral_pair():
     # dx = (-0.5 +- i) x: both exponents equal the real part
     system = linear_system([[-0.5, 1.0], [-1.0, -0.5]])

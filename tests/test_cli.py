@@ -124,6 +124,16 @@ def test_reproduce_cases_3_to_5_at_a_short_horizon(case, code, tmp_path,
         assert not out_dir.exists()
 
 
+def test_reproduce_that_fails_after_the_solve_writes_nothing(tmp_path,
+                                                             capsys):
+    # the solve succeeds, but ten steps hold fewer than 4 renormalizations
+    out_dir = tmp_path / "out"
+    assert run(["reproduce", "1", "--t-end", "0.05",
+                "--out-dir", str(out_dir)]) == 1
+    assert "fewer than 4 renormalizations" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 # the verdict column of each case's comparison.txt at its documented
 # settings, or None for a case that diverges; a change that moves a verdict
 # updates this table and says why

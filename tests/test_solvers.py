@@ -98,12 +98,16 @@ def naive_history(weights, buf, end, lags):
     return acc
 
 
-def stream(kernel, buf, n, rows=()):
+def stream(kernel, n):
     """Call ``kernel`` once per step with end = 1 .. n, as the solvers do,
-    each time into a fresh ``out`` row (with leading axes ``rows`` for a
-    kernel of several weight rows), so the values stay apart."""
-    return [kernel(end, np.empty(rows + buf.shape[1:]))
-            for end in range(1, n + 1)]
+    and copy each returned sum, which the next call overwrites."""
+    return [kernel(end).copy() for end in range(1, n + 1)]
+
+
+def zero_far(weights, buf):
+    """Zero far rows for a kernel of ``weights`` over a buffer filled in
+    advance, which cannot be its own ``pending``."""
+    return np.zeros((len(buf),) + np.shape(weights)[:-1] + buf.shape[1:])
 
 
 def rows_of(buf):
@@ -137,9 +141,9 @@ def test_history_sum_matches_naive_loop(row_shape, window, trailing_zeros):
     if window:
         weights[window - 1] = 0.5   # last nonzero weight sits at lag window
     buf = rng.normal(size=(13,) + row_shape)
-    hist = HistoryKernel(weights, buf)
+    hist = HistoryKernel(weights, buf, zero_far(weights, buf))
     assert hist.window == window
-    for end, got in enumerate(stream(hist, buf, 12), start=1):
+    for end, got in enumerate(stream(hist, 12), start=1):
         assert np.shape(got) == row_shape
         assert_allclose(got, naive_history(weights, buf, end, end),
                         rtol=1e-13, atol=1e-13)
@@ -155,7 +159,7 @@ def test_history_kernel_matches_naive_loop(window, n, row_shape):
     rng = np.random.default_rng(window + 7 * n + len(row_shape))
     weights = rng.normal(size=window)
     buf = rng.normal(size=(n + 1,) + row_shape)
-    got = stream(HistoryKernel(weights, buf), buf, n)
+    got = stream(HistoryKernel(weights, buf, zero_far(weights, buf)), n)
     checked = {1, 2, n} | {e for e in (63, 64, 65, 127, 128, 129, 500, 1024,
                                        1025, 1100, 2048, 2049) if e <= n}
     for end, value in enumerate(got, start=1):
@@ -185,10 +189,9 @@ def test_history_kernel_weight_rows_match_naive_loop(window, n, row_shape,
     buf = rng.normal(size=(n + 1,) + row_shape)
     pending = (rng.normal(size=(n + 1, 2) + row_shape) if with_pending
                else np.zeros((n + 1, 2) + row_shape))
-    hist = HistoryKernel(weights, buf,
-                         pending.copy() if with_pending else None)
+    hist = HistoryKernel(weights, buf, pending.copy())
     assert hist.window == window
-    got = stream(hist, buf, n, rows=(2,))
+    got = stream(hist, n)
     checked = {1, 2, n} | {e for e in (63, 64, 65, 127, 128, 129, 500, 1024,
                                        1025, 1100, 2048, 2049) if e <= n}
     for end, value in enumerate(got, start=1):
@@ -213,8 +216,7 @@ def test_history_kernel_adds_pending_without_tiles(weights_shape):
     weights = rng.normal(size=weights_shape)
     buf = rng.normal(size=(40, 3))
     pending = rng.normal(size=(40,) + weights_shape[:-1] + (3,))
-    got = stream(HistoryKernel(weights, buf, pending.copy()), buf, 39,
-                 rows=weights_shape[:-1])
+    got = stream(HistoryKernel(weights, buf, pending.copy()), 39)
     for end, value in enumerate(got, start=1):
         assert np.array_equal(value,
                               direct_dot(weights, buf, end) + pending[end])
@@ -228,11 +230,10 @@ def test_history_kernel_pushes_through():
     weights = rng.normal(size=window)
     buf = rng.normal(size=(n + 1, dim, m))
     ref = buf.copy()    # the same history, rescaled in full by hand
-    hist = HistoryKernel(weights, buf)
+    hist = HistoryKernel(weights, buf, zero_far(weights, buf))
     rinv = np.eye(m) + np.triu(rng.normal(size=(m, m)), 1)
-    out = np.empty((dim, m))
     for end in range(1, n + 1):
-        value = hist(end, out)
+        value = hist(end)
         assert value.shape == (dim, m)
         assert np.all(np.abs(value - direct_dot(weights, ref, end))
                       <= 1e-13 * rounding_scale(weights, ref, end))
@@ -248,21 +249,20 @@ def test_history_kernel_pushes_through():
 def test_history_kernel_with_buf_as_pending_matches_naive_loop(window, n,
                                                                row_shape):
     # the GL layout: the tiles add their far sums into the buffer's rows
-    # ahead of ``end``, each sum goes to a scratch row, and the caller then
-    # writes row ``end``; bit for bit a kernel with far rows of its own
+    # ahead of ``end``, and the caller then writes row ``end``; bit for bit
+    # a kernel with separate far rows
     rng = np.random.default_rng(window + 7 * n + len(row_shape) + 2)
     weights = rng.normal(size=window)
     values = rng.normal(size=(n + 1,) + row_shape)
     buf = np.zeros_like(values)
     buf[0] = values[0]
     hist = HistoryKernel(weights, buf, buf)
-    apart = HistoryKernel(weights, values)
+    apart = HistoryKernel(weights, values, zero_far(weights, values))
     checked = {1, 2, n} | {e for e in (63, 64, 65, 127, 128, 129, 500, 1024,
                                        1025, 1100, 2048, 2049) if e <= n}
-    out = np.empty(row_shape)
     for end in range(1, n + 1):
-        value = hist(end, out)
-        assert np.array_equal(value, apart(end, np.empty(row_shape)))
+        value = hist(end)
+        assert np.array_equal(value, apart(end))
         scale = rounding_scale(weights, values, end)
         assert np.all(np.abs(value - direct_dot(weights, values, end))
                       <= 1e-13 * scale)
@@ -276,7 +276,7 @@ def test_history_kernel_with_buf_as_pending_matches_naive_loop(window, n,
 def test_history_kernel_with_buf_as_pending_pushes_through(window):
     # the exact-flow layout: a push-through rescales the stored rows and
     # the far sums the tiles have put in the rows ahead, bit for bit as
-    # it rescales a kernel's own far rows
+    # it rescales separate far rows
     rng = np.random.default_rng(13)
     dim, m, n = 3, 2, 1500
     weights = rng.normal(size=window)
@@ -284,14 +284,11 @@ def test_history_kernel_with_buf_as_pending_pushes_through(window):
     drive = rng.normal(size=(n + 1, dim, m))
     own, apart = np.zeros((2, n + 1, dim, m))
     hist_own = HistoryKernel(weights, own, own)
-    hist_apart = HistoryKernel(weights, apart)
+    hist_apart = HistoryKernel(weights, apart, zero_far(weights, apart))
     rinv = np.eye(m) + np.triu(rng.normal(size=(m, m)), 1)
-    acc = np.empty((dim, m))
     for end in range(1, n + 1):
-        hist_own(end, acc)
-        step = drive[end] - acc
-        assert np.array_equal(step, drive[end]
-                              - hist_apart(end, np.empty((dim, m))))
+        step = drive[end] - hist_own(end)
+        assert np.array_equal(step, drive[end] - hist_apart(end))
         own[end] = apart[end] = step
         if end % 70 == 0:
             hist_own.rescale(end, rinv)
@@ -335,8 +332,8 @@ def test_column_tiles_match_batched_tiles_bit_for_bit(weights_shape,
     n = 2100
     weights = rng.normal(size=weights_shape)
     buf = rng.normal(size=(n + 1,) + row_shape)
-    far = np.zeros((n + 1,) + weights_shape[:-1] + row_shape)
-    stream(HistoryKernel(weights, buf, far), buf, n, rows=weights_shape[:-1])
+    far = zero_far(weights, buf)
+    stream(HistoryKernel(weights, buf, far), n)
     assert np.array_equal(far, batched_far_sums(weights, buf))
 
 
@@ -346,7 +343,8 @@ def test_history_sum_accepts_flattened_tangent_rows():
     rng = np.random.default_rng(7)
     weights = rng.normal(size=6)
     blocks = rng.normal(size=(10, 3, 2))
-    got = stream(HistoryKernel(weights, blocks), blocks, 9)[-1]
+    got = stream(HistoryKernel(weights, blocks, zero_far(weights, blocks)),
+                 9)[-1]
     assert got.shape == (3, 2)
     ref = sum(weights[k - 1] * blocks[9 - k] for k in range(1, 7))
     assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
@@ -354,41 +352,32 @@ def test_history_sum_accepts_flattened_tangent_rows():
 
 @pytest.mark.parametrize("row_shape", [(), (3,), (3, 2)],
                          ids=["scalar", "state", "tangent"])
-def test_history_kernel_writes_into_out_and_returns_it(row_shape):
+def test_history_kernel_returns_its_own_sum_row(row_shape):
+    # every call refills and returns the one C-contiguous ``hist.sum``, of
+    # one weight row or of two
     rng = np.random.default_rng(11)
-    weights = rng.normal(size=200)
     buf = rng.normal(size=(300,) + row_shape)
-    twin = buf.copy()
-    hist, twin_hist = HistoryKernel(weights, buf), HistoryKernel(weights, twin)
-    for end in range(1, 300):
-        out = np.empty(row_shape)
-        assert hist(end, out) is out
-        # the solvers pass their own next row: the sum lands in place
-        row = twin[end, ...]
-        assert twin_hist(end, row) is row
-        assert np.array_equal(row, out)
-        row[...] = buf[end]
+    for weights in (rng.normal(size=200), rng.normal(size=(2, 200))):
+        hist = HistoryKernel(weights, buf, zero_far(weights, buf))
+        total = hist.sum
+        assert total.shape == weights.shape[:-1] + row_shape
+        assert total.flags.c_contiguous
+        for end in range(1, 300):
+            assert hist(end) is total
+        assert hist.sum is total
 
 
-@pytest.mark.parametrize("row_shape", [(3,), (3, 2)],
-                         ids=["state", "tangent"])
-def test_history_kernel_rejects_a_non_contiguous_out(row_shape):
-    buf = np.ones((10,) + row_shape)
-    hist = HistoryKernel(np.ones(4), buf)
-    wide = np.zeros(row_shape[:-1] + (2 * row_shape[-1],))
-    strided = wide[..., ::2]
-    assert strided.shape == row_shape
-    with pytest.raises(ValueError):
-        hist(5, strided)
-    # nothing was written through a copy-and-discard either
-    assert not wide.any()
+def test_history_kernel_needs_pending():
+    # no kernel allocates far rows of its own
+    with pytest.raises(TypeError):
+        HistoryKernel(np.ones(4), np.zeros((10, 3)))
 
 
 def test_gl_history_alpha_one_keeps_one_lag():
     assert gl_history(1.0, 50, np.zeros(51)).window == 1
     assert gl_history(0.9, 50, np.zeros(51)).window == 50
     buf = np.arange(8.0).reshape(4, 2)
-    got = stream(gl_history(1.0, 50, buf), buf, 3)[-1]
+    got = stream(gl_history(1.0, 50, buf), 3)[-1]
     assert_allclose(got, -buf[2], rtol=0, atol=0)
 
 
@@ -550,7 +539,7 @@ def two_step_gl(system, cfg):
     for m in range(1, n + 1):
         d = h ** alpha * np.asarray(system.field(t[m - 1], x_prev),
                                     dtype=float)
-        d -= hist(m, np.empty(system.dim))
+        d -= hist(m)
         dev[m] = d
         x_prev = x0 + d
     return dev + x0
@@ -582,7 +571,7 @@ def two_step_abm(system, cfg):
     hist = HistoryKernel(np.stack((cp * b[:window], cc * a[:window])), fx,
                          pending)
     for m in range(1, n + 1):
-        pred, base = hist(m, np.empty((2, system.dim)))
+        pred, base = hist(m).copy()
         x[m] = base + cc * np.asarray(system.field(t[m], pred), dtype=float)
         fx[m] = np.asarray(system.field(t[m], x[m]), dtype=float)
     return x
