@@ -32,6 +32,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -686,14 +687,23 @@ def build_parser():
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None):
+    """``warnings.showwarning`` for the CLI: the message alone, as one
+    line on stderr, without the source path and text of Python's form."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     args = build_parser().parse_args(
         _bind_negative_values(sys.argv[1:] if argv is None else argv))
-    try:
-        return args.func(args)
-    except (FracdynError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (FracdynError, OSError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

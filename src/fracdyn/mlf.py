@@ -53,7 +53,9 @@ def _overflow(alpha, beta, z):
 
 
 def _series_scales(alpha, beta, az):
-    """A-priori peak log-magnitude and stopping index of the power series."""
+    """A-priori peak log-magnitude of the power series and an estimate of
+    the terms it needs; ``_series_mp`` refuses an argument whose estimate
+    exceeds ``_MAX_TERMS_MP``."""
     if az <= 1.0:
         return -math.lgamma(beta), 80
     m = az ** (1.0 / alpha)  # value of alpha*k + beta at the largest term
@@ -180,7 +182,10 @@ def _series_mp(alpha, beta, z):
             zk = mpmath.mpf(1)
             stop = mpmath.mpf(10) ** (-(dps - 6))
             below = 0
-            for k in range(k_stop + 1):
+            # summed until the stopping rule holds: a sum far below the
+            # peak (E_{1.001}(-200) ~ 5e-6 under a peak near e^200) needs
+            # terms past the a-priori k_stop
+            for k in range(_MAX_TERMS_MP + 1):
                 term = zk / mpmath.gamma(aa * k + bb)
                 s += term
                 zk *= zz
@@ -193,7 +198,7 @@ def _series_mp(alpha, beta, z):
             else:
                 raise NonConvergenceError(
                     f"series for E_{{{alpha},{beta}}}({z!r}) did not converge "
-                    f"within {k_stop} terms"
+                    f"within {_MAX_TERMS_MP} terms"
                 )
             # digits actually cancelled; invisible a priori because the
             # result magnitude enters (e.g. E_1(-50) = e^-50)

@@ -22,9 +22,11 @@ Per-step cost is one call of the shared history kernel ``HistoryKernel``
 the corrector sum together): a direct dot over the last ``BASE`` - 1 lags,
 plus FFT tiles for the longer lags that run once per completed block of
 history, so a full-memory run over N steps costs O(N log^2 N * dim) flops.
-A kernel is bound to the buffer it sums: ``hist(end)`` needs
-``end <= len(buf) - 1`` and returns the history sum in the kernel's own
-row ``hist.sum``; rows below ``end`` change only through ``hist.rescale``.
+A kernel is bound to the C-contiguous buffer it sums and to its far rows
+``pending``: ``hist(end)`` needs ``end <= len(buf) - 1``, adds
+``pending[end]`` on every call, and returns the history sum in the
+kernel's own row ``hist.sum``; rows below ``end`` change only through
+``hist.rescale``.
 
 Memory: the GL stepper's deviation array is its kernel's ``pending``, so
 the tiles add their far sums into its rows ahead of the step, and the
@@ -185,58 +187,55 @@ class HistoryKernel:
     ``sum`` then has shape (K,) + a row's shape, and its entry j is the
     sum with the weights ``weights[j]``, all K from one pass over ``buf``
     (ABM's predictor and corrector).  ``pending``, of shape (len(buf),) +
-    ``sum``'s shape, holds the kernel's far rows: the tiles add into it,
-    and any term it starts with (ABM's x0 and f_0 terms) costs nothing
-    per step.  It is ``buf`` itself for the GL steppers, whose rows from
-    ``end`` on are zero until the caller writes them, so the kernel holds
-    no far rows beside the buffer.
+    ``sum``'s shape, holds the far rows, which every call adds: the tiles
+    add into it, and any term it starts with (ABM's x0 and f_0 terms)
+    costs nothing per step.  It is ``buf`` itself for the GL steppers,
+    whose rows from ``end`` on are zero until the caller writes them.
+    ``buf`` and ``pending`` must be C-contiguous: the kernel reads them
+    through flat views, one column per entry of a row, made once.
 
     The sum is split by lag.  Lags below ``BASE`` are the *near* part: one
-    BLAS dot of the reversed weights against ``buf[end - n:end]`` (rows of
-    rank two or more through flat views), so a window shorter than
-    ``BASE`` is summed exactly as a plain direct dot.  Lags in [s, 2s), for
-    each tile size s = BASE * 2^l <= window, are the *far* part: when an
-    aligned input block ``buf[end - s:end]`` is complete (``end`` % s == 0),
-    one FFT tile convolves it with w_s .. w_{2s-1} (one forward transform
-    shared by the K weight rows) and adds the result into the far rows of
-    the 2s - 1 outputs it reaches.  Every (row, lag >= BASE) pair falls
-    into exactly one tile, which runs before its output is asked for.
-    Over N steps this costs O(N log^2 N) instead of O(N * window).  A tile
-    transforms one column of the flattened row at a time, through views
-    that need ``buf`` and ``pending`` C-contiguous, so its transient is one
-    column's transform pair rather than the whole block's.
+    BLAS dot of the reversed weights against ``buf[end - n:end]``, so a
+    window shorter than ``BASE`` is summed exactly as a plain direct dot.
+    Lags in [s, 2s), for each tile size s = BASE * 2^l <= window, are the
+    *far* part: when an aligned input block ``buf[end - s:end]`` is
+    complete (``end`` % s == 0), one FFT tile convolves it with
+    w_s .. w_{2s-1} (one forward transform shared by the K weight rows)
+    and adds the result into the far rows of the 2s - 1 outputs it
+    reaches.  Every (row, lag >= BASE) pair falls into exactly one tile,
+    which runs before its output is asked for.  Over N steps this costs
+    O(N log^2 N) instead of O(N * window).  A tile transforms one column
+    at a time, so its transient is one column's transform pair rather than
+    the whole block's.
     """
 
-    __slots__ = ("window", "sum", "_buf", "_rows", "_flat", "_near", "_rev",
-                 "_tiles", "_far", "_reach")
+    __slots__ = ("window", "sum", "_buf", "_far", "_rows", "_cols", "_flat",
+                 "_near", "_rev", "_tiles", "_reach")
 
     def __init__(self, weights, buf, pending):
         w = np.asarray(weights, dtype=float)
-        nz = np.nonzero(np.atleast_2d(w).any(axis=0))[0]
+        wk = np.atleast_2d(w)                       # (K, n)
+        nz = np.nonzero(wk.any(axis=0))[0]
         self.window = int(nz[-1]) + 1 if len(nz) else 0
-        self._buf = buf
-        self._rows = buf if buf.ndim <= 2 else np.reshape(
-            buf, (len(buf), -1), copy=False)
         self.sum = np.empty(w.shape[:-1] + buf.shape[1:])
-        # ``sum`` as the near dot's output: a row's axes flattened as in
-        # ``_rows``
-        self._flat = self.sum if self._rows is buf else self.sum.reshape(
-            w.shape[:-1] + (-1,))
+        self._buf, self._far = buf, pending
+        # (len, C) and (len, K, C): a row's entries as C columns
+        self._rows = np.reshape(buf, (len(buf), -1), copy=False)
+        self._cols = np.reshape(pending, (len(buf), len(wk), -1),
+                                copy=False)
+        self._flat = np.reshape(self.sum, w.shape[:-1] + (-1,), copy=False)
         self._near = min(self.window, BASE - 1)
         self._rev = np.ascontiguousarray(w[..., :self._near][..., ::-1])
         self._tiles = []
         s = BASE
         while s <= min(self.window, len(buf) - 1):
-            part = w[..., s - 1:min(2 * s - 1, self.window)]  # w_s .. w_{2s-1}
-            # (s + 1,), or (s + 1, K) for K weight rows
-            spectrum = np.moveaxis(np.fft.rfft(part, n=2 * s), -1, 0)
-            self._tiles.append((s, spectrum))
+            part = wk[:, s - 1:min(2 * s - 1, self.window)]  # w_s..w_{2s-1}
+            # (s + 1, K): one spectrum per weight row
+            self._tiles.append((s, np.fft.rfft(part, n=2 * s).T))
             s *= 2
         top = self._tiles[-1][0] if self._tiles else 0
         # outputs a tile of the largest size can still owe: end .. end+2s-2
         self._reach = 2 * top - 1
-        # with no tile, buf's rows ahead of ``end`` stay zero: nothing to add
-        self._far = None if pending is buf and not top else pending
 
     def __call__(self, end):
         near = self._near
@@ -245,47 +244,35 @@ class HistoryKernel:
         else:
             np.dot(self._rev[..., near - end:], self._rows[:end],
                    out=self._flat)
-        far = self._far
-        if far is not None:
-            if end % BASE == 0 and self._tiles:
-                self._run_tiles(end)
-            self.sum += far[end]
+        if end % BASE == 0:
+            self._run_tiles(end)
+        self.sum += self._far[end]
         return self.sum
 
     def _run_tiles(self, end):
-        # the buffer's and the far rows' columns, one per flattened entry
-        buf, far = self._buf, self._far
-        rows = np.reshape(buf, (len(buf), -1), copy=False)
-        # (len, columns), or (len, K, columns) for K weight rows
-        far = np.reshape(far, far.shape[:1 + far.ndim - buf.ndim] + (-1,),
-                         copy=False)
+        rows, cols = self._rows, self._cols
         for s, spectrum in self._tiles:
             if end % s:
                 break
-            stop = min(end + 2 * s - 1, len(far))
-            # one column's transform pair, reused by every column
-            spec = np.empty(s + 1, dtype=complex)
-            if spectrum.ndim == 1:
-                lhs = prod = spec
-            else:
-                # one input spectrum against each of the K weight spectra
-                lhs, prod = spec[:, None], np.empty(spectrum.shape,
-                                                    dtype=complex)
-            out = np.empty((2 * s,) + spectrum.shape[1:])
+            stop = min(end + 2 * s - 1, len(cols))
+            # one column's transform pair, reused by every column: the
+            # input spectrum goes into the product's first column, and
+            # numpy copies it before the K products overwrite it (for
+            # K = 1 the product is in place)
+            prod = np.empty(spectrum.shape, dtype=complex)
+            out = np.empty((2 * s, spectrum.shape[1]))
             for col in range(rows.shape[1]):
-                np.fft.rfft(rows[end - s:end, col], n=2 * s, out=spec)
-                np.multiply(lhs, spectrum, out=prod)
+                np.fft.rfft(rows[end - s:end, col], n=2 * s, out=prod[:, 0])
+                np.multiply(prod[:, :1], spectrum, out=prod)
                 np.fft.irfft(prod, n=2 * s, axis=0, out=out)
-                far[end:stop, ..., col] += out[:stop - end]
+                cols[end:stop, :, col] += out[:stop - end]
 
     def rescale(self, end, matrix):
         """Right-multiply by ``matrix`` every row a later call reads: the
         stored rows back to lag ``window`` and the far rows the tiles have
-        started (for a kernel with ``buf`` as its ``pending``)."""
-        rows = self._buf[max(0, end - self.window):end + 1]
-        rows[...] = rows @ matrix
-        if self._tiles:
-            rows = self._far[end + 1:end + self._reach]
+        started."""
+        for rows in (self._buf[max(0, end - self.window):end + 1],
+                     self._far[end + 1:end + self._reach]):
             rows[...] = rows @ matrix
 
 

@@ -325,6 +325,24 @@ def test_dimension_counts_every_column_on_a_view(cols, shared, lorenz_csv,
         again, default=cli._json_default)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["stability", "--system", "lorenz", "--param", "sigma=0"],
+     r"1 zero eigenvalue\(s\) excluded from the sector test as marginal"),
+    (["dimension", "--input", "{csv}", "--out", "{out}"],
+     r"\d+ smallest scale\(s\) are saturated \(count ~ distinct points\) "
+     r"and are excluded from the fit"),
+], ids=["matignon-zero-eigenvalue", "box-count-saturated"])
+def test_library_warning_is_one_plain_line(argv, message, lorenz_csv,
+                                           tmp_path, capsys):
+    # the message alone, without the source path and line of Python's form
+    argv = [a.format(csv=lorenz_csv, out=tmp_path / "dim.json")
+            for a in argv]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"warning: {message}\n", err), err
+    assert "cli.py" not in err and "UserWarning" not in err
+
+
 # -- bad input -----------------------------------------------------------
 
 TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
@@ -379,6 +397,13 @@ TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
     # the tangent frame linearizes the GL map only
     (["lyapunov", "--config", "doc.json"],
      {"doc.json": '{"system": "lorenz", "t_end": 5, "scheme": "abm"}'}),
+    (["simulate", "--config", "doc.json"], {"doc.json": '["lorenz"]'}),
+    (["simulate", "--config", "doc.json"],
+     {"doc.json": '{"system": "lorenz", "params": [1]}'}),
+    (["dimension", "--input", "traj.csv", "--columns", "2,9"],
+     {"traj.csv": "# alpha=0.9\n# h=0.1\nt,x0,x1,x2\n0,1,2,3\n0.1,2,3,4\n"}),
+    (["dimension", "--input", "traj.csv", "--transient", "0.95"],
+     {"traj.csv": TRAJECTORY + "0.2,3,4\n0.3,4,5\n0.4,5,6\n"}),
 ], ids=["columns-a", "columns-empty", "csv-no-header", "x0-text",
         "x0-short", "config-x0-scalar", "config-not-json", "config-h-text",
         "config-x0-text", "config-alpha-text", "config-param-text", "config-transient-text",
@@ -386,7 +411,9 @@ TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
         "stability-t-nan", "config-sector-alpha", "mlf-overflow",
         "csv-no-rows", "span-inf", "steps-past-array-size",
         "steps-past-address-space", "config-not-utf8", "csv-not-utf8",
-        "csv-not-utf8-past-8kb", "config-lyapunov-scheme-abm"])
+        "csv-not-utf8-past-8kb", "config-lyapunov-scheme-abm",
+        "config-array", "config-params-array", "columns-past-dim",
+        "transient-discards-every-row"])
 def test_bad_input_is_a_config_error(argv, files, tmp_path, monkeypatch,
                                      capsys):
     monkeypatch.chdir(tmp_path)

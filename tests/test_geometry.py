@@ -210,6 +210,15 @@ def test_box_dimension_levels_are_bounded():
             box_dimension(pts, levels=levels)
 
 
+def test_box_dimension_with_no_fit_window_is_degenerate():
+    # ten points saturate 11 of the 12 scales, which leaves fewer than the
+    # four a fit window needs
+    pts = np.random.default_rng(0).uniform(size=(10, 2))
+    with pytest.warns(UserWarning, match="11 smallest scale"), pytest.raises(
+            DegenerateFitError, match="no scale window with varying counts"):
+        box_dimension(pts)
+
+
 def test_box_dimension_validation():
     pts = np.linspace(0.0, 1.0, 50)[:, None]
     with pytest.raises(ConfigError):

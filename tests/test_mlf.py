@@ -297,6 +297,16 @@ def test_contour_rejection_falls_through_to_mpmath(x):
     assert abs(value - ref) <= 1e-12 * abs(ref)
 
 
+@pytest.mark.parametrize("alpha", [1.001, 1.0001])
+def test_series_sums_until_its_own_stopping_rule(alpha):
+    # E_alpha(-200) ~ 5e-6 lies ~90 digits below the series' peak, so its
+    # terms reach the stopping rule only past the a-priori term estimate
+    value, route = mlf.ml_route(alpha, 1.0, -200.0)
+    assert route == "mpmath"
+    ref = ml_series_oracle(alpha, 1.0, -200.0)
+    assert abs(value - ref) <= 1e-10 * abs(ref)
+
+
 def test_contour_route_declines_overflow():
     # residues e^(s*) beyond the double range: None, not OverflowError
     assert mlf._contour(0.2, 1.0, 20.0) is None

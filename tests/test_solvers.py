@@ -376,9 +376,28 @@ def test_history_kernel_needs_pending():
 def test_gl_history_alpha_one_keeps_one_lag():
     assert gl_history(1.0, 50, np.zeros(51)).window == 1
     assert gl_history(0.9, 50, np.zeros(51)).window == 50
-    buf = np.arange(8.0).reshape(4, 2)
-    got = stream(gl_history(1.0, 50, buf), 3)[-1]
+    # the buffer is the kernel's own pending: each row is written after
+    # the call, as every stepper does
+    values = np.arange(8.0).reshape(4, 2)
+    buf = np.zeros_like(values)
+    buf[0] = values[0]
+    hist = gl_history(1.0, 50, buf)
+    for end in range(1, 4):
+        got = hist(end).copy()
+        buf[end] = values[end]
     assert_allclose(got, -buf[2], rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("alpha", [0.9, 1.0])
+def test_gl_zero_rows_keep_their_sign_with_and_without_tiles(alpha):
+    # every kernel call adds its far row, whether or not the run is long
+    # enough for an FFT tile, so an exact zero comes out with one sign
+    growth = SystemSpec(name="growth", dim=1, field=lambda t, x: 2.0 * x)
+    rows = [solve_gl(growth, SolverConfig(alpha=alpha, h=0.01,
+                                          t_end=n * 0.01, x0=[-0.0])).x[:5]
+            for n in (5, 100)]
+    assert rows[1].shape == (5, 1)
+    assert rows[0].tobytes() == rows[1].tobytes()
 
 
 # -- linear relaxation against the Mittag-Leffler solution ---------------
