@@ -354,7 +354,9 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
     scheme's config or ``base_trajectory`` raises ``ConfigError`` before
     any solve: the frame would report the spectrum of a map it never
     linearized.  So does a ``memory_window``: a windowed base under a
-    full-memory tangent flow would be inconsistent.  ``transient`` (default
+    full-memory tangent flow would be inconsistent.  A ``base_trajectory``
+    whose order, step or start time differs from the config's raises
+    ``ConfigError`` naming the field.  ``transient`` (default
     20% of the horizon) is integrated but excluded from exponent sums.
 
     ``tangent_history`` is the convention (see the module docstring):
@@ -401,6 +403,12 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
         system, config)
     if traj.x.shape != (n_steps + 1, system.dim):
         raise ConfigError("base trajectory does not match config/system")
+    for name, got, want in (("alpha", traj.alpha, config.alpha),
+                            ("h", traj.h, config.h),
+                            ("t[0]", traj.t[0], config.t0)):
+        if got != want:
+            raise ConfigError(
+                f"base trajectory has {name} = {got}, config has {want}")
 
     dim = system.dim
     rows = list(system.observables) if system.observables else list(range(dim))

@@ -136,9 +136,8 @@ def _resolve(args, doc, key, default=None, kind=None):
         kind, value, key)
 
 
-def _usage_error(message):
-    print(f"usage error: {message}", file=sys.stderr)
-    return 2
+class _UsageError(Exception):
+    """A command line that argparse accepts but cannot run (exit code 2)."""
 
 
 def _parse_params(pairs, doc):
@@ -157,7 +156,7 @@ def _parse_params(pairs, doc):
 def _build_system(args, doc):
     name = _resolve(args, doc, "system")
     if name is None:
-        return None
+        raise _UsageError("--system is required (flag or config document)")
     params = _parse_params(getattr(args, "param", None), doc)
     alpha = _resolve(args, doc, "alpha")
     return make_system(BenchmarkId(
@@ -204,8 +203,6 @@ def _solver_config(args, doc, system):
 def _cmd_simulate(args):
     doc = _load_config_doc(args.config)
     system = _build_system(args, doc)
-    if system is None:
-        return _usage_error("--system is required (flag or config document)")
     config = _solver_config(args, doc, system)
     traj = solve(system, config)
     write_trajectory_csv(traj, args.out)
@@ -290,8 +287,6 @@ def _lyapunov_run(args, doc, system, config, base_trajectory=None):
 def _cmd_lyapunov(args):
     doc = _load_config_doc(args.config)
     system = _build_system(args, doc)
-    if system is None:
-        return _usage_error("--system is required (flag or config document)")
     config = _solver_config(args, doc, system)
     result, _, report = _lyapunov_run(args, doc, system, config)
     _write_json(args.out, report)
@@ -366,8 +361,6 @@ def _cmd_dimension(args):
 def _cmd_stability(args):
     doc = _load_config_doc(args.config)
     system = _build_system(args, doc)
-    if system is None:
-        return _usage_error("--system is required (flag or config document)")
     alpha = float(system.params["default_alpha"])
     report = _stability_doc(system, alpha, t=args.t)
     equilibria = report["equilibria"]
@@ -501,8 +494,6 @@ def _format_table(example_id, system_name, rows):
 
 def _cmd_reproduce(args):
     example_id = args.example
-    if example_id not in _CASES:
-        return _usage_error(f"example must be 1..5, got {example_id}")
     case = _CASES[example_id]
     written = []
 
@@ -677,7 +668,8 @@ def build_parser():
 
     sp = add_parser("reproduce",
                     help="full pipeline for one documented case (1-5)")
-    sp.add_argument("example", type=int, help="case number, 1-5")
+    sp.add_argument("example", type=int, choices=sorted(_CASES),
+                    help="case number, 1-5")
     sp.add_argument("--out-dir", required=True, dest="out_dir")
     sp.add_argument("--h", type=float, help="override the documented step")
     sp.add_argument("--t-end", type=float, dest="t_end",
@@ -701,6 +693,9 @@ def main(argv=None):
         warnings.showwarning = _show_warning
         try:
             return args.func(args)
+        except _UsageError as err:
+            print(f"usage error: {err}", file=sys.stderr)
+            return 2
         except (FracdynError, OSError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 1

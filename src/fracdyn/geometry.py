@@ -17,6 +17,7 @@ saturated scales where the count approaches the number of distinct points.
 The fitted slope estimates the fractal dimension of the sampled set.
 """
 
+import itertools
 import logging
 import warnings
 from dataclasses import dataclass
@@ -64,8 +65,9 @@ def _as_points(points):
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ConfigError("points must be a non-empty (n, d) array")
+    if pts.ndim != 2 or 0 in pts.shape:
+        raise ConfigError(
+            f"points must be a non-empty (n, d) array, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ConfigError("points contain non-finite values")
     return pts
@@ -144,19 +146,14 @@ def _count_cells(pts, mins, spans, epsilon):
                                                 upper.astype(float))
         added = set()
         for row in np.lexsort(u.T[::-1]):
-            cands = [idx[row]]
+            # each axis's one cell, or the two cells either side of its line
+            cells = [(i,) for i in idx[row]]
             for ax in np.nonzero(on_line[row])[0]:
                 line = int(nearest[row, ax])
                 lo = min(max(line - 1, 0), int(upper[ax]))
                 hi = min(max(line, 0), int(upper[ax]))
-                grown = []
-                for c in cands:
-                    for v in (lo, hi) if lo != hi else (lo,):
-                        c2 = c.copy()
-                        c2[ax] = v
-                        grown.append(c2)
-                cands = grown
-            keys = list(dict.fromkeys(int(c @ strides) for c in cands))
+                cells[ax] = (lo, hi) if lo != hi else (lo,)
+            keys = [int(np.dot(c, strides)) for c in itertools.product(*cells)]
             for key in keys:
                 at = int(np.searchsorted(filled, key))
                 if key in added or (at < filled.size and filled[at] == key):
@@ -178,7 +175,12 @@ def _distinct_rows(pts):
 
 def box_dimension(points, eps_max: float = None, eps_min: float = None,
                   levels: int = 12) -> BoxCountResult:
-    """Fit the occupied-cell scaling law over a geometric scale ladder."""
+    """Fit the occupied-cell scaling law over a geometric scale ladder.
+
+    The ladder runs from ``eps_max`` (default extent/4) down to ``eps_min``
+    (default extent/4096) in ``levels`` steps; both scales must be finite,
+    with 0 < eps_min < eps_max, or ``ConfigError`` is raised.
+    """
     pts = _as_points(points)
     mins, spans = _bounds(pts)
     extent = float(np.max(spans))
@@ -188,9 +190,9 @@ def box_dimension(points, eps_max: float = None, eps_min: float = None,
         eps_max = extent / 4.0
     if eps_min is None:
         eps_min = extent / 4096.0
-    if not (0.0 < eps_min < eps_max):
+    if not (0.0 < eps_min < eps_max < np.inf):
         raise ConfigError(
-            f"need 0 < eps_min < eps_max, got ({eps_min}, {eps_max})")
+            f"need finite 0 < eps_min < eps_max, got ({eps_min}, {eps_max})")
     if not 4 <= levels <= MAX_LEVELS:
         raise ConfigError(
             f"levels must lie in [4, {MAX_LEVELS}], got {levels}")

@@ -9,7 +9,10 @@ this order:
 3. ``asymptotic``: the large-|z| expansion for 0 < a < 1 and |z| > 1,
    accepted when its term envelope falls from the first term (for a large
    b it grows from there, and the expansion is not yet asymptotic) and the
-   envelope of its first omitted term certifies the target;
+   envelope of its first omitted term certifies the target, or as zero
+   when every term and the exponential part round to zero and that
+   envelope lies below the smallest subnormal (E_{1/2,1/2}(-1e300), where
+   no other route can form |z|^(1/a) in double range);
 4. ``contour``: Garrappa's inverse Laplace transform on a parabolic contour
    in float64, accepted when its step-halving difference, its truncated
    tail and its rounding bound each certify the target;
@@ -112,6 +115,9 @@ def _asymptotic(alpha, beta, z):
 
     Returns the value, or None when the envelope grows from the first term
     or the envelope of the first omitted term misses the accuracy target.
+    When every term and the exponential part round to zero, and the
+    exponential part and the error bound lie below the smallest subnormal,
+    the value is returned as zero.
     """
     zc = complex(z)
     log_az = math.log(abs(zc))
@@ -139,6 +145,7 @@ def _asymptotic(alpha, beta, z):
         if abs(s) > 0.0 and log_env < math.log(abs(s)) - 41.5:
             break
     value = -s
+    log_exp = -math.inf  # log magnitude of the exponential part
     if abs(phi) < alpha * math.pi:
         log_w = cmath.log(zc) / alpha
         if log_w.real > 700.0:
@@ -149,10 +156,15 @@ def _asymptotic(alpha, beta, z):
             w = cmath.exp(log_w)
             if w.real > 700.0:
                 raise _overflow(alpha, beta, z)
+            log_exp = w.real + (1.0 - beta) / alpha * log_az - math.log(alpha)
             value = value + zc ** ((1.0 - beta) / alpha) * cmath.exp(w) / alpha
     err = math.exp(min(log_err, 700.0))
     if abs(value) > 0.0 and err <= 0.05 * _REL_TOL * abs(value):
         return complex(value.real) if zc.imag == 0.0 else value
+    # every term and the exponential part rounded to zero, and neither the
+    # exponential part nor the omitted terms reach the smallest subnormal
+    if value == 0 and max(log_exp, log_err) < math.log(math.ulp(0.0)):
+        return 0j
     return None
 
 
@@ -447,8 +459,7 @@ def ml_two(alpha, beta, z):
     ``OverflowError`` when the value exceeds the double range and
     ``NonConvergenceError`` when the accuracy target cannot be certified.
     """
-    _validate(alpha, beta, z)
-    value, _route = _ml_eval(float(alpha), float(beta), z)
+    value, _route = ml_route(alpha, beta, z)
     if isinstance(z, complex):
         return value
     return value.real

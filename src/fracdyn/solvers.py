@@ -153,8 +153,6 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
         raise ConfigError(f"count must be >= 1, got {count}")
     c = np.empty(count)
     c[0] = 1.0
-    if count == 1:
-        return c
     k = np.arange(1, count, dtype=float)
     np.cumprod(1.0 - (alpha + 1.0) / k, out=c[1:])
     return c
@@ -295,6 +293,7 @@ def _check_rows(x, first, t):
 
 
 def _check_dims(system, config):
+    """The step count and the memory window, at most the step count."""
     if config.x0.shape[0] != system.dim:
         raise ConfigError(
             f"x0 has dim {config.x0.shape[0]}, "
@@ -302,7 +301,8 @@ def _check_dims(system, config):
     n_steps = config.n_steps
     if n_steps < 1:
         raise ConfigError("t_end - t0 must cover at least one step")
-    return n_steps
+    window = config.memory_window
+    return n_steps, n_steps if window is None else min(window, n_steps)
 
 
 def _field_value(system, t, x):
@@ -341,11 +341,9 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
     (short-memory principle), for the oracle's error study only; None
     keeps the exact full-memory sum.
     """
-    n_steps = _check_dims(system, config)
+    n_steps, window = _check_dims(system, config)
     x0 = config.x0
     h, alpha = config.h, config.alpha
-    window = n_steps if config.memory_window is None else min(
-        config.memory_window, n_steps)
     ha = h ** alpha
     t, dev = _step_arrays(config, n_steps, (system.dim,))
     # f(t_0, x_0), whose shape is checked here rather than broadcast
@@ -393,11 +391,9 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     f_0 terms past the window.  The corrector is then
     x_m = base_m + cc * f(t_m, pred_m).
     """
-    n_steps = _check_dims(system, config)
+    n_steps, window = _check_dims(system, config)
     x0 = config.x0
     h, alpha = config.h, config.alpha
-    window = n_steps if config.memory_window is None else min(
-        config.memory_window, n_steps)
     # zero rows pass the divergence check until they are written
     t, x, fx, pending = _step_arrays(config, n_steps, (system.dim,),
                                      (system.dim,), (2, system.dim))
@@ -535,8 +531,7 @@ def multi_term_to_system(spec: MultiTermSpec):
     for i, _ in lower:
         if idx[i] >= n:
             raise ConfigError("duplicate leading order in multi-term spec")
-    lower_rows = np.array([idx[i] for i, _ in lower], dtype=int) \
-        if lower else np.empty(0, dtype=int)
+    lower_rows = np.array([idx[i] for i, _ in lower], dtype=int)
     lower_coeff = np.array([cf for _, cf in lower])
     rhs = spec.rhs
     # y[shift] is y moved up one row; its last entry is overwritten

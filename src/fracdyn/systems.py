@@ -15,7 +15,7 @@ the cubic coefficient; here they are named `order_beta` and `cubic_coeff`.)
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -263,9 +263,7 @@ def make_system(bid: BenchmarkId) -> SystemSpec:
         params.update(system.params)
         params["default_x0"] = tuple(x0_chain)
         params["default_alpha"] = system.params["base_order"]
-        return SystemSpec(name="duffing", dim=system.dim, field=system.field,
-                          jacobian=system.jacobian, params=params,
-                          observables=system.observables)
+        return replace(system, name="duffing", params=params)
 
     builders = {"lorenz": _lorenz, "chen": _chen, "rossler": _rossler,
                 "chua": _chua}

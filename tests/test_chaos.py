@@ -1,6 +1,7 @@
 """Tests for Lyapunov spectra, attractor classification, and stability criteria."""
 
 import math
+import re
 import types
 
 import numpy as np
@@ -637,6 +638,17 @@ def test_lyapunov_validation_errors():
     other = SolverConfig(alpha=1.0, h=0.01, t_end=5.0, x0=np.array([1.0]))
     with pytest.raises(ConfigError):
         lyapunov_spectrum(system, cfg, base_trajectory=solve(system, other))
+    # a base of the config's step count and scheme, but of another order,
+    # step or start time
+    settings = dict(alpha=1.0, h=0.01, t_end=10.0, x0=np.array([1.0]))
+    for name, change in (("alpha", {"alpha": 0.8}),
+                         ("h", {"h": 0.02, "t_end": 20.0}),
+                         ("t[0]", {"t0": 1.0, "t_end": 11.0})):
+        base = solve(system, SolverConfig(**{**settings, **change}))
+        assert base.x.shape == (cfg.n_steps + 1, 1)
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"base trajectory has {name} = ")):
+            lyapunov_spectrum(system, cfg, base_trajectory=base)
     # the tangent frame linearizes the GL map, so another scheme's base is
     # refused, under either convention, before any solve
     abm = SolverConfig(alpha=0.9, h=0.01, t_end=10.0, x0=np.array([1.0]),

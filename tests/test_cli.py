@@ -39,6 +39,14 @@ def lorenz_csv(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def stateless_csv(tmp_path_factory):
+    """A trajectory CSV with a time column and no state column."""
+    path = tmp_path_factory.mktemp("sim") / "stateless.csv"
+    path.write_text("# alpha=0.9\n# h=0.1\nt\n0\n0.1\n0.2\n")
+    return path
+
+
 # -- exit codes ----------------------------------------------------------
 
 
@@ -73,10 +81,18 @@ def lorenz_csv(tmp_path_factory):
       "--out", "unused.json"], 2),
     (["simulate", "--system", "lorenz", "--corrector-iters", "2",
       "--out", "unused.csv"], 2),
+    # an infinite largest scale is refused before the ladder is built
+    (["dimension", "--input", "{lorenz_csv}", "--out", "d.json",
+      "--eps-max", "inf", "--eps-min", "1"], 1),
+    (["dimension", "--input", "{stateless_csv}", "--out", "d.json"], 1),
+    # E_{0.5,170}(-1e300) is below the smallest subnormal: 0.0
+    (["mlf", "--alpha", "0.5", "--beta", "170", "--z=-1e300"], 0),
 ])
-def test_exit_codes(argv, code, tmp_path, monkeypatch, lorenz_csv):
+def test_exit_codes(argv, code, tmp_path, monkeypatch, lorenz_csv,
+                    stateless_csv):
     monkeypatch.chdir(tmp_path)
-    assert run([a.format(lorenz_csv=lorenz_csv) for a in argv]) == code
+    assert run([a.format(lorenz_csv=lorenz_csv, stateless_csv=stateless_csv)
+                for a in argv]) == code
     assert not any(tmp_path.iterdir())
 
 

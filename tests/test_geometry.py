@@ -225,6 +225,12 @@ def test_box_dimension_validation():
         box_dimension(pts, eps_max=0.1, eps_min=0.2)
     with pytest.raises(ConfigError):
         box_dimension(pts, eps_max=0.2, eps_min=0.1, levels=3)
+    # a non-finite scale is refused before the ladder is built
+    with pytest.raises(ConfigError, match="finite"):
+        box_dimension(pts, eps_max=np.inf, eps_min=1.0)
+    # a cloud of points with no coordinate
+    with pytest.raises(ConfigError, match=r"\(50, 0\)"):
+        box_dimension(pts[:, :0])
     with pytest.raises(DegenerateFitError):
         box_dimension(np.zeros((10, 2)))
     # two close points in a wide scale range: every scale sees one cell

@@ -425,6 +425,15 @@ def test_value_below_the_double_range_is_zero_or_subnormal():
     assert abs(ml_two(0.5, 175.0, 2.0) - ref) <= 1e-323
     assert ml_two(1.0, 180.0, 5.0) == 0.0
     assert ml_two(1.0, 1e6, 5.0) == 0.0
+    # every asymptotic term (the leading ones 2.8e-601, 3.0e-504 and
+    # 3.0e-504) and the error bound lie below the smallest subnormal, and
+    # so does the exponential part at alpha 0.9; the contour and the
+    # series overflow or give up on these arguments
+    for alpha, beta, z in [(0.5, 0.5, -1e300), (0.5, 170.0, -1e200),
+                           (0.5, 170.0, 1e200j), (0.9, 170.0, 1e200j)]:
+        assert mlf.ml_route(alpha, beta, z) == (0j, "asymptotic")
+        value = ml_two(alpha, beta, z)
+        assert value == 0.0 and type(value) is type(z)
 
 
 def test_contour_parameters_decline_a_power_outside_the_double_range():

@@ -72,6 +72,9 @@ def test_gl_weights_alpha_one_truncate():
     c = gl_weights(1.0, 10)
     assert c[0] == 1.0 and c[1] == -1.0
     assert np.all(c[2:] == 0.0)
+    # one weight is c_0 alone, from the same recurrence over no lags
+    for alpha in (0.5, 1.0):
+        assert gl_weights(alpha, 1).tolist() == [1.0]
 
 
 def test_gl_weights_validation():
@@ -863,6 +866,14 @@ def test_chain_marks_observables_and_dimension():
     assert system.observables == (0, 8)
     assert system.params["base_order"] == pytest.approx(0.1)
     assert x0[0] == 0.5 and np.all(x0[1:] == 0.0)
+    # one order and no lower term: the chain is the scalar equation itself
+    one = MultiTermSpec(orders=(0.5,), coeffs=(2.0,), rhs=lambda t, x: -x,
+                        x0=0.5, rhs_dx=lambda t, x: np.full_like(x, -1.0))
+    system, x0 = multi_term_to_system(one)
+    assert system.dim == 1 and system.observables == (0,)
+    assert x0.tolist() == [0.5]
+    assert system.field(0.0, np.array([1.0])).tolist() == [-0.5]
+    assert system.jacobian(0.0, np.array([1.0])).tolist() == [[-0.5]]
 
 
 def test_chain_agrees_with_direct_two_term_discretization():
