@@ -342,7 +342,6 @@ def _restart_blocks(system, config, traj, renorm_every, n_blocks, v0, chain):
 def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
                       renorm_every: int = 10,
                       transient: Optional[float] = None,
-                      tangent_seed: Optional[np.ndarray] = None,
                       tangent_history: str = "restart",
                       base_trajectory: Optional[Trajectory] = None,
                       ) -> LyapunovResult:
@@ -412,11 +411,8 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
 
     dim = system.dim
     rows = list(system.observables) if system.observables else list(range(dim))
-    m = len(rows)
     # seed frame: unit vectors along the observable rows
-    v0 = np.eye(dim)[:, rows] if tangent_seed is None else tangent_seed
-    if v0.shape != (dim, m):
-        raise ConfigError(f"tangent_seed must have shape ({dim}, {m})")
+    v0 = np.eye(dim)[:, rows]
 
     alpha, h = config.alpha, config.h
     # number of whole renormalization blocks and how many are transient

@@ -211,24 +211,17 @@ def _cmd_simulate(args):
     return 0
 
 
-def _equilibrium_entries(assessments):
-    entries = []
-    for a in assessments:
-        entries.append({
-            "point": a.equilibrium.point,
-            "eigenvalues": list(a.equilibrium.eigenvalues),
-            "margins": a.margins,
-            "classification": a.classification,
-            "alpha_star": a.alpha_star,
-            "saddle_focus": a.saddle_focus,
-        })
-    return entries
-
-
 def _stability_doc(system, alpha, t=0.0):
     """The ``stability`` report: equilibria, their critical orders and the
     saddle-focus condition."""
-    equilibria = _equilibrium_entries(stability_report(system, alpha, t=t))
+    equilibria = [{
+        "point": a.equilibrium.point,
+        "eigenvalues": list(a.equilibrium.eigenvalues),
+        "margins": a.margins,
+        "classification": a.classification,
+        "alpha_star": a.alpha_star,
+        "saddle_focus": a.saddle_focus,
+    } for a in stability_report(system, alpha, t=t)]
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "stability",

@@ -105,12 +105,14 @@ def _grid_coords(pts, mins, epsilon, upper):
 def _count_cells(pts, mins, spans, epsilon):
     """``box_count`` on validated points with their per-axis minimum and
     span, so a scale ladder takes those once."""
-    axis_cells = np.floor(spans / epsilon) + 1.0
-    total = float(np.prod(axis_cells))
+    # past the index range these may reach inf, which the test refuses
+    with np.errstate(over="ignore"):
+        axis_cells = np.floor(spans / epsilon) + 1.0
+        total = float(np.prod(axis_cells))
     if total > _MAX_CELLS or np.any(axis_cells > _MAX_CELLS):
         raise CellOverflowError(
-            f"grid of {total:.3g} cells exceeds the representable index "
-            "range; use a larger epsilon")
+            f"grid of more than {_MAX_CELLS:.3g} cells exceeds the "
+            "representable index range; use a larger epsilon")
     cells_per_axis = axis_cells.astype(np.int64)
     strides = np.ones(pts.shape[1], dtype=np.int64)
     for k in range(pts.shape[1] - 1, 0, -1):

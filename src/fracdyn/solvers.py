@@ -641,20 +641,27 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
 
 
 def read_trajectory_csv(path: str) -> Trajectory:
-    """Read a trajectory written by ``write_trajectory_csv``."""
-    meta = {}
+    """Read a trajectory written by ``write_trajectory_csv``.
+
+    Its '#' lines must be followed by the ``t,x0,...`` column row."""
+    meta, n_meta, columns = {}, 0, []
     try:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 if not line.startswith("#"):
+                    columns = line.strip().split(",")
                     break
+                n_meta += 1
                 key, _, value = line[1:].strip().partition("=")
                 meta[key.strip()] = value.strip()
             has_rows = any(line.strip() for line in fh)
         alpha, h = float(meta["alpha"]), float(meta["h"])
+        if columns != ["t"] + [f"x{i}" for i in range(len(columns) - 1)]:
+            raise ConfigError(f"{path!r} has no 't,x0,...' column row "
+                              "after its '#' lines")
         if not has_rows:
             raise ConfigError(f"{path!r} has no data rows")
-        data = np.loadtxt(path, delimiter=",", skiprows=len(meta) + 1,
+        data = np.loadtxt(path, delimiter=",", skiprows=n_meta + 1,
                           ndmin=2, encoding="utf-8")
     except UnicodeDecodeError as err:
         # a ValueError, so caught first wherever the bad byte lies

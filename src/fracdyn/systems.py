@@ -11,12 +11,19 @@ The Duffing oscillator is a scalar equation with two derivative orders
 and is returned pre-commensurized as a chain of order-0.1 stages.  (Its
 published form reuses one symbol for both the second derivative order and
 the cubic coefficient; here they are named `order_beta` and `cubic_coeff`.)
+
+``_CATALOG`` holds one record per system: its builder, published
+parameters, default order(s), leading order first, and default x0.  One
+rule sets every system's orders: a number sets the leading order and the
+others keep their defaults; a sequence must hold exactly as many orders as
+the defaults, so a one-order system takes a number only; every order lies
+in (0, 1], and the orders descend strictly.
 """
 
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,35 +31,6 @@ from .errors import ConfigError
 from .solvers import MultiTermSpec, SystemSpec, multi_term_to_system
 
 logger = logging.getLogger(__name__)
-
-BENCHMARK_NAMES = ("lorenz", "duffing", "chen", "rossler", "chua")
-
-_DEFAULT_PARAMS = {
-    "lorenz": {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0},
-    "duffing": {"delta": 0.2, "gamma": 1.0, "cubic_coeff": 5.0,
-                "forcing_amp": 0.3, "forcing_freq": 1.2},
-    "chen": {"a": 35.0, "b": 3.0, "c": 28.0},
-    "rossler": {"a": 0.2, "b": 0.2, "c": 5.7},
-    "chua": {"a": 9.8, "b": 14.87, "m0": -1.27, "m1": -0.68},
-}
-
-# fractional order(s) used when the caller does not pick one; Duffing's pair
-# is (alpha, order_beta) from its published chaotic regime
-_DEFAULT_ALPHA = {
-    "lorenz": 0.995,
-    "duffing": (0.9, 0.8),
-    "chen": 0.9,
-    "rossler": 0.9,
-    "chua": 0.98,
-}
-
-_DEFAULT_X0 = {
-    "lorenz": (1.0, 1.0, 1.0),
-    "duffing": (0.1,),          # x(0); the chain pads with zeros
-    "chen": (-9.0, -5.0, 14.0),
-    "rossler": (1.0, 1.0, 0.0),
-    "chua": (0.7, 0.0, 0.0),
-}
 
 
 def _order(value):
@@ -75,7 +53,8 @@ class BenchmarkId:
             raise ConfigError(
                 f"unknown system {self.name!r}; "
                 f"known: {', '.join(BENCHMARK_NAMES)}")
-        merged = dict(_DEFAULT_PARAMS[self.name])
+        entry = _CATALOG[self.name]
+        merged = dict(entry.params)
         if self.params:
             unknown = set(self.params) - set(merged)
             if unknown:
@@ -85,28 +64,28 @@ class BenchmarkId:
         if any(not math.isfinite(v) for v in merged.values()):
             raise ConfigError(f"non-finite parameter in {merged}")
         object.__setattr__(self, "params", merged)
-        alpha = self.alpha if self.alpha is not None else _DEFAULT_ALPHA[self.name]
-        try:
-            if self.name != "duffing":
-                alpha = _order(alpha)
-            elif np.isscalar(alpha):
-                alpha = (_order(alpha), _DEFAULT_ALPHA["duffing"][1])
-            else:
-                alpha = (_order(alpha[0]), _order(alpha[1]))
-        except (TypeError, ValueError, IndexError):
-            raise ConfigError(
-                f"alpha must be a number, got {alpha!r}") from None
-        if self.name == "duffing":
-            if not all(0.0 < o <= 1.0 for o in alpha):
-                raise ConfigError(f"orders must lie in (0, 1], got {alpha}")
-            # the chain leads with alpha, so the damping order sits below it
-            if alpha[0] <= alpha[1]:
+        orders, value = entry.orders, self.alpha
+        if value is not None:
+            try:
+                if np.ndim(value) == 0:
+                    orders = (_order(value),) + orders[1:]
+                elif len(value) == len(orders) > 1:
+                    orders = tuple(_order(v) for v in value)
+                else:
+                    raise TypeError(value)
+            except (TypeError, ValueError):
+                more = f" or {len(orders)} numbers" if len(orders) > 1 else ""
                 raise ConfigError(
-                    f"duffing's alpha ({alpha[0]}) must exceed its "
-                    f"order_beta ({alpha[1]})")
-        else:
-            if not (0.0 < alpha <= 1.0):
-                raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
+                    f"alpha must be a number{more}, got {value!r}") from None
+        alpha = orders if len(orders) > 1 else orders[0]
+        if not all(0.0 < o <= 1.0 for o in orders):
+            raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
+        # the chain leads with alpha, so each later order (Duffing's
+        # order_beta) sits below the one before it
+        if any(a <= b for a, b in zip(orders, orders[1:])):
+            raise ConfigError(
+                f"{self.name}'s alpha ({orders[0]}) must exceed its "
+                f"order_beta ({orders[1]})")
         object.__setattr__(self, "alpha", alpha)
         # domain guards beyond finiteness
         if self.name == "lorenz" and merged["beta"] == 0.0:
@@ -122,7 +101,7 @@ def _from_template(template, x):
     return np.broadcast_to(template, x.shape[:-1] + template.shape).copy()
 
 
-def _lorenz(p):
+def _lorenz(p, alpha, x0):
     sigma, rho, beta = p["sigma"], p["rho"], p["beta"]
     template = np.array([
         [-sigma, sigma, 0.0],
@@ -146,10 +125,10 @@ def _lorenz(p):
         jac[..., 2, 1] = x[..., 0]
         return jac
 
-    return field, jacobian
+    return SystemSpec("lorenz", 3, field, jacobian), x0, alpha
 
 
-def _chen(p):
+def _chen(p, alpha, x0):
     a, b, c = p["a"], p["b"], p["c"]
     template = np.array([
         [-a, a, 0.0],
@@ -173,10 +152,10 @@ def _chen(p):
         jac[..., 2, 1] = x[..., 0]
         return jac
 
-    return field, jacobian
+    return SystemSpec("chen", 3, field, jacobian), x0, alpha
 
 
-def _rossler(p):
+def _rossler(p, alpha, x0):
     a, b, c = p["a"], p["b"], p["c"]
     template = np.array([
         [0.0, -1.0, -1.0],
@@ -198,7 +177,7 @@ def _rossler(p):
         jac[..., 2, 2] = x[..., 0] - c
         return jac
 
-    return field, jacobian
+    return SystemSpec("rossler", 3, field, jacobian), x0, alpha
 
 
 def chua_nonlinearity(x, m0=-1.27, m1=-0.68):
@@ -206,7 +185,7 @@ def chua_nonlinearity(x, m0=-1.27, m1=-0.68):
     return m1 * x + 0.5 * (m0 - m1) * (abs(x + 1.0) - abs(x - 1.0))
 
 
-def _chua(p):
+def _chua(p, alpha, x0):
     a, b, m0, m1 = p["a"], p["b"], p["m0"], p["m1"]
     template = np.array([
         [0.0, a, 0.0],
@@ -231,7 +210,55 @@ def _chua(p):
         jac[..., 0, 0] = -a * hprime(x[..., 0])
         return jac
 
-    return field, jacobian
+    return SystemSpec("chua", 3, field, jacobian), x0, alpha
+
+
+def _duffing(p, alpha, x0):
+    """Duffing's scalar equation as its commensurate chain, whose x0 pads
+    x(0) with zeros and whose order is the chain's base order."""
+    delta, gam = p["delta"], p["gamma"]
+    cubic, famp, freq = p["cubic_coeff"], p["forcing_amp"], p["forcing_freq"]
+
+    def rhs(t, x):
+        return famp * math.cos(freq * t) - gam * x - cubic * x ** 3
+
+    def rhs_dx(t, x):
+        return -gam - 3.0 * cubic * x * x
+
+    system, x0_chain = multi_term_to_system(MultiTermSpec(
+        orders=alpha, coeffs=(1.0, delta), rhs=rhs, x0=x0[0], name="duffing",
+        rhs_dx=rhs_dx))
+    return system, tuple(x0_chain), system.params["base_order"]
+
+
+class _System(NamedTuple):
+    """One catalog record; ``build(params, alpha, x0)`` returns the
+    SystemSpec with its x0 and its order."""
+
+    build: Callable
+    params: dict
+    orders: tuple  # leading order first
+    x0: tuple
+
+
+_CATALOG = {
+    "lorenz": _System(_lorenz, {"sigma": 10.0, "rho": 28.0,
+                                "beta": 8.0 / 3.0},
+                      (0.995,), (1.0, 1.0, 1.0)),
+    # (alpha, order_beta) from the published chaotic regime; x0 is x(0)
+    "duffing": _System(_duffing, {"delta": 0.2, "gamma": 1.0,
+                                  "cubic_coeff": 5.0, "forcing_amp": 0.3,
+                                  "forcing_freq": 1.2},
+                       (0.9, 0.8), (0.1,)),
+    "chen": _System(_chen, {"a": 35.0, "b": 3.0, "c": 28.0},
+                    (0.9,), (-9.0, -5.0, 14.0)),
+    "rossler": _System(_rossler, {"a": 0.2, "b": 0.2, "c": 5.7},
+                       (0.9,), (1.0, 1.0, 0.0)),
+    "chua": _System(_chua, {"a": 9.8, "b": 14.87, "m0": -1.27, "m1": -0.68},
+                    (0.98,), (0.7, 0.0, 0.0)),
+}
+
+BENCHMARK_NAMES = tuple(_CATALOG)
 
 
 def make_system(bid: BenchmarkId) -> SystemSpec:
@@ -243,36 +270,11 @@ def make_system(bid: BenchmarkId) -> SystemSpec:
     """
     if isinstance(bid, str):
         bid = BenchmarkId(name=bid)
-    p = bid.params
-    name = bid.name
-    if name == "duffing":
-        delta, gam = p["delta"], p["gamma"]
-        cubic, famp, freq = p["cubic_coeff"], p["forcing_amp"], p["forcing_freq"]
-
-        def rhs(t, x):
-            return famp * math.cos(freq * t) - gam * x - cubic * x ** 3
-
-        def rhs_dx(t, x):
-            return -gam - 3.0 * cubic * x * x
-
-        mt = MultiTermSpec(orders=bid.alpha, coeffs=(1.0, delta), rhs=rhs,
-                           x0=_DEFAULT_X0["duffing"][0], name="duffing",
-                           rhs_dx=rhs_dx)
-        system, x0_chain = multi_term_to_system(mt)
-        params = dict(p)
-        params.update(system.params)
-        params["default_x0"] = tuple(x0_chain)
-        params["default_alpha"] = system.params["base_order"]
-        return replace(system, name="duffing", params=params)
-
-    builders = {"lorenz": _lorenz, "chen": _chen, "rossler": _rossler,
-                "chua": _chua}
-    field, jacobian = builders[name](p)
-    params = dict(p)
-    params["default_x0"] = _DEFAULT_X0[name]
-    params["default_alpha"] = bid.alpha
-    return SystemSpec(name=name, dim=3, field=field, jacobian=jacobian,
-                      params=params)
+    entry = _CATALOG[bid.name]
+    system, x0, alpha = entry.build(bid.params, bid.alpha, entry.x0)
+    params = {**bid.params, **system.params, "default_x0": x0,
+              "default_alpha": alpha}
+    return replace(system, name=bid.name, params=params)
 
 
 @dataclass(frozen=True)

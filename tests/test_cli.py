@@ -47,6 +47,24 @@ def stateless_csv(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def headless_csv(tmp_path_factory):
+    """A trajectory CSV whose '#' lines run straight into its data rows."""
+    path = tmp_path_factory.mktemp("sim") / "headless.csv"
+    path.write_text("# alpha=0.9\n# h=0.1\n100,100,100\n0.1,1,2\n0.2,2,3\n"
+                    "0.3,3,4\n0.4,4,5\n")
+    return path
+
+
+@pytest.fixture(scope="module")
+def alpha_dict_doc(tmp_path_factory):
+    """A config document that gives Duffing's orders as an object."""
+    path = tmp_path_factory.mktemp("doc") / "alpha.json"
+    path.write_text(json.dumps({"system": "duffing", "alpha": {"a": 1},
+                                "t_end": 1.0}))
+    return path
+
+
 # -- exit codes ----------------------------------------------------------
 
 
@@ -87,11 +105,17 @@ def stateless_csv(tmp_path_factory):
     (["dimension", "--input", "{stateless_csv}", "--out", "d.json"], 1),
     # E_{0.5,170}(-1e300) is below the smallest subnormal: 0.0
     (["mlf", "--alpha", "0.5", "--beta", "170", "--z=-1e300"], 0),
+    # the first data row is not a column row to skip
+    (["dimension", "--input", "{headless_csv}", "--out", "d.json"], 1),
+    # Duffing's orders as an object, not a number or a pair
+    (["simulate", "--config", "{alpha_dict_doc}", "--out", "unused.csv"], 1),
 ])
 def test_exit_codes(argv, code, tmp_path, monkeypatch, lorenz_csv,
-                    stateless_csv):
+                    stateless_csv, headless_csv, alpha_dict_doc):
     monkeypatch.chdir(tmp_path)
-    assert run([a.format(lorenz_csv=lorenz_csv, stateless_csv=stateless_csv)
+    assert run([a.format(lorenz_csv=lorenz_csv, stateless_csv=stateless_csv,
+                         headless_csv=headless_csv,
+                         alpha_dict_doc=alpha_dict_doc)
                 for a in argv]) == code
     assert not any(tmp_path.iterdir())
 
@@ -359,6 +383,22 @@ def test_library_warning_is_one_plain_line(argv, message, lorenz_csv,
     assert "cli.py" not in err and "UserWarning" not in err
 
 
+def test_box_count_past_the_index_range_is_one_error_line(lorenz_csv,
+                                                         tmp_path, capsys):
+    # the cell count overflows a float at every scale of this ladder; a
+    # numpy warning would show as a "warning:" line
+    out = tmp_path / "dim.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert main(["dimension", "--input", str(lorenz_csv),
+                     "--eps-min", "1e-300", "--eps-max", "1e-290",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid of more than 9.22e+18 cells")
+    assert err.count("\n") == 1 and "warning:" not in err
+    assert not out.exists()
+
+
 # -- bad input -----------------------------------------------------------
 
 TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
@@ -479,10 +519,19 @@ def test_negative_flag_values_are_not_options(flags, first_row, tmp_path):
 
 def test_list_systems_prints_the_catalog(capsys):
     assert run(["list-systems"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == [
-        "lorenz", "duffing", "chen", "rossler", "chua"]
-    assert lines[1].split()[1:3] == ["9", "0.9,0.8"]
+    assert capsys.readouterr().out.splitlines() == [
+        "lorenz  3  0.995  sigma=10.0 rho=28.0 beta=2.6666666666666665",
+        "duffing  9  0.9,0.8  delta=0.2 gamma=1.0 cubic_coeff=5.0 "
+        "forcing_amp=0.3 forcing_freq=1.2",
+        "chen  3  0.9  a=35.0 b=3.0 c=28.0",
+        "rossler  3  0.9  a=0.2 b=0.2 c=5.7",
+        "chua  3  0.98  a=9.8 b=14.87 m0=-1.27 m1=-0.68",
+    ]
+    x0 = {name: cli.make_system(name).params["default_x0"]
+          for name in ("lorenz", "duffing", "chen", "rossler", "chua")}
+    assert x0 == {"lorenz": (1.0, 1.0, 1.0), "duffing": (0.1,) + (0.0,) * 8,
+                  "chen": (-9.0, -5.0, 14.0), "rossler": (1.0, 1.0, 0.0),
+                  "chua": (0.7, 0.0, 0.0)}
 
 
 @pytest.mark.parametrize("alpha, z, route", [

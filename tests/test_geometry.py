@@ -92,6 +92,12 @@ def test_box_count_validation():
         box_count([[0.0, 1.0]], 0.0)
     with pytest.raises(ConfigError):
         box_count([[0.0, 1.0]], -0.5)
+    # past the index range the cell count overflows a float: no numpy
+    # warning, and a finite bound in the message
+    for points, eps in (([[0.0], [1e300]], 1e-300),
+                        (np.eye(3) * 1e200, 1e-100)):
+        with pytest.raises(CellOverflowError, match=r"more than 9\.22e\+18"):
+            box_count(points, eps)
 
 
 def test_flat_input_treated_as_one_dimensional():

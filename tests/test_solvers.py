@@ -958,6 +958,31 @@ def test_csv_with_an_old_memory_window_line_reads_back(tmp_path):
     assert (back.alpha, back.h) == (new.alpha, new.h)
 
 
+# five data rows, the first of which a reader could take for a column row
+CSV_ROWS_TEXT = "100,100,100\n0.1,1,2\n0.2,2,3\n0.3,3,4\n0.4,4,5\n"
+
+
+def test_csv_with_a_repeated_header_key_keeps_every_row(tmp_path):
+    # the rows start after the last '#' line and the column row, however
+    # many distinct keys those lines hold
+    path = tmp_path / "repeated.csv"
+    path.write_text("# alpha=0.9\n# alpha=0.9\n# h=0.1\nt,x0,x1\n"
+                    + CSV_ROWS_TEXT)
+    back = read_trajectory_csv(str(path))
+    assert back.t.tolist() == [100.0, 0.1, 0.2, 0.3, 0.4]
+    assert back.x.tolist() == [[100.0, 100.0], [1.0, 2.0], [2.0, 3.0],
+                               [3.0, 4.0], [4.0, 5.0]]
+
+
+def test_csv_without_its_column_row_is_a_config_error(tmp_path):
+    # skipping a column row that is not there would drop the first data row
+    path = tmp_path / "headless.csv"
+    path.write_text("# alpha=0.9\n# h=0.1\n" + CSV_ROWS_TEXT)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{str(path)!r} has no 't,x0,...' column row")):
+        read_trajectory_csv(str(path))
+
+
 def string_buffer_csv(traj):
     """The CSV text as a writer that builds it in memory first would."""
     buf = io.StringIO()

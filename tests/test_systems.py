@@ -336,6 +336,12 @@ def test_alpha_domain_errors():
     for alpha in (0.8, 0.7, (0.5, 0.6)):
         with pytest.raises(ConfigError, match="order_beta"):
             BenchmarkId("duffing", alpha=alpha)
+    # a sequence holds exactly as many orders as the defaults, and a
+    # one-order system takes a number only
+    for name, alpha in (("duffing", [0.9, 0.8, 0.7]), ("duffing", {"a": 1}),
+                        ("lorenz", [0.9])):
+        with pytest.raises(ConfigError, match="alpha must be a number"):
+            BenchmarkId(name, alpha=alpha)
 
 
 def test_parameter_override_applies():
