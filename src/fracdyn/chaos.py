@@ -17,13 +17,17 @@ stretch factors accumulate into exponent estimates.
   I + h^alpha * Df, so the exponent is about h^(alpha - 1) * Re(mu) for an
   eigenvalue mu of Df, which has no limit as h -> 0.
 - ``"exact"`` solves the linear variational equation itself.  Because
-  that flow is linear, each QR factor is pushed through the stored
-  history exactly (every stored deviation and the Caputo anchor are
+  that flow is linear, each QR factor is pushed through the history
+  exactly (every row a later step reads and the Caputo anchor are
   right-multiplied by the inverse triangular factor), so the exponents do
-  not depend on T.  The push-through rescales every stored row, which
-  costs O(N^2) over an N-step run, and the anchor grows like the inverse
-  of the accumulated contraction, so a long run of strong contraction
-  loses digits to cancellation.
+  not depend on T.  The history is a full-memory GL kernel, whose lags
+  from ``solvers.BASE`` on are Q decaying states (``solvers.gl_soe``), so
+  a push-through rescales the last ``BASE`` rows, the far rows of the
+  current block and the Q states: O((BASE + Q) * dim * m) per QR and
+  O(N * Q * dim * m) over an N-step run, not the O(N^2) of rescaling
+  every stored row.  The anchor grows like the inverse of the
+  accumulated contraction, so a long run of strong contraction loses
+  digits to cancellation.
 
 The restart convention is computed as block transfer matrices.  A
 restarted block maps its start frame linearly to its end frame,
@@ -282,7 +286,7 @@ def _jacobians(system, traj, steps):
 
 def _exact_flow(system, config, traj, renorm_every, n_blocks, v0, chain):
     """Step the frame through the whole run, pushing every QR factor
-    through the stored history and the Caputo anchor ``v_base``.
+    through the history kernel and the Caputo anchor ``v_base``.
 
     The Jacobians come ``ROWS`` steps at a time."""
     span = n_blocks * renorm_every
@@ -362,9 +366,12 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
     ``"restart"`` restarts the tangent convolution history at every QR and
     gives finite-time exponents over T = ``renorm_every`` * h, which depend
     on T for alpha < 1; ``"exact"`` pushes every QR factor through the
-    stored history, solving the variational equation exactly at O(N^2)
-    cost, with exponents that do not depend on T.  At alpha = 1 a restart
-    is exact, so both give the same bits.
+    history, solving the variational equation exactly, with exponents
+    that do not depend on T.  Its history sums the far lags as decaying
+    exponentials, so a push-through costs O((BASE + Q) * dim * m) and the
+    run O(N * Q * dim * m) for Q of about 130-190 (see the module
+    docstring).  At alpha = 1 a restart is exact, so both give the same
+    bits.
 
     The restart convention steps the transfer matrices of a chunk of about
     ``ROWS`` steps' blocks together (see the module docstring), which

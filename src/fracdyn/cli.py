@@ -602,7 +602,8 @@ def build_parser():
                     "depend on T for alpha < 1; 'exact' pushes each QR "
                     "factor through the stored history, solves the "
                     "variational equation exactly and does not depend on T, "
-                    "at O(N^2) cost in the steps N.")
+                    "at O(N) cost in the steps N: its far history is a sum "
+                    "of decaying exponentials.")
     _add_system_flags(sp)
     _add_solver_flags(sp)
     sp.add_argument("--renorm-every", type=int, dest="renorm_every",

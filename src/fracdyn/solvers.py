@@ -20,23 +20,27 @@ derivative orders as a commensurate first-order-in-D^alpha chain.
 Per-step cost is one call of the shared history kernel ``HistoryKernel``
 (for ABM, one call with two weight rows, which returns the predictor and
 the corrector sum together): a direct dot over the last ``BASE`` - 1 lags,
-plus FFT tiles for the longer lags that run once per completed block of
-history, so a full-memory run over N steps costs O(N log^2 N * dim) flops.
-A kernel is bound to the C-contiguous buffer it sums and to its far rows
-``pending``: ``hist(end)`` needs ``end <= len(buf) - 1``, adds
-``pending[end]`` on every call, and returns the history sum in the
-kernel's own row ``hist.sum``; rows below ``end`` change only through
-``hist.rescale``.
+plus a far part for the longer lags that runs once per completed block of
+``BASE`` rows.  A full-memory GL kernel (``solve_gl`` without a
+``memory_window``, and the exact-flow tangent history of ``chaos``) sums
+its far lags as Q decaying exponentials, about 130-190 of them (see
+``gl_soe``), so a run over N steps costs O(N * Q * dim) flops; so does a
+restart block of ``chaos`` once it spans ``BASE`` steps or more.  ABM and
+windowed GL keep FFT tiles, O(N log^2 N * dim).  A kernel is bound to the C-contiguous buffer it sums
+and to its far rows ``pending``: ``hist(end)`` needs
+``end <= len(buf) - 1``, adds ``pending[end]`` on every call, and returns
+the history sum in the kernel's own row ``hist.sum``; rows below ``end``
+change only through ``hist.rescale``.
 
 Memory: the GL stepper's deviation array is its kernel's ``pending``, so
-the tiles add their far sums into its rows ahead of the step, and the
-step subtracts ``hist.sum`` into row m; the result is that array shifted
-by x0 in place.  A full-memory GL solve over N steps then holds the
-(N + 1, dim) trajectory, its time grid, the tiles' weight spectra (at
-most 32 bytes per step) and, while the largest tile runs, one column's
-transform pair (at most 32 bytes per step again): at N = 10^5 in 3-d, a
-traced peak of 7.9 MB for a 2.4 MB trajectory.  ABM keeps separate
-(N + 1, 2, dim) pending rows for x0 and f_0's terms.
+the far part adds its sums into its rows ahead of the step, and the step
+subtracts ``hist.sum`` into row m; the result is that array shifted by x0
+in place.  A full-memory GL solve over N steps then holds the (N + 1, dim)
+trajectory, its time grid, the weights while the kernel is built, and the
+far part's (BASE + Q)^2 block matrix (at most 0.6 MB) and Q states: at
+N = 10^5 in 3-d, a traced peak of 6.4 MB for a 2.4 MB trajectory, against
+7.9 MB with FFT tiles, whose weight spectra take up to 32 bytes per step.
+ABM keeps separate (N + 1, 2, dim) pending rows for x0 and f_0's terms.
 
 Both steppers check divergence once per block of ``BASE`` steps (and once
 for the final partial block): the first row of the block whose max|x|
@@ -53,7 +57,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gamma, gcd, isfinite
+from math import ceil, gamma, gcd, isfinite, log, pi, sin
 from typing import Callable, Optional
 
 import numpy as np
@@ -159,10 +163,38 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
 
 
 # Lags below BASE are summed by a direct dot; longer ones by FFT tiles of
-# BASE * 2^l rows.
+# BASE * 2^l rows, or by decaying exponentials updated once per BASE rows.
 BASE = 64
+# node spacing in log s of ``gl_soe``'s trapezoid rule
+SOE_STEP = 0.25
 # the steppers' trust region: a state with max|x| past it has diverged
 DIVERGE_BOUND = 1e10
+
+
+def gl_soe(alpha: float, n: int):
+    """Amplitudes a_q and rates s_q, q = 1 .. Q, with the GL weights
+    c_k ~= sum_q a_q exp(-s_q (k - BASE)) for BASE <= k <= n.
+
+    For 0 < alpha < 1 and k >= 1 the weights have the Laplace form
+
+        c_k = -(sin(pi alpha) / pi) * int_0^inf exp(-s k) (e^s - 1)^alpha ds,
+
+    and the trapezoid rule in x = log s, nodes ``SOE_STEP`` apart from
+    log(1/n) - 40/(1 + alpha) to log(40/BASE), sums it to about 1e-14
+    relative at every such lag (Q = 126-191 at n = 10^5).  The truncated
+    ends cost e^-40 relative: exp(-s k) at the top node for k >= BASE,
+    and (s k)^(1 + alpha) below the bottom node for k <= n.  log(e^s - 1)
+    is log(expm1(s)), finite at the smallest nodes; sin(pi alpha) is
+    taken at min(alpha, 1 - alpha), exact near alpha = 1.
+    """
+    lo = log(1.0 / n) - 40.0 / (1.0 + alpha)
+    count = ceil((log(40.0 / BASE) - lo) / SOE_STEP) + 1
+    x = lo + SOE_STEP * np.arange(count)
+    rates = np.exp(x)
+    scale = sin(pi * min(alpha, 1.0 - alpha)) / pi * SOE_STEP
+    amps = -scale * np.exp(x + alpha * np.log(np.expm1(rates))
+                           - BASE * rates)
+    return amps, rates
 
 
 class HistoryKernel:
@@ -185,32 +217,50 @@ class HistoryKernel:
     ``sum`` then has shape (K,) + a row's shape, and its entry j is the
     sum with the weights ``weights[j]``, all K from one pass over ``buf``
     (ABM's predictor and corrector).  ``pending``, of shape (len(buf),) +
-    ``sum``'s shape, holds the far rows, which every call adds: the tiles
-    add into it, and any term it starts with (ABM's x0 and f_0 terms)
-    costs nothing per step.  It is ``buf`` itself for the GL steppers,
-    whose rows from ``end`` on are zero until the caller writes them.
-    ``buf`` and ``pending`` must be C-contiguous: the kernel reads them
-    through flat views, one column per entry of a row, made once.
+    ``sum``'s shape, holds the far rows, which every call adds: the far
+    part adds into it, and any term it starts with (ABM's x0 and f_0
+    terms) costs nothing per step.  It is ``buf`` itself for the GL
+    steppers, whose rows from ``end`` on are zero until the caller writes
+    them.  ``buf`` and ``pending`` must be C-contiguous: the kernel reads
+    them through flat views, one column per entry of a row, made once.
 
     The sum is split by lag.  Lags below ``BASE`` are the *near* part: one
     BLAS dot of the reversed weights against ``buf[end - n:end]``, so a
     window shorter than ``BASE`` is summed exactly as a plain direct dot.
-    Lags in [s, 2s), for each tile size s = BASE * 2^l <= window, are the
-    *far* part: when an aligned input block ``buf[end - s:end]`` is
-    complete (``end`` % s == 0), one FFT tile convolves it with
+    Lags from ``BASE`` on are the *far* part, which runs when ``end`` is a
+    multiple of ``BASE`` and adds into the far rows of the outputs it
+    reaches before they are asked for, in one of two ways.
+
+    With ``soe`` = (a, s), one weight row and w_k ~= sum_q a_q
+    exp(-s_q (k - BASE)) at every lag BASE <= k <= len(buf) - 1 (what
+    ``gl_history`` passes at full memory), the far part is Q decaying
+    states y_q = sum_{j < E} exp(-s_q (E - 1 - j)) buf[j], where E is the
+    last multiple of ``BASE`` reached.  At ``end`` = E one matmul of a
+    fixed (BASE + Q, Q + BASE) matrix against the states and the block
+    ``buf[E - BASE:E]`` gives the far sums of outputs E .. E + BASE - 1,
+    from the states and, for the block's lags BASE .. 2 BASE - 1, from the
+    exact weights (a Toeplitz product), and the states with the block
+    folded in: (BASE + Q)^2 * C flops per ``BASE`` rows of C entries, and
+    ``rescale`` touches the last ``BASE`` rows, the block's far rows and
+    the states, O((BASE + Q) * C) per call.
+
+    Without it (ABM, a windowed GL run), lags in
+    [s, 2s), for each tile size s = BASE * 2^l <= window, are summed by
+    FFT tiles: when an aligned input block ``buf[end - s:end]`` is
+    complete (``end`` % s == 0), one tile convolves it with
     w_s .. w_{2s-1} (one forward transform shared by the K weight rows)
     and adds the result into the far rows of the 2s - 1 outputs it
-    reaches.  Every (row, lag >= BASE) pair falls into exactly one tile,
-    which runs before its output is asked for.  Over N steps this costs
-    O(N log^2 N) instead of O(N * window).  A tile transforms one column
-    at a time, so its transient is one column's transform pair rather than
-    the whole block's.
+    reaches.  Every (row, lag >= BASE) pair falls into exactly one tile.
+    Over N steps this costs O(N log^2 N) instead of O(N * window), and
+    ``rescale`` touches every stored row back to lag ``window``.  A tile
+    transforms one column at a time, so its transient is one column's
+    transform pair rather than the whole block's.
     """
 
     __slots__ = ("window", "sum", "_buf", "_far", "_rows", "_cols", "_flat",
-                 "_near", "_rev", "_tiles", "_reach")
+                 "_near", "_rev", "_tiles", "_block", "_z", "_states")
 
-    def __init__(self, weights, buf, pending):
+    def __init__(self, weights, buf, pending, soe=None):
         w = np.asarray(weights, dtype=float)
         wk = np.atleast_2d(w)                       # (K, n)
         nz = np.nonzero(wk.any(axis=0))[0]
@@ -225,15 +275,36 @@ class HistoryKernel:
         self._near = min(self.window, BASE - 1)
         self._rev = np.ascontiguousarray(w[..., :self._near][..., ::-1])
         self._tiles = []
+        self._states = None
+        if soe is not None:
+            self._build_soe(w, *soe)
+            return
         s = BASE
         while s <= min(self.window, len(buf) - 1):
             part = wk[:, s - 1:min(2 * s - 1, self.window)]  # w_s..w_{2s-1}
             # (s + 1, K): one spectrum per weight row
             self._tiles.append((s, np.fft.rfft(part, n=2 * s).T))
             s *= 2
-        top = self._tiles[-1][0] if self._tiles else 0
-        # outputs a tile of the largest size can still owe: end .. end+2s-2
-        self._reach = 2 * top - 1
+
+    def _build_soe(self, w, amps, rates):
+        """The block matrix of the SOE far part and its work rows: the Q
+        states, then a copy of the block being folded in."""
+        q, lag = len(rates), np.arange(BASE)
+        # w_BASE .. w_{2 BASE - 1}, zero past the window
+        exact = np.zeros(BASE)
+        part = w[BASE - 1:2 * BASE - 1]
+        exact[:len(part)] = part
+        # rows: far sums of outputs E + i, then the folded states; columns:
+        # the states, then the block rows E - BASE + r
+        block = np.zeros((BASE + q, q + BASE))
+        block[:BASE, :q] = amps * np.exp(-np.outer(lag + 1, rates))
+        block[:BASE, q:] = np.tril(exact[lag[:, None] - lag])  # BASE+i-r
+        block[BASE:, :q] = np.diag(np.exp(-BASE * rates))
+        block[BASE:, q:] = np.exp(-np.outer(rates, BASE - 1 - lag))
+        self._block = block
+        self._z = np.zeros((q + BASE, self._rows.shape[1]))
+        self._states = np.reshape(self._z[:q], (q,) + self._buf.shape[1:],
+                                  copy=False)
 
     def __call__(self, end):
         near = self._near
@@ -243,9 +314,20 @@ class HistoryKernel:
             np.dot(self._rev[..., near - end:], self._rows[:end],
                    out=self._flat)
         if end % BASE == 0:
-            self._run_tiles(end)
+            if self._states is None:
+                self._run_tiles(end)
+            else:
+                self._run_soe(end)
         self.sum += self._far[end]
         return self.sum
+
+    def _run_soe(self, end):
+        z, q = self._z, len(self._states)
+        z[q:] = self._rows[end - BASE:end]
+        out = self._block @ z
+        stop = min(end + BASE, len(self._cols))
+        self._cols[end:stop, 0] += out[:stop - end]
+        z[:q] = out[BASE:]
 
     def _run_tiles(self, end):
         rows, cols = self._rows, self._cols
@@ -267,17 +349,28 @@ class HistoryKernel:
 
     def rescale(self, end, matrix):
         """Right-multiply by ``matrix`` every row a later call reads: the
-        stored rows back to lag ``window`` and the far rows the tiles have
-        started."""
-        for rows in (self._buf[max(0, end - self.window):end + 1],
-                     self._far[end + 1:end + self._reach]):
+        stored rows back to the longest lag still read from them, the far
+        rows the far part has started, and the SOE states."""
+        if self._states is None:
+            top = self._tiles[-1][0] if self._tiles else 0
+            parts = (self._buf[max(0, end - self.window):end + 1],
+                     self._far[end + 1:end + 2 * top - 1])
+        else:
+            parts = (self._buf[max(0, end - BASE + 1):end + 1],
+                     self._far[end + 1:end - end % BASE + BASE],
+                     self._states)
+        for rows in parts:
             rows[...] = rows @ matrix
 
 
 def gl_history(alpha: float, window: int, buf) -> HistoryKernel:
     """GL kernel on ``buf``, its own ``pending``, with lag weights
-    c_1 .. c_window."""
-    return HistoryKernel(gl_weights(alpha, window + 1)[1:], buf, buf)
+    c_1 .. c_window.  At full memory, window = len(buf) - 1 >= ``BASE``
+    with alpha < 1, it sums the lags from ``BASE`` on as the decaying
+    exponentials of ``gl_soe``; otherwise by FFT tiles."""
+    soe = (gl_soe(alpha, window)
+           if alpha < 1.0 and BASE <= window == len(buf) - 1 else None)
+    return HistoryKernel(gl_weights(alpha, window + 1)[1:], buf, buf, soe)
 
 
 def _check_rows(x, first, t):
@@ -643,7 +736,8 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
 def read_trajectory_csv(path: str) -> Trajectory:
     """Read a trajectory written by ``write_trajectory_csv``.
 
-    Its '#' lines must be followed by the ``t,x0,...`` column row."""
+    Its '#' lines must be followed by the ``t,x0,...`` column row, and
+    every data row must hold one value per column."""
     meta, n_meta, columns = {}, 0, []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -663,6 +757,10 @@ def read_trajectory_csv(path: str) -> Trajectory:
             raise ConfigError(f"{path!r} has no data rows")
         data = np.loadtxt(path, delimiter=",", skiprows=n_meta + 1,
                           ndmin=2, encoding="utf-8")
+        if data.shape[1] != len(columns):
+            raise ConfigError(
+                f"{path!r} has {data.shape[1]} values per data row under "
+                f"its {len(columns)} columns {','.join(columns)!r}")
     except UnicodeDecodeError as err:
         # a ValueError, so caught first wherever the bad byte lies
         raise ConfigError(

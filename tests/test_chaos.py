@@ -415,8 +415,9 @@ def naive_tangent_history(system, cfg, base, renorm_every, tangent_history):
 
 @pytest.mark.parametrize("tangent_history", ["exact", "restart"])
 def test_lyapunov_long_stretch_matches_direct_sum(tangent_history):
-    # 500 steps: the exact tangent history reaches the 64..256-row FFT
-    # tiles, and pushes every QR factor through their pending sums
+    # 500 steps: the exact tangent history reaches its far part, decaying
+    # states updated once per BASE rows, and pushes every QR factor
+    # through them and the far sums they have put in the rows ahead
     system = make_system("lorenz")
     cfg = SolverConfig(alpha=0.95, h=0.01, t_end=5.0,
                        x0=system.params["default_x0"])
@@ -526,7 +527,8 @@ def test_restart_blocks_across_chunks_with_a_short_last_chunk(monkeypatch):
 
 @pytest.mark.parametrize("rows", [4096, 100])
 def test_restart_blocks_run_fft_tiles_in_the_batch(rows, monkeypatch):
-    # 130-step blocks reach the 64- and 128-lag FFT tiles; with ROWS = 100
+    # 130-step blocks reach the far lags from BASE on, which a block's
+    # full-memory kernel sums as decaying states; with ROWS = 100
     # every chunk is a single block
     monkeypatch.setattr(chaos, "ROWS", rows)
     system = make_system("lorenz")

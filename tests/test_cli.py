@@ -460,6 +460,8 @@ TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
      {"traj.csv": "# alpha=0.9\n# h=0.1\nt,x0,x1,x2\n0,1,2,3\n0.1,2,3,4\n"}),
     (["dimension", "--input", "traj.csv", "--transient", "0.95"],
      {"traj.csv": TRAJECTORY + "0.2,3,4\n0.3,4,5\n0.4,5,6\n"}),
+    (["dimension", "--input", "traj.csv"],
+     {"traj.csv": "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1\n0.1,2\n"}),
 ], ids=["columns-a", "columns-empty", "csv-no-header", "x0-text",
         "x0-short", "config-x0-scalar", "config-not-json", "config-h-text",
         "config-x0-text", "config-alpha-text", "config-param-text", "config-transient-text",
@@ -469,7 +471,7 @@ TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
         "steps-past-address-space", "config-not-utf8", "csv-not-utf8",
         "csv-not-utf8-past-8kb", "config-lyapunov-scheme-abm",
         "config-array", "config-params-array", "columns-past-dim",
-        "transient-discards-every-row"])
+        "transient-discards-every-row", "csv-short-rows"])
 def test_bad_input_is_a_config_error(argv, files, tmp_path, monkeypatch,
                                      capsys):
     monkeypatch.chdir(tmp_path)

@@ -28,6 +28,7 @@ from fracdyn.solvers import (
     SystemSpec,
     commensurate_order,
     gl_history,
+    gl_soe,
     gl_weights,
     multi_term_to_system,
     read_trajectory_csv,
@@ -299,6 +300,88 @@ def test_history_kernel_with_buf_as_pending_pushes_through(window):
             assert np.array_equal(own[:end + 1], apart[:end + 1])
 
 
+# the orders of the SOE weight test: the edges of (0, 1) and the
+# catalog's orders in between
+SOE_ALPHAS = [0.1, 0.5, 0.9, 0.995, 1.0 - 1e-6]
+
+
+@pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
+@pytest.mark.parametrize("alpha", SOE_ALPHAS)
+def test_soe_weights_match_the_binomials(alpha, n):
+    # against mpmath, not gl_weights: at alpha = 1 - 1e-6 the rounding of
+    # alpha + 1 in the recurrence's k = 2 factor is 1e-10 at every lag
+    amps, rates = gl_soe(alpha, n)
+    lags = np.unique(np.concatenate((
+        np.arange(BASE, 2 * BASE), np.geomspace(BASE, n, 80).round(), [n])))
+    soe = np.exp(-np.outer(lags - BASE, rates)) @ amps
+    with mpmath.workdps(40):
+        ref = np.array([float((-1) ** k * mpmath.binomial(alpha, k))
+                        for k in lags.astype(int).tolist()])
+    assert np.max(np.abs(soe / ref - 1.0)) <= 1e-11
+
+
+def test_soe_nodes_stay_finite_at_the_smallest_rates():
+    # log(e^s - 1) as log(expm1(s)): s + log1p(-e^-s) divides by zero
+    # once e^-s rounds to 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        amps, rates = gl_soe(0.1, 10 ** 5)
+    assert rates[0] < 1e-17 and np.all(np.isfinite(amps))
+    assert np.all(amps < 0.0)
+
+
+@pytest.mark.parametrize("row_shape", [(), (3,), (3, 2)],
+                         ids=["scalar", "state", "tangent"])
+@pytest.mark.parametrize("n", [777, 2100])
+@pytest.mark.parametrize("alpha", [0.1, 0.9])
+def test_full_memory_gl_kernel_matches_naive_loop(alpha, n, row_shape):
+    # lags from BASE on as decaying states, updated once per BASE rows,
+    # with the stepper's layout: the buffer is its own pending
+    rng = np.random.default_rng(n + len(row_shape))
+    weights = gl_weights(alpha, n + 1)[1:]
+    values = rng.normal(size=(n + 1,) + row_shape)
+    buf = np.zeros_like(values)
+    buf[0] = values[0]
+    hist = gl_history(alpha, n, buf)
+    checked = {1, 2, n} | {e for e in (63, 64, 65, 127, 128, 129, 500, 1024,
+                                       1025, 1100, 2048, 2049) if e <= n}
+    for end in range(1, n + 1):
+        value = hist(end)
+        scale = rounding_scale(weights, values, end)
+        assert np.all(np.abs(value - direct_dot(weights, values, end))
+                      <= 1e-13 * scale)
+        if end in checked:
+            naive = naive_history(weights, values, end, end)
+            assert np.all(np.abs(value - naive) <= 1e-13 * scale)
+        buf[end] = values[end]
+
+
+def test_full_memory_gl_kernel_pushes_through():
+    # test_history_kernel_pushes_through on a GL kernel at full memory: the
+    # push-through rescales the last BASE rows, the block's far rows and
+    # the states, and leaves every older row as it was
+    rng = np.random.default_rng(3)
+    dim, m, n, alpha = 3, 2, 1500, 0.7
+    weights = gl_weights(alpha, n + 1)[1:]
+    drive = rng.normal(size=(n + 1, dim, m))
+    buf = np.zeros_like(drive)
+    ref = np.zeros_like(drive)  # the same history, rescaled in full by hand
+    hist = gl_history(alpha, n, buf)
+    rinv = np.eye(m) + np.triu(rng.normal(size=(m, m)), 1)
+    for end in range(1, n + 1):
+        value = hist(end)
+        assert value.shape == (dim, m)
+        assert np.all(np.abs(value - direct_dot(weights, ref, end))
+                      <= 1e-13 * rounding_scale(weights, ref, end))
+        buf[end] = ref[end] = drive[end]
+        if end % 70 == 0:
+            keep = max(0, end - 2 * BASE)
+            old = buf[:keep].copy()
+            hist.rescale(end, rinv)
+            ref[:end + 1] = ref[:end + 1] @ rinv
+            assert np.array_equal(buf[:keep], old)
+
+
 def batched_far_sums(weights, buf):
     """The far sums of a full stream over ``buf``, with each FFT tile
     transforming every column of its input block at once."""
@@ -394,7 +477,7 @@ def test_gl_history_alpha_one_keeps_one_lag():
 @pytest.mark.parametrize("alpha", [0.9, 1.0])
 def test_gl_zero_rows_keep_their_sign_with_and_without_tiles(alpha):
     # every kernel call adds its far row, whether or not the run is long
-    # enough for an FFT tile, so an exact zero comes out with one sign
+    # enough for the far part, so an exact zero comes out with one sign
     growth = SystemSpec(name="growth", dim=1, field=lambda t, x: 2.0 * x)
     rows = [solve_gl(growth, SolverConfig(alpha=alpha, h=0.01,
                                           t_end=n * 0.01, x0=[-0.0])).x[:5]
@@ -541,7 +624,8 @@ ACCURACY_CASES = {
 def test_full_memory_matches_direct_sum(case, scheme):
     system, kwargs = ACCURACY_CASES[case]
     cfg = SolverConfig(scheme=scheme, **kwargs)
-    assert cfg.n_steps >= 2000      # tiles of 64 .. 1024 rows take part
+    # GL's decaying states and ABM's tiles of 64 .. 1024 rows take part
+    assert cfg.n_steps >= 2000
     solver, direct = ((solve_gl, direct_gl) if scheme == "gl"
                       else (solve_abm, direct_abm))
     got = solver(system, cfg).x
@@ -610,7 +694,7 @@ def test_in_place_steps_match_the_two_step_updates_bit_for_bit(
     cfg = SolverConfig(alpha=0.95, h=0.005, t_end=10.0,
                        x0=LORENZ.params["default_x0"], scheme=scheme,
                        memory_window=window)
-    assert cfg.n_steps > 16 * BASE       # FFT tiles take part at full memory
+    assert cfg.n_steps > 16 * BASE       # the far part runs at full memory
     solver, ref = ((solve_gl, two_step_gl) if scheme == "gl"
                    else (solve_abm, two_step_abm))
     assert np.array_equal(solver(LORENZ, cfg).x, ref(LORENZ, cfg))
@@ -697,9 +781,9 @@ def test_field_of_the_wrong_shape_is_a_config_error(solver, value):
 
 def test_full_memory_solve_holds_little_beside_its_trajectory():
     # the history's far sums live in the trajectory's own rows, the result
-    # is that array shifted in place, and FFT tiles transform one column
-    # at a time: at 20 000 steps the traced peak fell from 8.2 to 4.1
-    # times the trajectory's bytes
+    # is that array shifted in place, and the far part holds Q states and
+    # one block matrix: at 20 000 steps the traced peak is 3.0 times the
+    # trajectory's bytes (4.1 with FFT tiles, 8.2 before that)
     cfg = SolverConfig(alpha=0.95, h=0.005, t_end=100.0,
                        x0=LORENZ.params["default_x0"])
     assert cfg.n_steps == 20000
@@ -980,6 +1064,16 @@ def test_csv_without_its_column_row_is_a_config_error(tmp_path):
     path.write_text("# alpha=0.9\n# h=0.1\n" + CSV_ROWS_TEXT)
     with pytest.raises(ConfigError, match=re.escape(
             f"{str(path)!r} has no 't,x0,...' column row")):
+        read_trajectory_csv(str(path))
+
+
+def test_csv_with_fewer_values_than_columns_is_a_config_error(tmp_path):
+    # rows of two values under 't,x0,x1' would read as a one-state
+    # trajectory
+    path = tmp_path / "short.csv"
+    path.write_text("# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1\n0.1,2\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{str(path)!r} has 2 values per data row under its 3 columns")):
         read_trajectory_csv(str(path))
 
 
