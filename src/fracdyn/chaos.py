@@ -24,10 +24,9 @@ stretch factors accumulate into exponent estimates.
   from ``solvers.BASE`` on are Q decaying states (``solvers.gl_soe``), so
   a push-through rescales the last ``BASE`` rows, the far rows of the
   current block and the Q states: O((BASE + Q) * dim * m) per QR and
-  O(N * Q * dim * m) over an N-step run, not the O(N^2) of rescaling
-  every stored row.  The anchor grows like the inverse of the
-  accumulated contraction, so a long run of strong contraction loses
-  digits to cancellation.
+  O(N * Q * dim * m) over an N-step run.  The anchor grows like the
+  inverse of the accumulated contraction, so a long run of strong
+  contraction loses digits to cancellation.
 
 The restart convention is computed as block transfer matrices.  A
 restarted block maps its start frame linearly to its end frame,
