@@ -26,11 +26,11 @@ plus a far part for the longer lags that runs once per completed block of
 its far lags as Q decaying exponentials, about 130-190 of them (see
 ``gl_soe``), so a run over N steps costs O(N * Q * dim) flops; so does a
 restart block of ``chaos`` once it spans ``BASE`` steps or more.  ABM and
-windowed GL keep FFT tiles, O(N log^2 N * dim).  A kernel is bound to the C-contiguous buffer it sums
-and to its far rows ``pending``: ``hist(end)`` needs
-``end <= len(buf) - 1``, adds ``pending[end]`` on every call, and returns
-the history sum in the kernel's own row ``hist.sum``; rows below ``end``
-change only through ``hist.rescale``.
+windowed GL keep FFT tiles, O(N log^2 N * dim).  A kernel is bound to
+the C-contiguous buffer it sums and to its far rows ``pending``:
+``hist(end)`` needs ``end <= len(buf) - 1``, adds ``pending[end]`` on
+every call, and returns the history sum in the kernel's own row
+``hist.sum``; rows below ``end`` change only through ``hist.rescale``.
 
 Memory: the GL stepper's deviation array is its kernel's ``pending``, so
 the far part adds its sums into its rows ahead of the step, and the step
