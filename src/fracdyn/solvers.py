@@ -18,29 +18,22 @@ alpha = 1.  ``multi_term_to_system`` rewrites a scalar equation with several
 derivative orders as a commensurate first-order-in-D^alpha chain.
 
 Per-step cost is one call of the shared history kernel ``HistoryKernel``
-(for ABM, one call with two weight rows, which returns the predictor and
-the corrector sum together): a direct dot over the last ``BASE`` - 1 lags,
-plus a far part for the longer lags that runs once per completed block of
-``BASE`` rows.  A full-memory GL kernel (``solve_gl`` without a
-``memory_window``, and the exact-flow tangent history of ``chaos``) sums
-its far lags as Q decaying exponentials, about 130-190 of them (see
-``gl_soe``), so a run over N steps costs O(N * Q * dim) flops; so does a
-restart block of ``chaos`` once it spans ``BASE`` steps or more.  ABM and
-windowed GL keep FFT tiles, O(N log^2 N * dim).  A kernel is bound to
-the C-contiguous buffer it sums and to its far rows ``pending``:
-``hist(end)`` needs ``end <= len(buf) - 1``, adds ``pending[end]`` on
-every call, and returns the history sum in the kernel's own row
-``hist.sum``; rows below ``end`` change only through ``hist.rescale``.
+(for ABM, one call with two weight rows: the predictor and corrector sums).
+At full memory (no ``memory_window``; in ``chaos``, the exact-flow tangent
+history and restart blocks of ``BASE`` steps or more) it sums the last
+``BASE`` - 1 lags by a direct dot and the longer ones as Q decaying
+exponentials (``gl_soe``, ``abm_soe``; Q of about 130-210) updated once
+per ``BASE`` rows: O(N * Q * dim) flops over N steps.  A windowed run sums
+its window by the direct dot, O(N * window * dim).
 
 Memory: the GL stepper's deviation array is its kernel's ``pending``, so
 the far part adds its sums into its rows ahead of the step, and the step
 subtracts ``hist.sum`` into row m; the result is that array shifted by x0
 in place.  A full-memory GL solve over N steps then holds the (N + 1, dim)
-trajectory, its time grid, the weights while the kernel is built, and the
-far part's (BASE + Q)^2 block matrix (at most 0.6 MB) and Q states: at
-N = 10^5 in 3-d, a traced peak of 6.4 MB for a 2.4 MB trajectory, against
-7.9 MB with FFT tiles, whose weight spectra take up to 32 bytes per step.
-ABM keeps separate (N + 1, 2, dim) pending rows for x0 and f_0's terms.
+trajectory, its time grid, the first 2 ``BASE`` - 1 weights and the far
+part's (BASE + Q)^2 block matrix (at most 0.6 MB) and Q states: at
+N = 10^5 in 3-d, a traced peak of 3.7 MB for a 2.4 MB trajectory.  ABM
+keeps separate (N + 1, 2, dim) pending rows for x0 and f_0's terms.
 
 Both steppers check divergence once per block of ``BASE`` steps (and once
 for the final partial block): the first row of the block whose max|x|
@@ -57,7 +50,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gamma, gcd, isfinite, log, pi, sin
+from math import ceil, exp, expm1, gamma, gcd, isfinite, log, pi, sin
 from typing import Callable, Optional
 
 import numpy as np
@@ -162,13 +155,19 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
     return c
 
 
-# Lags below BASE are summed by a direct dot; longer ones by FFT tiles of
-# BASE * 2^l rows, or by decaying exponentials updated once per BASE rows.
+# Lags below BASE are summed by a direct dot; at full memory, longer ones by
+# decaying exponentials updated once per BASE rows.
 BASE = 64
-# node spacing in log s of ``gl_soe``'s trapezoid rule
+# node spacing in log s of the SOE trapezoid rules
 SOE_STEP = 0.25
 # the steppers' trust region: a state with max|x| past it has diverged
 DIVERGE_BOUND = 1e10
+
+
+def _log_nodes(lo):
+    """Nodes x = log s, ``SOE_STEP`` apart, from ``lo`` to log(40 / BASE)."""
+    count = ceil((log(40.0 / BASE) - lo) / SOE_STEP) + 1
+    return lo + SOE_STEP * np.arange(count)
 
 
 def gl_soe(alpha: float, n: int):
@@ -179,22 +178,50 @@ def gl_soe(alpha: float, n: int):
 
         c_k = -(sin(pi alpha) / pi) * int_0^inf exp(-s k) (e^s - 1)^alpha ds,
 
-    and the trapezoid rule in x = log s, nodes ``SOE_STEP`` apart from
-    log(1/n) - 40/(1 + alpha) to log(40/BASE), sums it to about 1e-14
-    relative at every such lag (Q = 126-191 at n = 10^5).  The truncated
-    ends cost e^-40 relative: exp(-s k) at the top node for k >= BASE,
-    and (s k)^(1 + alpha) below the bottom node for k <= n.  log(e^s - 1)
-    is log(expm1(s)), finite at the smallest nodes; sin(pi alpha) is
-    taken at min(alpha, 1 - alpha), exact near alpha = 1.
+    and the trapezoid rule in x = log s (``_log_nodes``) from
+    log(1/n) - 40/(1 + alpha) sums it to about 1e-14 relative at every
+    such lag (Q = 126-191 at n = 10^5).  The truncated ends cost e^-40
+    relative: exp(-s k) at the top node for k >= BASE, and
+    (s k)^(1 + alpha) below the bottom node for k <= n.  log(e^s - 1) is
+    log(expm1(s)), finite at the smallest nodes; sin(pi alpha) is taken at
+    min(alpha, 1 - alpha), exact near alpha = 1.
     """
-    lo = log(1.0 / n) - 40.0 / (1.0 + alpha)
-    count = ceil((log(40.0 / BASE) - lo) / SOE_STEP) + 1
-    x = lo + SOE_STEP * np.arange(count)
+    x = _log_nodes(log(1.0 / n) - 40.0 / (1.0 + alpha))
     rates = np.exp(x)
     scale = sin(pi * min(alpha, 1.0 - alpha)) / pi * SOE_STEP
     amps = -scale * np.exp(x + alpha * np.log(np.expm1(rates))
                            - BASE * rates)
     return amps, rates
+
+
+def abm_soe(alpha: float, n: int):
+    """Amplitudes (2, Q) and rates s_q with ABM's unscaled weights
+    b_{k-1} = k^alpha - (k-1)^alpha (row 0) and a_k (row 1; see
+    ``solve_abm``) ~= sum_q a_q exp(-s_q (k - BASE)) for BASE <= k <= n.
+
+    With S = sin(pi alpha) / pi, b_{k-1} = S Gamma(alpha + 1) int_0^inf
+    s^(-alpha-1) (e^s - 1) e^(-s k) ds and a_k = S Gamma(alpha + 2)
+    int_0^inf s^(-alpha-2) (e^s - 1) (1 - e^-s) e^(-s k) ds.  The trapezoid
+    rule in x = log s (``_log_nodes``) from x_0 = log(1e-17 / n) sums both
+    to about 1e-15 relative at every such lag (Q = 188-212 for n = 10^3 ..
+    10^6).  Below x_0, e^(-s k) is 1 to 1e-17 and both integrands in x are
+    e^((1 - alpha) x), so the nodes there sum, a geometric series, to one
+    rate-0 node: at alpha = 1, where S = 0, it carries the weights 1 and 2
+    exactly.
+    """
+    eps = 1.0 - alpha
+    x = _log_nodes(log(1e-17 / n))
+    rates = np.exp(x)
+    sine = sin(pi * min(alpha, eps)) / pi
+    # S SOE_STEP sum_{j >= 1} e^(eps (x_0 - j SOE_STEP)), 1 at eps = 0
+    lump = exp(eps * x[0]) * (sine * SOE_STEP / expm1(eps * SOE_STEP)
+                              if eps else 1.0)
+    pred = np.log(np.expm1(rates)) - alpha * x - BASE * rates
+    nodes = sine * SOE_STEP * np.exp(
+        [pred, pred - x + np.log(-np.expm1(-rates))])
+    amps = np.column_stack(([lump, lump], nodes))
+    amps *= [[gamma(alpha + 1.0)], [gamma(alpha + 2.0)]]
+    return amps, np.concatenate(([0.0], rates))
 
 
 class HistoryKernel:
@@ -210,8 +237,6 @@ class HistoryKernel:
     ``weights[k - 1]`` = w_k.  Rows below ``end`` must be final: the caller
     finishes row ``end`` after the call and changes earlier rows only
     through ``rescale``.  A restart at ``end`` = 1 takes a fresh kernel.
-    Trailing zero weights are dropped, so ``window`` is the longest
-    contributing lag (one lag for GL at alpha = 1).
 
     ``weights`` of shape (K, n) holds K weight rows over the same buffer:
     ``sum`` then has shape (K,) + a row's shape, and its entry j is the
@@ -224,47 +249,37 @@ class HistoryKernel:
     them.  ``buf`` and ``pending`` must be C-contiguous: the kernel reads
     them through flat views, one column per entry of a row, made once.
 
-    The sum is split by lag.  Lags below ``BASE`` are the *near* part: one
-    BLAS dot of the reversed weights against ``buf[end - n:end]``, so a
-    window shorter than ``BASE`` is summed exactly as a plain direct dot.
-    Lags from ``BASE`` on are the *far* part, which runs when ``end`` is a
-    multiple of ``BASE`` and adds into the far rows of the outputs it
-    reaches before they are asked for, in one of two ways.
+    Without ``soe`` the sum is one BLAS dot of the reversed weights
+    against ``buf[end - n:end]``, n = min(end, window), where trailing zero
+    weights are dropped, so ``window`` is the longest contributing lag
+    (one for GL at alpha = 1).
 
-    With ``soe`` = (a, s), one weight row and w_k ~= sum_q a_q
-    exp(-s_q (k - BASE)) at every lag BASE <= k <= len(buf) - 1 (what
-    ``gl_history`` passes at full memory), the far part is Q decaying
-    states y_q = sum_{j < E} exp(-s_q (E - 1 - j)) buf[j], where E is the
-    last multiple of ``BASE`` reached.  At ``end`` = E one matmul of a
-    fixed (BASE + Q, Q + BASE) matrix against the states and the block
-    ``buf[E - BASE:E]`` gives the far sums of outputs E .. E + BASE - 1,
-    from the states and, for the block's lags BASE .. 2 BASE - 1, from the
-    exact weights (a Toeplitz product), and the states with the block
-    folded in: (BASE + Q)^2 * C flops per ``BASE`` rows of C entries, and
-    ``rescale`` touches the last ``BASE`` rows, the block's far rows and
-    the states, O((BASE + Q) * C) per call.
-
-    Without it (ABM, a windowed GL run), lags in
-    [s, 2s), for each tile size s = BASE * 2^l <= window, are summed by
-    FFT tiles: when an aligned input block ``buf[end - s:end]`` is
-    complete (``end`` % s == 0), one tile convolves it with
-    w_s .. w_{2s-1} (one forward transform shared by the K weight rows)
-    and adds the result into the far rows of the 2s - 1 outputs it
-    reaches.  Every (row, lag >= BASE) pair falls into exactly one tile.
-    Over N steps this costs O(N log^2 N) instead of O(N * window), and
-    ``rescale`` touches every stored row back to lag ``window``.  A tile
-    transforms one column at a time, so its transient is one column's
-    transform pair rather than the whole block's.
+    ``soe`` = (a, s) holds amplitudes a, (K, Q) or (Q,), on one rate grid
+    s, with w_k ~= sum_q a_q exp(-s_q (k - BASE)) for BASE <= k <=
+    len(buf) - 1 (what ``gl_history`` and ``abm_history`` pass at full
+    memory).  ``weights`` then holds w_1 .. w_{2 BASE - 1}, the only ones
+    read, and ``window`` is len(buf) - 1.  Lags below ``BASE`` are the
+    direct dot; longer ones are the far part, Q decaying states
+    y_q = sum_{j < E} exp(-s_q (E - 1 - j)) buf[j], E the last multiple of
+    ``BASE`` reached, shared by the K rows.  At ``end`` = E one matmul of a
+    fixed (K BASE + Q, Q + BASE) matrix against the states and the block
+    ``buf[E - BASE:E]`` gives each row's far sums of outputs E .. E + BASE
+    - 1 (by the exact weights for the block's own lags) and the folded
+    states: O((K BASE + Q) (BASE + Q) C) flops per ``BASE`` rows of C
+    entries.  ``rescale`` touches the last ``BASE`` rows, the block's far
+    rows and the states, O((BASE + Q) C) per call.
     """
 
     __slots__ = ("window", "sum", "_buf", "_far", "_rows", "_cols", "_flat",
-                 "_near", "_rev", "_tiles", "_block", "_z", "_states")
+                 "_near", "_rev", "_block", "_z", "_states")
 
     def __init__(self, weights, buf, pending, soe=None):
         w = np.asarray(weights, dtype=float)
         wk = np.atleast_2d(w)                       # (K, n)
         nz = np.nonzero(wk.any(axis=0))[0]
-        self.window = int(nz[-1]) + 1 if len(nz) else 0
+        self.window = self._near = int(nz[-1]) + 1 if len(nz) else 0
+        if soe is not None:
+            self.window, self._near = len(buf) - 1, BASE - 1
         self.sum = np.empty(w.shape[:-1] + buf.shape[1:])
         self._buf, self._far = buf, pending
         # (len, C) and (len, K, C): a row's entries as C columns
@@ -272,35 +287,25 @@ class HistoryKernel:
         self._cols = np.reshape(pending, (len(buf), len(wk), -1),
                                 copy=False)
         self._flat = np.reshape(self.sum, w.shape[:-1] + (-1,), copy=False)
-        self._near = min(self.window, BASE - 1)
         self._rev = np.ascontiguousarray(w[..., :self._near][..., ::-1])
-        self._tiles = []
         self._states = None
         if soe is not None:
-            self._build_soe(w, *soe)
-            return
-        s = BASE
-        while s <= min(self.window, len(buf) - 1):
-            part = wk[:, s - 1:min(2 * s - 1, self.window)]  # w_s..w_{2s-1}
-            # (s + 1, K): one spectrum per weight row
-            self._tiles.append((s, np.fft.rfft(part, n=2 * s).T))
-            s *= 2
+            self._build_soe(wk, *soe)
 
-    def _build_soe(self, w, amps, rates):
-        """The block matrix of the SOE far part and its work rows: the Q
-        states, then a copy of the block being folded in."""
-        q, lag = len(rates), np.arange(BASE)
-        # w_BASE .. w_{2 BASE - 1}, zero past the window
-        exact = np.zeros(BASE)
-        part = w[BASE - 1:2 * BASE - 1]
-        exact[:len(part)] = part
-        # rows: far sums of outputs E + i, then the folded states; columns:
-        # the states, then the block rows E - BASE + r
-        block = np.zeros((BASE + q, q + BASE))
-        block[:BASE, :q] = amps * np.exp(-np.outer(lag + 1, rates))
-        block[:BASE, q:] = np.tril(exact[lag[:, None] - lag])  # BASE+i-r
-        block[BASE:, :q] = np.diag(np.exp(-BASE * rates))
-        block[BASE:, q:] = np.exp(-np.outer(rates, BASE - 1 - lag))
+    def _build_soe(self, wk, amps, rates):
+        """The far part's block matrix and its work rows: the Q states,
+        then a copy of the block being folded in."""
+        k, q, lag = len(wk), len(rates), np.arange(BASE)
+        exact = wk[:, BASE - 1:2 * BASE - 1]        # w_BASE .. w_{2 BASE - 1}
+        # rows: far sums of outputs E + i of each weight row, then the
+        # folded states; columns: the states, then block rows E - BASE + r
+        block = np.zeros((k * BASE + q, q + BASE))
+        far = block[:k * BASE].reshape(k, BASE, q + BASE)
+        far[..., :q] = np.atleast_2d(amps)[:, None] * np.exp(
+            -np.outer(lag + 1, rates))
+        far[..., q:] = np.tril(exact[:, lag[:, None] - lag])   # BASE+i-r
+        block[k * BASE:, :q] = np.diag(np.exp(-BASE * rates))
+        block[k * BASE:, q:] = np.exp(-np.outer(rates, BASE - 1 - lag))
         self._block = block
         self._z = np.zeros((q + BASE, self._rows.shape[1]))
         self._states = np.reshape(self._z[:q], (q,) + self._buf.shape[1:],
@@ -313,11 +318,8 @@ class HistoryKernel:
         else:
             np.dot(self._rev[..., near - end:], self._rows[:end],
                    out=self._flat)
-        if end % BASE == 0:
-            if self._states is None:
-                self._run_tiles(end)
-            else:
-                self._run_soe(end)
+        if end % BASE == 0 and self._states is not None:
+            self._run_soe(end)
         self.sum += self._far[end]
         return self.sum
 
@@ -326,39 +328,19 @@ class HistoryKernel:
         z[q:] = self._rows[end - BASE:end]
         out = self._block @ z
         stop = min(end + BASE, len(self._cols))
-        self._cols[end:stop, 0] += out[:stop - end]
-        z[:q] = out[BASE:]
-
-    def _run_tiles(self, end):
-        rows, cols = self._rows, self._cols
-        for s, spectrum in self._tiles:
-            if end % s:
-                break
-            stop = min(end + 2 * s - 1, len(cols))
-            # one column's transform pair, reused by every column: the
-            # input spectrum goes into the product's first column, and
-            # numpy copies it before the K products overwrite it (for
-            # K = 1 the product is in place)
-            prod = np.empty(spectrum.shape, dtype=complex)
-            out = np.empty((2 * s, spectrum.shape[1]))
-            for col in range(rows.shape[1]):
-                np.fft.rfft(rows[end - s:end, col], n=2 * s, out=prod[:, 0])
-                np.multiply(prod[:, :1], spectrum, out=prod)
-                np.fft.irfft(prod, n=2 * s, axis=0, out=out)
-                cols[end:stop, :, col] += out[:stop - end]
+        for j in range(self._cols.shape[1]):    # one scatter per weight row
+            self._cols[end:stop, j] += out[j * BASE:j * BASE + stop - end]
+        z[:q] = out[-q:]
 
     def rescale(self, end, matrix):
         """Right-multiply by ``matrix`` every row a later call reads: the
-        stored rows back to the longest lag still read from them, the far
-        rows the far part has started, and the SOE states."""
-        if self._states is None:
-            top = self._tiles[-1][0] if self._tiles else 0
-            parts = (self._buf[max(0, end - self.window):end + 1],
-                     self._far[end + 1:end + 2 * top - 1])
-        else:
-            parts = (self._buf[max(0, end - BASE + 1):end + 1],
-                     self._far[end + 1:end - end % BASE + BASE],
-                     self._states)
+        stored rows back to the longest lag the direct dot still reads from
+        them and, with ``soe``, the far rows the far part has started and
+        the states."""
+        parts = [self._buf[max(0, end - self._near):end + 1]]
+        if self._states is not None:
+            parts += [self._far[end + 1:end - end % BASE + BASE],
+                      self._states]
         for rows in parts:
             rows[...] = rows @ matrix
 
@@ -367,10 +349,42 @@ def gl_history(alpha: float, window: int, buf) -> HistoryKernel:
     """GL kernel on ``buf``, its own ``pending``, with lag weights
     c_1 .. c_window.  At full memory, window = len(buf) - 1 >= ``BASE``
     with alpha < 1, it sums the lags from ``BASE`` on as the decaying
-    exponentials of ``gl_soe``; otherwise by FFT tiles."""
-    soe = (gl_soe(alpha, window)
-           if alpha < 1.0 and BASE <= window == len(buf) - 1 else None)
-    return HistoryKernel(gl_weights(alpha, window + 1)[1:], buf, buf, soe)
+    exponentials of ``gl_soe`` and builds c_1 .. c_{2 BASE - 1} only;
+    otherwise by the direct dot."""
+    soe, lags = None, window
+    if alpha < 1.0 and BASE <= window == len(buf) - 1:
+        soe, lags = gl_soe(alpha, window), 2 * BASE - 1
+    return HistoryKernel(gl_weights(alpha, lags + 1)[1:], buf, buf, soe)
+
+
+def abm_history(alpha: float, h: float, window: int, buf, pending,
+                f0) -> HistoryKernel:
+    """ABM kernel on ``buf`` = 0, f_1, f_2, ... with the weight rows
+    cp b_{k-1} and cc a_k, k = 1 .. window (see ``solve_abm``); writes
+    f_0 (cp b_{m-1}, cc w0(m)) into rows m = 1 .. window of ``pending``,
+    to which the caller adds x0.  At full memory, window = len(buf) - 1 >=
+    ``BASE``, it sums the lags from ``BASE`` on as the decaying
+    exponentials of ``abm_soe`` and builds lags 1 .. 2 ``BASE`` - 1 only;
+    otherwise by the direct dot."""
+    cp = h ** alpha / gamma(alpha + 1.0)
+    cc = h ** alpha / gamma(alpha + 2.0)
+    soe, lags = None, window
+    if BASE <= window == len(buf) - 1:
+        amps, rates = abm_soe(alpha, window)
+        soe, lags = (amps * [[cp], [cc]], rates), 2 * BASE - 1
+    r = np.arange(lags + 2, dtype=float)
+    pw, pw1 = r ** alpha, r ** (alpha + 1.0)
+    weights = np.stack((cp * (pw[1:-1] - pw[:-2]),
+                        cc * (pw1[2:] - 2.0 * pw1[1:-1] + pw1[:-2])))
+    # f_0's weights from Python floats: w0 cancels two O(m^{a+1}) terms,
+    # which a vectorized numpy power leaves less exact
+    first = np.fromiter(
+        ((cp * (m ** alpha - (m - 1.0) ** alpha),
+          cc * ((m - 1.0) ** (alpha + 1.0) - (m - 1.0 - alpha) * m ** alpha))
+         for m in map(float, range(1, window + 1))),
+        np.dtype((float, 2)), window)
+    np.multiply(first[..., None], f0, out=pending[1:window + 1])
+    return HistoryKernel(weights, buf, pending, soe)
 
 
 def _check_rows(x, first, t):
@@ -473,15 +487,17 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     predictor, one product-trapezoid corrector evaluation.  ``memory_window``
     truncates both sums by lag, for the oracle's error study only.
 
-    Both sums come from one two-row ``HistoryKernel`` call per step over
-    f_1 .. f_{m-1} (row 0 of its buffer stays zero):
+    Both sums come from one call per step of ``abm_history``'s two-row
+    kernel over f_1 .. f_{m-1} (row 0 of its buffer stays zero):
 
         pred_m = x0 + cp * (b_{m-1} f_0 + sum_k b_{k-1} f_{m-k})
         base_m = x0 + cc * (w0(m) f_0 + sum_k a_k f_{m-k})
 
-    with w0(m) = (m-1)^{a+1} - (m-1-a) m^a, f_0's boundary weight in place
-    of a_m.  x0 and the f_0 terms are the kernel's ``pending`` rows, zero
-    f_0 terms past the window.  The corrector is then
+    with cp = h^a / Gamma(a + 1), cc = h^a / Gamma(a + 2),
+    b_r = (r+1)^a - r^a, a_k = (k+1)^{a+1} - 2 k^{a+1} + (k-1)^{a+1} and
+    f_0's boundary weight w0(m) = (m-1)^{a+1} - (m-1-a) m^a in place of
+    a_m.  x0 and the f_0 terms are the kernel's ``pending`` rows, zero f_0
+    terms past the window.  The corrector is then
     x_m = base_m + cc * f(t_m, pred_m).
     """
     n_steps, window = _check_dims(system, config)
@@ -490,29 +506,12 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     # zero rows pass the divergence check until they are written
     t, x, fx, pending = _step_arrays(config, n_steps, (system.dim,),
                                      (system.dim,), (2, system.dim))
-
-    r = np.arange(window + 2, dtype=float)
-    pw, pw1 = r ** alpha, r ** (alpha + 1.0)
-    cp = h ** alpha / gamma(alpha + 1.0)      # predictor scale
     cc = h ** alpha / gamma(alpha + 2.0)      # corrector scale
-    # cp * b_r, b_r = (r+1)^a - r^a for r >= 0, and cc * a_r for r >= 1
-    weights = np.stack((cp * (pw[1:-1] - pw[:-2]),
-                        cc * (pw1[2:] - 2.0 * pw1[1:-1] + pw1[:-2])))
-    del r, pw, pw1
-
     x[0] = x0
     f = system.field
-    f0 = _field_value(system, t[0], x0)
-    # cc * w0(m) from Python floats: w0 cancels two O(m^{a+1}) terms, which
-    # a vectorized numpy power leaves less exact
-    w0 = np.fromiter((cc * ((m - 1.0) ** (alpha + 1.0)
-                            - (m - 1.0 - alpha) * m ** alpha)
-                      for m in range(1, window + 1)), float, window)
-    # x0 + f_0 * (cp b_{m-1}, cc w0(m)), built in place
-    np.multiply(weights[0][:, None], f0, out=pending[1:window + 1, 0])
-    np.multiply(w0[:, None], f0, out=pending[1:window + 1, 1])
+    hist = abm_history(alpha, h, window, fx, pending,
+                       _field_value(system, t[0], x0))
     pending += x0
-    hist = HistoryKernel(weights, fx, pending)
     # views of hist.sum, which every call refills
     pred, base = hist.sum
     with np.errstate(over="ignore", invalid="ignore"):

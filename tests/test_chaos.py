@@ -526,7 +526,7 @@ def test_restart_blocks_across_chunks_with_a_short_last_chunk(monkeypatch):
 
 
 @pytest.mark.parametrize("rows", [4096, 100])
-def test_restart_blocks_run_fft_tiles_in_the_batch(rows, monkeypatch):
+def test_restart_blocks_run_the_far_part_in_the_batch(rows, monkeypatch):
     # 130-step blocks reach the far lags from BASE on, which a block's
     # full-memory kernel sums as decaying states; with ROWS = 100
     # every chunk is a single block

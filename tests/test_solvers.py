@@ -26,6 +26,8 @@ from fracdyn.solvers import (
     MultiTermSpec,
     SolverConfig,
     SystemSpec,
+    abm_history,
+    abm_soe,
     commensurate_order,
     gl_history,
     gl_soe,
@@ -167,13 +169,12 @@ def test_history_kernel_matches_naive_loop(window, n, row_shape):
     checked = {1, 2, n} | {e for e in (63, 64, 65, 127, 128, 129, 500, 1024,
                                        1025, 1100, 2048, 2049) if e <= n}
     for end, value in enumerate(got, start=1):
+        # without ``soe`` the kernel is the direct dot, bit for bit
         ref = direct_dot(weights, buf, end)
-        if window < BASE:
-            assert np.array_equal(value, ref)
-        scale = rounding_scale(weights, buf, end)
-        assert np.all(np.abs(value - ref) <= 1e-13 * scale)
+        assert np.array_equal(value, ref)
         if end in checked:
             naive = naive_history(weights, buf, end, end)
+            scale = rounding_scale(weights, buf, end)
             assert np.all(np.abs(value - naive) <= 1e-13 * scale)
 
 
@@ -213,9 +214,9 @@ def test_history_kernel_weight_rows_match_naive_loop(window, n, row_shape,
 
 @pytest.mark.parametrize("weights_shape", [(5,), (2, 5)],
                          ids=["one-row", "two-rows"])
-def test_history_kernel_adds_pending_without_tiles(weights_shape):
-    # below BASE there are no FFT tiles; the pending row is added all the
-    # same, after the direct dot
+def test_history_kernel_adds_pending_without_a_far_part(weights_shape):
+    # a kernel without ``soe`` has no far part; the pending row is added
+    # all the same, after the direct dot
     rng = np.random.default_rng(5)
     weights = rng.normal(size=weights_shape)
     buf = rng.normal(size=(40, 3))
@@ -252,9 +253,9 @@ def test_history_kernel_pushes_through():
 @pytest.mark.parametrize("window", [1, 63, 64, 65, 200, 1000])
 def test_history_kernel_with_buf_as_pending_matches_naive_loop(window, n,
                                                                row_shape):
-    # the GL layout: the tiles add their far sums into the buffer's rows
-    # ahead of ``end``, and the caller then writes row ``end``; bit for bit
-    # a kernel with separate far rows
+    # the GL layout: the buffer is its own pending, whose rows from ``end``
+    # on are zero until the caller writes row ``end`` after the call; bit
+    # for bit a kernel with separate far rows
     rng = np.random.default_rng(window + 7 * n + len(row_shape) + 2)
     weights = rng.normal(size=window)
     values = rng.normal(size=(n + 1,) + row_shape)
@@ -278,9 +279,9 @@ def test_history_kernel_with_buf_as_pending_matches_naive_loop(window, n,
 
 @pytest.mark.parametrize("window", [300, 1500], ids=["windowed", "full"])
 def test_history_kernel_with_buf_as_pending_pushes_through(window):
-    # the exact-flow layout: a push-through rescales the stored rows and
-    # the far sums the tiles have put in the rows ahead, bit for bit as
-    # it rescales separate far rows
+    # the exact-flow layout: a push-through rescales the stored rows the
+    # direct dot still reads, bit for bit as it does with separate far
+    # rows
     rng = np.random.default_rng(13)
     dim, m, n = 3, 2, 1500
     weights = rng.normal(size=window)
@@ -356,6 +357,79 @@ def test_full_memory_gl_kernel_matches_naive_loop(alpha, n, row_shape):
         buf[end] = values[end]
 
 
+def abm_weights(alpha, lags):
+    """ABM's unscaled weights b_{k-1} = k^a - (k-1)^a and
+    a_k = (k+1)^{a+1} - 2 k^{a+1} + (k-1)^{a+1} at ``lags``, (2, len(lags)),
+    from mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        rows = [[mpmath.mpf(k) ** a - mpmath.mpf(k - 1) ** a for k in lags],
+                [mpmath.mpf(k + 1) ** (a + 1) - 2 * mpmath.mpf(k) ** (a + 1)
+                 + mpmath.mpf(k - 1) ** (a + 1) for k in lags]]
+        return np.array([[float(v) for v in row] for row in rows])
+
+
+def power_weights(alpha, n):
+    """b_{k-1} and a_k, k = 1 .. n, as the numpy power differences that
+    ``abm_history`` builds for its near lags."""
+    r = np.arange(n + 2, dtype=float)
+    pw, pw1 = r ** alpha, r ** (alpha + 1.0)
+    return np.stack((pw[1:-1] - pw[:-2], pw1[2:] - 2.0 * pw1[1:-1] + pw1[:-2]))
+
+
+@pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
+@pytest.mark.parametrize("alpha", SOE_ALPHAS + [1.0])
+def test_abm_soe_weights_match_mpmath(alpha, n):
+    # numpy's power differences for a_k are off by up to 5e-6 relative
+    # by lag 10^5; at alpha = 1 the one rate-0 node carries the weights
+    # exactly
+    amps, rates = abm_soe(alpha, n)
+    lags = np.unique(np.concatenate((
+        np.arange(BASE, 2 * BASE), np.geomspace(BASE, n, 80).round(), [n])))
+    soe = amps @ np.exp(-np.outer(rates, lags - BASE))
+    ref = abm_weights(alpha, lags.astype(int).tolist())
+    assert np.max(np.abs(soe / ref - 1.0)) <= 1e-13
+    if alpha == 1.0:
+        assert np.all(soe == [[1.0], [2.0]])
+
+
+@pytest.mark.parametrize("row_shape", [(1,), (3,)], ids=["scalar", "state"])
+@pytest.mark.parametrize("n", [777, 2100])
+@pytest.mark.parametrize("alpha", [0.1, 0.9])
+def test_full_memory_abm_kernel_matches_naive_loop(alpha, n, row_shape):
+    # both weight rows' lags from BASE on as decaying states they share,
+    # with the stepper's layout: f_1 .. in the buffer over a zero row 0,
+    # and f_0's terms in the separate pending rows
+    rng = np.random.default_rng(n + len(row_shape) + 1)
+    buf = rng.normal(size=(n + 1,) + row_shape)
+    buf[0] = 0.0
+    pending = np.zeros((n + 1, 2) + row_shape)
+    hist = abm_history(alpha, 1.0, n, buf, pending,
+                       rng.normal(size=row_shape))
+    start = pending.copy()
+    scales = np.array([[1.0 / math.gamma(alpha + 1.0)],
+                       [1.0 / math.gamma(alpha + 2.0)]])
+    weights = scales * abm_weights(alpha, range(1, n + 1))
+    # the near lags' power differences are off from the exact weights by
+    # up to 3e-11 relative at alpha = 0.1; that error is charged to them
+    near_err = np.abs(scales * power_weights(alpha, 2 * BASE - 1)
+                      - weights[:, :2 * BASE - 1])
+    checked = {1, 2, n} | {e for e in (63, 64, 65, 127, 128, 129, 500, 1024,
+                                       1025, 1100, 2048, 2049) if e <= n}
+    for end in range(1, n + 1):
+        value = hist(end)
+        for j in range(2):
+            scale = (rounding_scale(weights[j], buf, end)
+                     + np.abs(start[end, j]))
+            bound = 1e-13 * scale + rounding_scale(near_err[j], buf, end)
+            ref = direct_dot(weights[j], buf, end) + start[end, j]
+            assert np.all(np.abs(value[j] - ref) <= bound)
+            if end in checked:
+                naive = naive_history(weights[j], buf, end, end)
+                assert np.all(np.abs(value[j] - naive - start[end, j])
+                              <= bound)
+
+
 def test_full_memory_gl_kernel_pushes_through():
     # test_history_kernel_pushes_through on a GL kernel at full memory: the
     # push-through rescales the last BASE rows, the block's far rows and
@@ -380,47 +454,6 @@ def test_full_memory_gl_kernel_pushes_through():
             hist.rescale(end, rinv)
             ref[:end + 1] = ref[:end + 1] @ rinv
             assert np.array_equal(buf[:keep], old)
-
-
-def batched_far_sums(weights, buf):
-    """The far sums of a full stream over ``buf``, with each FFT tile
-    transforming every column of its input block at once."""
-    n, window = len(buf) - 1, weights.shape[-1]
-    lifted = (1,) * (buf.ndim - 1)
-    far = np.zeros((n + 1,) + weights.shape[:-1] + buf.shape[1:])
-    for end in range(BASE, n + 1, BASE):
-        s = BASE
-        while end % s == 0 and s <= min(window, n):
-            lags = np.zeros(weights.shape[:-1] + (2 * s,))
-            part = weights[..., s - 1:min(2 * s - 1, window)]
-            lags[..., :part.shape[-1]] = part
-            spectrum = np.moveaxis(np.fft.rfft(lags), -1, 0)
-            spectrum = spectrum.reshape(spectrum.shape + lifted)
-            spec = np.fft.rfft(buf[end - s:end], n=2 * s, axis=0)
-            spec = (spec * spectrum if weights.ndim == 1
-                    else spec[:, None] * spectrum)
-            out = np.fft.irfft(spec, n=2 * s, axis=0)
-            stop = min(end + 2 * s - 1, n + 1)
-            far[end:stop] += out[:stop - end]
-            s *= 2
-    return far
-
-
-@pytest.mark.parametrize("row_shape", [(), (3,), (3, 2)],
-                         ids=["scalar", "state", "tangent"])
-@pytest.mark.parametrize("weights_shape", [(1000,), (2, 1000)],
-                         ids=["one-row", "two-rows"])
-def test_column_tiles_match_batched_tiles_bit_for_bit(weights_shape,
-                                                      row_shape):
-    # a tile transforms one column of the flattened row at a time, which
-    # gives the same far sums as transforming the whole block at once
-    rng = np.random.default_rng(len(row_shape) + len(weights_shape))
-    n = 2100
-    weights = rng.normal(size=weights_shape)
-    buf = rng.normal(size=(n + 1,) + row_shape)
-    far = zero_far(weights, buf)
-    stream(HistoryKernel(weights, buf, far), n)
-    assert np.array_equal(far, batched_far_sums(weights, buf))
 
 
 def test_history_sum_accepts_flattened_tangent_rows():
@@ -475,7 +508,7 @@ def test_gl_history_alpha_one_keeps_one_lag():
 
 
 @pytest.mark.parametrize("alpha", [0.9, 1.0])
-def test_gl_zero_rows_keep_their_sign_with_and_without_tiles(alpha):
+def test_gl_zero_rows_keep_their_sign_with_and_without_the_far_part(alpha):
     # every kernel call adds its far row, whether or not the run is long
     # enough for the far part, so an exact zero comes out with one sign
     growth = SystemSpec(name="growth", dim=1, field=lambda t, x: 2.0 * x)
@@ -588,10 +621,7 @@ def direct_gl(system, cfg):
 def direct_abm(system, cfg):
     """Full-memory ABM predictor-corrector with direct-dot history sums."""
     n, h, alpha, x0 = cfg.n_steps, cfg.h, cfg.alpha, cfg.x0
-    r = np.arange(n + 2, dtype=float)
-    pw, pw1 = r ** alpha, r ** (alpha + 1.0)
-    b = pw[1:] - pw[:-1]
-    a = pw1[2:] - 2.0 * pw1[1:-1] + pw1[:-2]
+    b, a = power_weights(alpha, n)
     cp = h ** alpha / math.gamma(alpha + 1.0)
     cc = h ** alpha / math.gamma(alpha + 2.0)
     t = cfg.t0 + h * np.arange(n + 1)
@@ -624,7 +654,7 @@ ACCURACY_CASES = {
 def test_full_memory_matches_direct_sum(case, scheme):
     system, kwargs = ACCURACY_CASES[case]
     cfg = SolverConfig(scheme=scheme, **kwargs)
-    # GL's decaying states and ABM's tiles of 64 .. 1024 rows take part
+    # both schemes' decaying states take part
     assert cfg.n_steps >= 2000
     solver, direct = ((solve_gl, direct_gl) if scheme == "gl"
                       else (solve_abm, direct_abm))
@@ -653,29 +683,19 @@ def two_step_gl(system, cfg):
 
 def two_step_abm(system, cfg):
     """``solve_abm``'s update with fresh arrays: both history sums into a
-    new (2, dim) array, then the corrector into a new array; x0 and f_0's
-    terms are built row by row as the kernel's pending rows."""
+    new (2, dim) array, then the corrector into a new array; the kernel
+    and its pending rows come from ``abm_history``, as the stepper's do."""
     n, h, alpha, x0 = cfg.n_steps, cfg.h, cfg.alpha, cfg.x0
     window = n if cfg.memory_window is None else min(cfg.memory_window, n)
-    r = np.arange(n + 2, dtype=float)
-    pw, pw1 = r ** alpha, r ** (alpha + 1.0)
-    b = pw[1:] - pw[:-1]
-    a = pw1[2:] - 2.0 * pw1[1:-1] + pw1[:-2]
-    cp = h ** alpha / math.gamma(alpha + 1.0)
     cc = h ** alpha / math.gamma(alpha + 2.0)
     t = cfg.t0 + h * np.arange(n + 1)
     x = np.zeros((n + 1, system.dim))
     fx = np.zeros((n + 1, system.dim))
     x[0] = x0
-    f0 = np.asarray(system.field(t[0], x0), dtype=float)
-    pending = np.empty((n + 1, 2, system.dim))
-    pending[...] = x0
-    for m in range(1, window + 1):
-        w0 = (m - 1.0) ** (alpha + 1.0) - (m - 1.0 - alpha) * m ** alpha
-        pending[m, 0] = x0 + f0 * (cp * b[m - 1])
-        pending[m, 1] = x0 + f0 * (cc * w0)
-    hist = HistoryKernel(np.stack((cp * b[:window], cc * a[:window])), fx,
-                         pending)
+    pending = np.zeros((n + 1, 2, system.dim))
+    hist = abm_history(alpha, h, window, fx, pending,
+                       np.asarray(system.field(t[0], x0), dtype=float))
+    pending += x0
     for m in range(1, n + 1):
         pred, base = hist(m).copy()
         x[m] = base + cc * np.asarray(system.field(t[m], pred), dtype=float)
@@ -781,9 +801,10 @@ def test_field_of_the_wrong_shape_is_a_config_error(solver, value):
 
 def test_full_memory_solve_holds_little_beside_its_trajectory():
     # the history's far sums live in the trajectory's own rows, the result
-    # is that array shifted in place, and the far part holds Q states and
-    # one block matrix: at 20 000 steps the traced peak is 3.0 times the
-    # trajectory's bytes (4.1 with FFT tiles, 8.2 before that)
+    # is that array shifted in place, the far part holds Q states and one
+    # block matrix, and only the weights it reads are built: at 20 000
+    # steps the traced peak is 2.31 times the trajectory's bytes; the
+    # bound leaves a 20% margin
     cfg = SolverConfig(alpha=0.95, h=0.005, t_end=100.0,
                        x0=LORENZ.params["default_x0"])
     assert cfg.n_steps == 20000
@@ -793,14 +814,14 @@ def test_full_memory_solve_holds_little_beside_its_trajectory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * traj.x.nbytes
+    assert peak <= 2.8 * traj.x.nbytes
 
 
 def test_abm_solve_holds_little_beside_its_trajectory():
-    # the weights' power arrays span the window and go once the two weight
-    # rows exist, w0 is built without a list and the pending rows are
-    # filled in place: at 20 000 steps the traced peak fell from 12.5 to
-    # 10.8 times the trajectory's bytes
+    # the weight rows span lags 1 .. 2 BASE - 1 only, f_0's weights are
+    # built without a list and the pending rows are filled in place: at
+    # 20 000 steps the traced peak is 7.22 times the trajectory's bytes;
+    # the bound leaves a 20% margin
     cfg = SolverConfig(alpha=0.95, h=0.005, t_end=100.0,
                        x0=LORENZ.params["default_x0"], scheme="abm")
     assert cfg.n_steps == 20000
@@ -810,7 +831,7 @@ def test_abm_solve_holds_little_beside_its_trajectory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * traj.x.nbytes
+    assert peak <= 8.7 * traj.x.nbytes
 
 
 @pytest.fixture
