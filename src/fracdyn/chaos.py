@@ -46,9 +46,10 @@ At alpha = 1 the history is the one lag of a first-order step, so a
 restart is exact; both conventions then take the restart path and give
 the same bits.
 
-For chain lifts of scalar equations (``system.observables`` set) the frame
-holds one tangent column per observable and the QR acts on the observable
-rows only, so exponents are reported for the physical coordinates.
+For the commensurate chain of a scalar multi-order equation (Duffing's,
+built by ``systems``; ``system.observables`` set) the frame holds one
+tangent column per observable and the QR acts on the observable rows
+only, so exponents are reported for the physical coordinates.
 """
 
 import math

@@ -14,8 +14,7 @@ measures how far a windowed run strays from the Caputo solution; no other
 layer accepts a windowed config, and trajectory files do not record it.
 
 Both reduce to their classical counterparts (Euler, Heun/trapezoid) at
-alpha = 1.  ``multi_term_to_system`` rewrites a scalar equation with several
-derivative orders as a commensurate first-order-in-D^alpha chain.
+alpha = 1.
 
 Per-step cost is one call of the shared history kernel ``HistoryKernel``
 (for ABM, one call with two weight rows: the predictor and corrector sums).
@@ -49,13 +48,12 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, exp, expm1, gamma, gcd, isfinite, log, pi, sin
+from math import ceil, exp, expm1, gamma, isfinite, log, pi, sin
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, IncommensurableOrdersError
+from .errors import ConfigError, DivergenceError
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,9 @@ class SystemSpec:
     field: Callable[[float, np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     params: dict = None
-    # coordinates carrying the physical state when the system is a
-    # commensurate lift of a higher-order equation (None: all of them)
+    # coordinates carrying the physical state when the system is the
+    # commensurate chain of a scalar multi-order equation, as Duffing's
+    # in ``systems`` is (None: all of them)
     observables: Optional[tuple] = None
 
     def __post_init__(self):
@@ -372,19 +371,38 @@ def abm_history(alpha: float, h: float, window: int, buf, pending,
     if BASE <= window == len(buf) - 1:
         amps, rates = abm_soe(alpha, window)
         soe, lags = (amps * [[cp], [cc]], rates), 2 * BASE - 1
-    r = np.arange(lags + 2, dtype=float)
-    pw, pw1 = r ** alpha, r ** (alpha + 1.0)
-    weights = np.stack((cp * (pw[1:-1] - pw[:-2]),
-                        cc * (pw1[2:] - 2.0 * pw1[1:-1] + pw1[:-2])))
-    # f_0's weights from Python floats: w0 cancels two O(m^{a+1}) terms,
-    # which a vectorized numpy power leaves less exact
-    first = np.fromiter(
-        ((cp * (m ** alpha - (m - 1.0) ** alpha),
-          cc * ((m - 1.0) ** (alpha + 1.0) - (m - 1.0 - alpha) * m ** alpha))
-         for m in map(float, range(1, window + 1))),
-        np.dtype((float, 2)), window)
-    np.multiply(first[..., None], f0, out=pending[1:window + 1])
-    return HistoryKernel(weights, buf, pending, soe)
+    near, first = _abm_weights(alpha, lags, window)
+    np.multiply((first * [cp, cc])[..., None], f0, out=pending[1:window + 1])
+    return HistoryKernel(near * [[cp], [cc]], buf, pending, soe)
+
+
+def _abm_weights(alpha, lags, window):
+    """ABM's unscaled weight rows b_{k-1} and a_k, k = 1 .. lags, (2, lags),
+    and f_0's weights b_{m-1} and w0(m), m = 1 .. window, (window, 2); see
+    ``solve_abm``.
+
+    Each power difference is k^p times expm1 and log1p of -1/k, which keep
+    the leading digits that k^p - (k - 1)^p and the like cancel: b and a
+    to a few ulp, and w0(m), which still cancels its O(m^alpha) terms, to
+    about m ulp.  k = 1, where log1p(-1/k) is -inf, is set apart.
+    """
+    beta = alpha + 1.0
+    k = np.arange(2.0, max(lags, window) + 1.0)
+    log_lo = np.log1p(-1.0 / k)
+    b = np.concatenate(([1.0], -np.expm1(alpha * log_lo) * k ** alpha))
+    m = k[:window - 1]
+    w0 = np.concatenate(([alpha], m ** beta * (
+        np.expm1(beta * log_lo[:window - 1]) + beta / m)))
+    # a_k = k^beta ((1 + u)^beta + (1 - u)^beta - 2), u = 1/k, is
+    # 2 k^beta (e^s cosh d - 1) with s = (beta / 2) log1p(-u^2) and
+    # d = beta atanh(u)
+    near = k[:lags - 1]
+    s = 0.5 * beta * np.log1p(-1.0 / (near * near))
+    d = beta * np.arctanh(1.0 / near)
+    a = np.concatenate(([2.0 * expm1(alpha * log(2.0))], 2.0 * near ** beta
+                        * (np.expm1(s) * np.cosh(d)
+                           + 2.0 * np.sinh(0.5 * d) ** 2)))
+    return np.stack((b[:lags], a)), np.column_stack((b[:window], w0))
 
 
 def _check_rows(x, first, t):
@@ -537,132 +555,6 @@ def solve(system: SystemSpec, config: SolverConfig) -> Trajectory:
     if config.scheme == "abm":
         return solve_abm(system, config)
     return solve_gl(system, config)
-
-
-@dataclass(frozen=True)
-class MultiTermSpec:
-    """Scalar equation with several Caputo derivative orders:
-
-        sum_j coeffs[j] * D^{orders[j]} x  =  rhs(t, x)
-
-    All orders lie in (0, 1]; the leading (largest-order) coefficient must
-    be nonzero.  ``x0`` is the initial value of x.
-    """
-
-    orders: tuple
-    coeffs: tuple
-    rhs: Callable[[float, float], float]
-    x0: float = 0.0
-    name: str = "multi_term"
-    # d(rhs)/dx, needed only when the chain should expose a Jacobian; it
-    # must broadcast over arrays of t and x, as the chain's Jacobian does
-    rhs_dx: Optional[Callable[[float, float], float]] = None
-
-    def __post_init__(self):
-        if len(self.orders) != len(self.coeffs) or not self.orders:
-            raise ConfigError("orders and coeffs must be equal-length, non-empty")
-        if any(not (0.0 < o <= 1.0) for o in self.orders):
-            raise ConfigError(f"orders must lie in (0, 1], got {self.orders}")
-        if self.coeffs[int(np.argmax(self.orders))] == 0.0:
-            raise ConfigError("the leading-order coefficient must be nonzero")
-
-
-# how far an order may sit from its rational form and from a multiple of q
-_ORDER_TOL = 1e-9
-
-
-def commensurate_order(orders) -> float:
-    """Largest base order q such that every order is an integer multiple.
-
-    Orders are rationalized with denominators up to 1000; raises
-    ``IncommensurableOrdersError`` when no common base exists within
-    ``_ORDER_TOL``.
-    """
-    fracs = []
-    for o in orders:
-        fr = Fraction(o).limit_denominator(1000)
-        if abs(float(fr) - o) > _ORDER_TOL:
-            raise IncommensurableOrdersError(
-                f"order {o} is not a ratio of small integers")
-        fracs.append(fr)
-    base = fracs[0]
-    for fr in fracs[1:]:
-        # gcd of fractions: gcd of numerators / lcm of denominators
-        base = Fraction(gcd(base.numerator * fr.denominator,
-                            fr.numerator * base.denominator),
-                        base.denominator * fr.denominator)
-    q = float(base)
-    for o in orders:
-        if abs(round(o / q) - o / q) > _ORDER_TOL / q:
-            raise IncommensurableOrdersError(
-                f"order {o} is not an integer multiple of base {q}")
-    return q
-
-
-def multi_term_to_system(spec: MultiTermSpec):
-    """Rewrite a multi-term scalar equation as a commensurate chain.
-
-    With base order q = commensurate_order(orders) and n = max(orders)/q,
-    the chain variables are y_i = D^{i*q} x, i = 0..n-1, obeying
-
-        D^q y_i     = y_{i+1}                      (i < n-1)
-        D^q y_{n-1} = (rhs(t, y_0) - sum_{j<lead} coeffs[j] y_{r_j}) / lead
-
-    where r_j = orders[j]/q.  Returns (SystemSpec, x0_chain); the chain's
-    initial state is (x0, 0, ..., 0) and its ``observables`` mark y_0 (the
-    original unknown) and y_{n-1} (its highest sub-derivative).
-    """
-    q = commensurate_order(spec.orders)
-    idx = [int(round(o / q)) for o in spec.orders]
-    n = max(idx)
-    lead_pos = int(np.argmax(spec.orders))
-    lead = float(spec.coeffs[lead_pos])
-    lower = [(i, float(cf)) for i, cf in enumerate(spec.coeffs)
-             if i != lead_pos and cf != 0.0]
-    # only strictly lower orders can move to the right-hand side
-    for i, _ in lower:
-        if idx[i] >= n:
-            raise ConfigError("duplicate leading order in multi-term spec")
-    lower_rows = np.array([idx[i] for i, _ in lower], dtype=int)
-    lower_coeff = np.array([cf for _, cf in lower])
-    rhs = spec.rhs
-    # y[shift] is y moved up one row; its last entry is overwritten
-    shift = np.minimum(np.arange(1, n + 1), n - 1)
-    dot_lower = lower_coeff.dot
-
-    def chain_field(t, y):
-        dy = y[shift]
-        acc = rhs(t, y[0])
-        if lower_rows.size:
-            acc = acc - dot_lower(y[lower_rows])
-        dy[-1] = acc / lead
-        return dy
-
-    chain_jacobian = None
-    if spec.rhs_dx is not None:
-        rhs_dx = spec.rhs_dx
-        base_jac = np.zeros((n, n))
-        for i in range(n - 1):
-            base_jac[i, i + 1] = 1.0
-        for row, cf in zip(lower_rows, lower_coeff):
-            base_jac[n - 1, row] = -cf / lead
-
-        def chain_jacobian(t, y):
-            jac = np.broadcast_to(base_jac, y.shape[:-1] + (n, n)).copy()
-            jac[..., n - 1, 0] += rhs_dx(t, y[..., 0]) / lead
-            return jac
-
-    system = SystemSpec(
-        name=f"{spec.name}_chain",
-        dim=n,
-        field=chain_field,
-        jacobian=chain_jacobian,
-        params={"base_order": q},
-        observables=(0, n - 1) if n >= 2 else (0,),
-    )
-    x0_chain = np.zeros(n)
-    x0_chain[0] = spec.x0
-    return system, x0_chain
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ the Jacobian there.
 The Duffing oscillator is a scalar equation with two derivative orders
     D^alpha x + delta * D^order_beta x + gamma * x + cubic_coeff * x^3
         = forcing_amp * cos(forcing_freq * t)
-and is returned pre-commensurized as a chain of order-0.1 stages.  (Its
+and is built as its commensurate chain: n stages of the base order q that
+``commensurate_order`` finds (q = 0.1, n = 9 for the default orders).  (Its
 published form reuses one symbol for both the second derivative order and
 the cubic coefficient; here they are named `order_beta` and `cubic_coeff`.)
 
@@ -17,18 +18,21 @@ parameters, default order(s), leading order first, and default x0.  One
 rule sets every system's orders: a number sets the leading order and the
 others keep their defaults; a sequence must hold exactly as many orders as
 the defaults, so a one-order system takes a number only; every order lies
-in (0, 1], and the orders descend strictly.
+in (0, 1], and the orders descend strictly.  With ``commensurate_order``'s
+rule, that Duffing's orders share a base order, every rule about orders
+lives in this module.
 """
 
 import logging
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError
-from .solvers import MultiTermSpec, SystemSpec, multi_term_to_system
+from .errors import ConfigError, IncommensurableOrdersError
+from .solvers import SystemSpec
 
 logger = logging.getLogger(__name__)
 
@@ -213,22 +217,77 @@ def _chua(p, alpha, x0):
     return SystemSpec("chua", 3, field, jacobian), x0, alpha
 
 
+# how far an order may sit from its rational form and from a multiple of q
+_ORDER_TOL = 1e-9
+
+
+def commensurate_order(orders) -> float:
+    """Largest base order q such that every order is an integer multiple.
+
+    Orders are rationalized with denominators up to 1000; raises
+    ``IncommensurableOrdersError`` when no common base exists within
+    ``_ORDER_TOL``.
+    """
+    fracs = []
+    for o in orders:
+        fr = Fraction(o).limit_denominator(1000)
+        if abs(float(fr) - o) > _ORDER_TOL:
+            raise IncommensurableOrdersError(
+                f"order {o} is not a ratio of small integers")
+        fracs.append(fr)
+    base = fracs[0]
+    for fr in fracs[1:]:
+        # gcd of fractions: gcd of numerators / lcm of denominators
+        base = Fraction(math.gcd(base.numerator * fr.denominator,
+                                 fr.numerator * base.denominator),
+                        base.denominator * fr.denominator)
+    q = float(base)
+    for o in orders:
+        if abs(round(o / q) - o / q) > _ORDER_TOL / q:
+            raise IncommensurableOrdersError(
+                f"order {o} is not an integer multiple of base {q}")
+    return q
+
+
 def _duffing(p, alpha, x0):
-    """Duffing's scalar equation as its commensurate chain, whose x0 pads
-    x(0) with zeros and whose order is the chain's base order."""
+    """Duffing's scalar equation as its commensurate chain.
+
+    With base order q = commensurate_order(alpha), n = alpha / q and
+    r = order_beta / q, the stages y_i = D^(i q) x, i < n, obey
+
+        D^q y_i     = y_{i+1}                                  (i < n - 1)
+        D^q y_{n-1} = famp cos(freq t) - gam y_0 - cubic y_0^3 - delta y_r
+
+    The chain's x0 pads x(0) with zeros, its order is q, and its
+    ``observables`` are y_0 (x itself) and y_{n-1}.
+    """
     delta, gam = p["delta"], p["gamma"]
     cubic, famp, freq = p["cubic_coeff"], p["forcing_amp"], p["forcing_freq"]
+    q = commensurate_order(alpha)
+    n, r = (int(round(o / q)) for o in alpha)
+    # y[shift] is y moved up one row; its last entry is overwritten
+    shift = np.minimum(np.arange(1, n + 1), n - 1)
+    template = np.eye(n, k=1)
+    template[n - 1, r] = -delta
 
-    def rhs(t, x):
-        return famp * math.cos(freq * t) - gam * x - cubic * x ** 3
+    def field(t, y):
+        dy = y[shift]
+        x = y[0]
+        dy[-1] = (famp * math.cos(freq * t) - gam * x - cubic * x ** 3
+                  - delta * y[r])
+        return dy
 
-    def rhs_dx(t, x):
-        return -gam - 3.0 * cubic * x * x
+    def jacobian(t, y):
+        jac = _from_template(template, y)
+        x = y[..., 0]
+        jac[..., n - 1, 0] += -gam - 3.0 * cubic * x * x
+        return jac
 
-    system, x0_chain = multi_term_to_system(MultiTermSpec(
-        orders=alpha, coeffs=(1.0, delta), rhs=rhs, x0=x0[0], name="duffing",
-        rhs_dx=rhs_dx))
-    return system, tuple(x0_chain), system.params["base_order"]
+    x0_chain = np.zeros(n)
+    x0_chain[0] = x0[0]
+    system = SystemSpec("duffing", n, field, jacobian,
+                        params={"base_order": q}, observables=(0, n - 1))
+    return system, tuple(x0_chain), q
 
 
 class _System(NamedTuple):
@@ -264,9 +323,11 @@ BENCHMARK_NAMES = tuple(_CATALOG)
 def make_system(bid: BenchmarkId) -> SystemSpec:
     """Build the SystemSpec for a catalog system.
 
-    Duffing comes back as its 9-stage commensurate chain (base order 0.1
-    for the default orders), with ``observables`` marking the two physical
-    coordinates (x, D^order_beta x); everything else is a plain 3-d field.
+    Duffing comes back as its commensurate chain (9 stages of base order
+    0.1 at the default orders; orders with no common base raise
+    ``IncommensurableOrdersError``), with ``observables`` marking x and
+    its highest stage D^(alpha - q) x; everything else is a plain 3-d
+    field.
     """
     if isinstance(bid, str):
         bid = BenchmarkId(name=bid)

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: exit codes and artifact contracts."""
 
+import argparse
 import json
 import os
 import re
@@ -462,6 +463,9 @@ TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
      {"traj.csv": TRAJECTORY + "0.2,3,4\n0.3,4,5\n0.4,5,6\n"}),
     (["dimension", "--input", "traj.csv"],
      {"traj.csv": "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1\n0.1,2\n"}),
+    (["simulate", "--config", "doc.json"],
+     {"doc.json": json.dumps({"system": "duffing",
+                              "alpha": [0.9, 0.9 / np.sqrt(2.0)]})}),
 ], ids=["columns-a", "columns-empty", "csv-no-header", "x0-text",
         "x0-short", "config-x0-scalar", "config-not-json", "config-h-text",
         "config-x0-text", "config-alpha-text", "config-param-text", "config-transient-text",
@@ -471,7 +475,8 @@ TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
         "steps-past-address-space", "config-not-utf8", "csv-not-utf8",
         "csv-not-utf8-past-8kb", "config-lyapunov-scheme-abm",
         "config-array", "config-params-array", "columns-past-dim",
-        "transient-discards-every-row", "csv-short-rows"])
+        "transient-discards-every-row", "csv-short-rows",
+        "config-duffing-incommensurable-orders"])
 def test_bad_input_is_a_config_error(argv, files, tmp_path, monkeypatch,
                                      capsys):
     monkeypatch.chdir(tmp_path)
@@ -634,6 +639,22 @@ def test_duffing_alpha_at_or_below_order_beta_is_a_config_error(
     for stale in ("Traceback", "duplicate leading order", "trust region"):
         assert stale not in err
     assert not out.exists()
+
+
+SUBCOMMANDS = sorted(next(
+    action for action in cli.build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)).choices)
+
+
+@pytest.mark.parametrize("command", [[]] + [[c] for c in SUBCOMMANDS],
+                         ids=["fracdyn"] + SUBCOMMANDS)
+def test_help_renders_for_every_subcommand(command, capsys):
+    # argparse formats help only when asked, so a stray '%' in a help
+    # string fails only then; the subcommands' own help strings show in
+    # the top-level help
+    assert run(command + ["--help"]) == 0
+    usage = " ".join(["usage: fracdyn"] + command) + " "
+    assert capsys.readouterr().out.startswith(usage)
 
 
 def test_reproduce_cases_use_only_known_config_keys():

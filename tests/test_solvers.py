@@ -23,22 +23,19 @@ from fracdyn.mlf import ml_one
 from fracdyn.solvers import (
     BASE,
     HistoryKernel,
-    MultiTermSpec,
     SolverConfig,
     SystemSpec,
     abm_history,
     abm_soe,
-    commensurate_order,
     gl_history,
     gl_soe,
     gl_weights,
-    multi_term_to_system,
     read_trajectory_csv,
     solve_abm,
     solve_gl,
     write_trajectory_csv,
 )
-from fracdyn.systems import make_system
+from fracdyn.systems import BenchmarkId, commensurate_order, make_system
 
 RELAX = SystemSpec(name="relax", dim=1, field=lambda t, x: -x)
 ROTATE = SystemSpec(name="rotate", dim=2,
@@ -369,12 +366,45 @@ def abm_weights(alpha, lags):
         return np.array([[float(v) for v in row] for row in rows])
 
 
-def power_weights(alpha, n):
-    """b_{k-1} and a_k, k = 1 .. n, as the numpy power differences that
-    ``abm_history`` builds for its near lags."""
-    r = np.arange(n + 2, dtype=float)
-    pw, pw1 = r ** alpha, r ** (alpha + 1.0)
-    return np.stack((pw[1:-1] - pw[:-2], pw1[2:] - 2.0 * pw1[1:-1] + pw1[:-2]))
+def boundary_weights(alpha, ms):
+    """f_0's corrector weights w0(m) = (m-1)^{a+1} - (m-1-a) m^a at
+    ``ms``, from mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        return np.array([float(mpmath.mpf(m - 1) ** (a + 1)
+                               - (m - 1 - a) * mpmath.mpf(m) ** a)
+                         for m in ms])
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 0.995, 1.0])
+def test_abm_weights_match_mpmath(alpha):
+    # the near weights of a direct-dot kernel, read one lag at a time off a
+    # unit impulse in row 1, and f_0's weights, read off the pending rows
+    # of a full-memory kernel at f_0 = 1; h = 1, so the scales are
+    # 1 / Gamma(alpha + 1) and 1 / Gamma(alpha + 2)
+    scales = np.array([1.0 / math.gamma(alpha + 1.0),
+                       1.0 / math.gamma(alpha + 2.0)])
+    lags = 2 * BASE - 1
+    buf = np.zeros((lags + 2, 1))
+    buf[1] = 1.0
+    hist = abm_history(alpha, 1.0, lags, buf, np.zeros((lags + 2, 2, 1)),
+                       np.zeros(1))
+    near = np.array([hist(k + 1)[:, 0].copy()
+                     for k in range(1, lags + 1)]).T
+    ref = scales[:, None] * abm_weights(alpha, range(1, lags + 1))
+    assert np.max(np.abs(near[0] / ref[0] - 1.0)) <= 1e-14
+    assert np.max(np.abs(near[1] / ref[1] - 1.0)) <= 1e-12
+
+    n = 10 ** 5
+    pending = np.zeros((n + 1, 2, 1))
+    abm_history(alpha, 1.0, n, np.zeros((n + 1, 1)), pending, np.ones(1))
+    ms = np.unique(np.concatenate((np.arange(1, 300),
+                                   np.geomspace(300, n, 200).round(),
+                                   [n]))).astype(int)
+    b = scales[0] * abm_weights(alpha, ms.tolist())[0]
+    w0 = scales[1] * boundary_weights(alpha, ms.tolist())
+    assert np.max(np.abs(pending[ms, 0, 0] / b - 1.0)) <= 1e-14
+    assert np.max(np.abs(pending[ms, 1, 0] / w0 - 1.0)) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
@@ -410,10 +440,6 @@ def test_full_memory_abm_kernel_matches_naive_loop(alpha, n, row_shape):
     scales = np.array([[1.0 / math.gamma(alpha + 1.0)],
                        [1.0 / math.gamma(alpha + 2.0)]])
     weights = scales * abm_weights(alpha, range(1, n + 1))
-    # the near lags' power differences are off from the exact weights by
-    # up to 3e-11 relative at alpha = 0.1; that error is charged to them
-    near_err = np.abs(scales * power_weights(alpha, 2 * BASE - 1)
-                      - weights[:, :2 * BASE - 1])
     checked = {1, 2, n} | {e for e in (63, 64, 65, 127, 128, 129, 500, 1024,
                                        1025, 1100, 2048, 2049) if e <= n}
     for end in range(1, n + 1):
@@ -421,7 +447,7 @@ def test_full_memory_abm_kernel_matches_naive_loop(alpha, n, row_shape):
         for j in range(2):
             scale = (rounding_scale(weights[j], buf, end)
                      + np.abs(start[end, j]))
-            bound = 1e-13 * scale + rounding_scale(near_err[j], buf, end)
+            bound = 1e-13 * scale
             ref = direct_dot(weights[j], buf, end) + start[end, j]
             assert np.all(np.abs(value[j] - ref) <= bound)
             if end in checked:
@@ -621,7 +647,8 @@ def direct_gl(system, cfg):
 def direct_abm(system, cfg):
     """Full-memory ABM predictor-corrector with direct-dot history sums."""
     n, h, alpha, x0 = cfg.n_steps, cfg.h, cfg.alpha, cfg.x0
-    b, a = power_weights(alpha, n)
+    b, a = abm_weights(alpha, range(1, n + 1))
+    w0 = boundary_weights(alpha, range(1, n + 1))
     cp = h ** alpha / math.gamma(alpha + 1.0)
     cc = h ** alpha / math.gamma(alpha + 2.0)
     t = cfg.t0 + h * np.arange(n + 1)
@@ -631,9 +658,7 @@ def direct_abm(system, cfg):
     fx[0] = system.field(t[0], x0)
     for m in range(1, n + 1):
         pred = x0 + cp * (b[:m][::-1] @ fx[:m])
-        hist = a[:m - 1][::-1] @ fx[1:m] + (
-            (m - 1.0) ** (alpha + 1.0)
-            - (m - 1.0 - alpha) * m ** alpha) * fx[0]
+        hist = a[:m - 1][::-1] @ fx[1:m] + w0[m - 1] * fx[0]
         x[m] = x0 + cc * (hist + system.field(t[m], pred))
         fx[m] = system.field(t[m], x[m])
     return x
@@ -939,7 +964,7 @@ def test_deterministic_across_runs():
     assert np.array_equal(a.x, b.x) and np.array_equal(a.t, b.t)
 
 
-# -- multi-term reduction ------------------------------------------------
+# -- Duffing's commensurate chain ----------------------------------------
 
 
 def test_commensurate_order_cases():
@@ -950,46 +975,16 @@ def test_commensurate_order_cases():
         commensurate_order((0.9, 0.9 / np.sqrt(2.0)))
 
 
-def test_multi_term_spec_validation():
-    ok = dict(orders=(0.9, 0.8), coeffs=(1.0, 0.2), rhs=lambda t, x: -x)
-    MultiTermSpec(**ok)
-    with pytest.raises(ConfigError):
-        MultiTermSpec(**{**ok, "coeffs": (1.0,)})
-    with pytest.raises(ConfigError):
-        MultiTermSpec(**{**ok, "orders": ()}, )
-    with pytest.raises(ConfigError):
-        MultiTermSpec(**{**ok, "orders": (1.2, 0.8)})
-    with pytest.raises(ConfigError):
-        MultiTermSpec(**{**ok, "coeffs": (0.0, 0.2)})
-
-
-def test_chain_marks_observables_and_dimension():
-    mt = MultiTermSpec(orders=(0.9, 0.8), coeffs=(1.0, 0.2),
-                       rhs=lambda t, x: -x, x0=0.5)
-    system, x0 = multi_term_to_system(mt)
-    assert system.dim == 9
-    assert system.observables == (0, 8)
-    assert system.params["base_order"] == pytest.approx(0.1)
-    assert x0[0] == 0.5 and np.all(x0[1:] == 0.0)
-    # one order and no lower term: the chain is the scalar equation itself
-    one = MultiTermSpec(orders=(0.5,), coeffs=(2.0,), rhs=lambda t, x: -x,
-                        x0=0.5, rhs_dx=lambda t, x: np.full_like(x, -1.0))
-    system, x0 = multi_term_to_system(one)
-    assert system.dim == 1 and system.observables == (0,)
-    assert x0.tolist() == [0.5]
-    assert system.field(0.0, np.array([1.0])).tolist() == [-0.5]
-    assert system.jacobian(0.0, np.array([1.0])).tolist() == [[-0.5]]
-
-
 def test_chain_agrees_with_direct_two_term_discretization():
-    """Dual-route check for the commensurate reduction.
+    """Dual-route check for Duffing's commensurate chain.
 
-    Route A: reduce D^0.9 x + 0.2 D^0.6 x = -x to a base-0.3 chain and
-    integrate with the production solver.  Route B: discretize both
-    derivative terms directly with their own binomial-weight history sums
-    (never building a chain) and solve the resulting one-step recurrence.
-    The two discretizations differ at O(h), so agreement is checked at two
-    steps and must tighten as h shrinks.
+    Route A: the catalog Duffing with no forcing and no cubic term,
+    D^0.9 x + 0.2 D^0.6 x = -x, as its base-0.3 chain, integrated with
+    the production solver.  Route B: discretize both derivative terms
+    directly with their own binomial-weight history sums (never building
+    a chain) and solve the resulting one-step recurrence.  The two
+    discretizations differ at O(h), so agreement is checked at two steps
+    and must tighten as h shrinks.
     """
     orders = (0.9, 0.6)
     coeffs = (1.0, 0.2)
@@ -1009,8 +1004,13 @@ def test_chain_agrees_with_direct_two_term_discretization():
             dev[m] = acc / lead
         return dev + x0
 
-    mt = MultiTermSpec(orders=orders, coeffs=coeffs, rhs=rhs, x0=x0)
-    system, x0_chain = multi_term_to_system(mt)
+    system = make_system(BenchmarkId(
+        "duffing", params={"forcing_amp": 0.0, "cubic_coeff": 0.0,
+                           "gamma": 1.0, "delta": coeffs[1]},
+        alpha=orders))
+    assert system.dim == 3
+    x0_chain = np.zeros(system.dim)
+    x0_chain[0] = x0
     sups = []
     for h in (4e-3, 2e-3):
         cfg = SolverConfig(alpha=system.params["base_order"], h=h,

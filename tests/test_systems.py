@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracdyn.errors import ConfigError
+from fracdyn.errors import ConfigError, IncommensurableOrdersError
 from fracdyn.solvers import SystemSpec
 from fracdyn.systems import (
     BENCHMARK_NAMES,
@@ -222,10 +222,13 @@ def test_lorenz_trace_identity():
 # -- analytic vs finite-difference Jacobians -----------------------------
 
 
-@pytest.mark.parametrize("name", ["lorenz", "duffing", "chen", "rossler",
-                                  "chua"])
-def test_jacobian_matches_finite_differences(name):
-    sys_ = make_system(name)
+@pytest.mark.parametrize("name, alpha", [
+    ("lorenz", None), ("duffing", None), ("chen", None), ("rossler", None),
+    ("chua", None), ("duffing", (1.0, 0.8)), ("duffing", (0.75, 0.5)),
+], ids=["lorenz", "duffing", "chen", "rossler", "chua", "duffing-1.0-0.8",
+        "duffing-0.75-0.5"])
+def test_jacobian_matches_finite_differences(name, alpha):
+    sys_ = make_system(BenchmarkId(name, alpha=alpha))
     rng = np.random.default_rng(42)
     checked = 0
     while checked < 100:
@@ -269,14 +272,23 @@ def test_batch_jacobian_stacks_single_state_calls(name):
 
 
 def test_duffing_chain_layout():
-    sys_ = make_system("duffing")
-    assert sys_.dim == 9
-    assert sys_.observables == (0, 8)
-    assert sys_.params["base_order"] == pytest.approx(0.1)
-    x0 = np.asarray(sys_.params["default_x0"], dtype=float)
-    assert x0.shape == (9,)
-    assert x0[0] == 0.1
-    assert np.all(x0[1:] == 0.0)
+    # orders, base order, stages
+    for alpha, q, dim in (((0.9, 0.8), 0.1, 9), ((1.0, 0.8), 0.2, 5),
+                          ((0.75, 0.5), 0.25, 3)):
+        sys_ = make_system(BenchmarkId("duffing", alpha=alpha))
+        assert sys_.dim == dim
+        assert sys_.observables == (0, dim - 1)
+        assert sys_.params["base_order"] == pytest.approx(q)
+        assert sys_.params["default_alpha"] == sys_.params["base_order"]
+        x0 = np.asarray(sys_.params["default_x0"], dtype=float)
+        assert x0.shape == (dim,)
+        assert x0[0] == 0.1
+        assert np.all(x0[1:] == 0.0)
+
+
+def test_duffing_orders_without_a_common_base_are_refused():
+    with pytest.raises(IncommensurableOrdersError):
+        make_system(BenchmarkId("duffing", alpha=(0.9, 0.9 / np.sqrt(2.0))))
 
 
 def test_duffing_chain_field_structure():
