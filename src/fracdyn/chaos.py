@@ -228,9 +228,9 @@ class _QRChain:
 
     Called once per block, in block order, with the block's end frame: QR
     of the observable rows, the collapse check, the positive-diagonal
-    convention, and the diagonal of R (the signed stretch factors) of the
-    blocks past the transient.  Returns the renormalized frame and the
-    inverse triangular factor.  ``history`` turns the stored stretches into
+    convention, and the diagonal of R (the signed stretch factors).
+    Returns the renormalized frame and the inverse triangular factor.
+    ``history`` turns the stretches of the blocks past the transient into
     the running exponent estimates.
     """
 
@@ -239,7 +239,6 @@ class _QRChain:
         self.skip_blocks = skip_blocks
         self.renorm_every = renorm_every
         self.h = h
-        self.block = 0
         self.stretches = []
         self._below = np.tril_indices(len(rows), -1)
 
@@ -255,9 +254,7 @@ class _QRChain:
         r[self._below] = 0.0
         r *= np.sign(diag)[:, None]  # positive diagonal convention
         rinv = np.linalg.inv(r)
-        if self.block >= self.skip_blocks:
-            self.stretches.append(diag)
-        self.block += 1
+        self.stretches.append(diag)
         return v @ rinv, rinv
 
     @property
@@ -265,7 +262,8 @@ class _QRChain:
         """(n, m) running estimates: the summed log stretches of the first
         k blocks past the transient over their elapsed time, k = 1 .. n."""
         # cumsum adds block by block, as a running sum would
-        logs = np.cumsum(np.log(np.abs(np.array(self.stretches))), axis=0)
+        kept = np.array(self.stretches[self.skip_blocks:])
+        logs = np.cumsum(np.log(np.abs(kept)), axis=0)
         elapsed = np.arange(1, len(logs) + 1) * self.renorm_every * self.h
         return logs / elapsed[:, None]
 

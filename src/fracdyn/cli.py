@@ -158,10 +158,8 @@ def _build_system(args, doc):
     if name is None:
         raise _UsageError("--system is required (flag or config document)")
     params = _parse_params(getattr(args, "param", None), doc)
-    alpha = _resolve(args, doc, "alpha")
-    return make_system(BenchmarkId(
-        name=name, params=params,
-        **({} if alpha is None else {"alpha": alpha})))
+    return make_system(BenchmarkId(name=name, params=params,
+                                   alpha=_resolve(args, doc, "alpha")))
 
 
 def _parse_x0(x0, system):

@@ -412,34 +412,6 @@ def _contour(alpha, beta, z):
     return complex(value.real) if zc.imag == 0.0 else value
 
 
-def _ml_eval(alpha, beta, z):
-    """(E_{alpha,beta}(z) as a complex, name of the route that certified it)."""
-    if z == 0:
-        return complex(1.0 / math.gamma(beta)), "zero"
-    zr = complex(z)
-    if alpha == 1.0 and beta == 1.0:
-        try:
-            if zr.imag == 0.0:
-                return complex(math.exp(zr.real)), "exp"
-            return cmath.exp(zr), "exp"
-        except OverflowError:
-            raise _overflow(alpha, beta, z) from None
-
-    if alpha < 1.0 and abs(z) > 1.0:
-        value = _asymptotic(alpha, beta, z)
-        if value is not None:
-            return value, "asymptotic"
-
-    value = _contour(alpha, beta, z)
-    if value is not None:
-        return value, "contour"
-
-    if zr.imag == 0.0 and zr.real > 1.0 and _series_overflows(
-            alpha, beta, zr.real):
-        raise _overflow(alpha, beta, z)
-    return _series_mp(alpha, beta, z), "mpmath"
-
-
 def ml_two(alpha, beta, z):
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
@@ -471,7 +443,31 @@ def ml_route(alpha, beta, z):
     ``mpmath``.  Raises what ``ml_two`` raises.
     """
     _validate(alpha, beta, z)
-    return _ml_eval(float(alpha), float(beta), z)
+    alpha, beta = float(alpha), float(beta)
+    if z == 0:
+        return complex(1.0 / math.gamma(beta)), "zero"
+    zr = complex(z)
+    if alpha == 1.0 and beta == 1.0:
+        try:
+            if zr.imag == 0.0:
+                return complex(math.exp(zr.real)), "exp"
+            return cmath.exp(zr), "exp"
+        except OverflowError:
+            raise _overflow(alpha, beta, z) from None
+
+    if alpha < 1.0 and abs(z) > 1.0:
+        value = _asymptotic(alpha, beta, z)
+        if value is not None:
+            return value, "asymptotic"
+
+    value = _contour(alpha, beta, z)
+    if value is not None:
+        return value, "contour"
+
+    if zr.imag == 0.0 and zr.real > 1.0 and _series_overflows(
+            alpha, beta, zr.real):
+        raise _overflow(alpha, beta, z)
+    return _series_mp(alpha, beta, z), "mpmath"
 
 
 def ml_one(alpha, z):

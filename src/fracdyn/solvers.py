@@ -269,16 +269,13 @@ class HistoryKernel:
     rows and the states, O((BASE + Q) C) per call.
     """
 
-    __slots__ = ("window", "sum", "_buf", "_far", "_rows", "_cols", "_flat",
-                 "_near", "_rev", "_block", "_z", "_states")
+    __slots__ = ("sum", "_buf", "_far", "_rows", "_cols", "_flat", "_near",
+                 "_rev", "_block", "_z", "_states")
 
     def __init__(self, weights, buf, pending, soe=None):
         w = np.asarray(weights, dtype=float)
         wk = np.atleast_2d(w)                       # (K, n)
-        nz = np.nonzero(wk.any(axis=0))[0]
-        self.window = self._near = int(nz[-1]) + 1 if len(nz) else 0
-        if soe is not None:
-            self.window, self._near = len(buf) - 1, BASE - 1
+        self._near = w.shape[-1] if soe is None else BASE - 1
         self.sum = np.empty(w.shape[:-1] + buf.shape[1:])
         self._buf, self._far = buf, pending
         # (len, C) and (len, K, C): a row's entries as C columns
@@ -350,7 +347,8 @@ def gl_history(alpha: float, window: int, buf) -> HistoryKernel:
     with alpha < 1, it sums the lags from ``BASE`` on as the decaying
     exponentials of ``gl_soe`` and builds c_1 .. c_{2 BASE - 1} only;
     otherwise by the direct dot."""
-    soe, lags = None, window
+    # at alpha = 1, c_k = 0 exactly for k >= 2
+    soe, lags = None, window if alpha < 1.0 else 1
     if alpha < 1.0 and BASE <= window == len(buf) - 1:
         soe, lags = gl_soe(alpha, window), 2 * BASE - 1
     return HistoryKernel(gl_weights(alpha, lags + 1)[1:], buf, buf, soe)

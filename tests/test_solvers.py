@@ -145,13 +145,13 @@ def test_history_sum_matches_naive_loop(row_shape, window, trailing_zeros):
         weights[window - 1] = 0.5   # last nonzero weight sits at lag window
     buf = rng.normal(size=(13,) + row_shape)
     hist = HistoryKernel(weights, buf, zero_far(weights, buf))
-    assert hist.window == window
     for end, got in enumerate(stream(hist, 12), start=1):
         assert np.shape(got) == row_shape
         assert_allclose(got, naive_history(weights, buf, end, end),
                         rtol=1e-13, atol=1e-13)
-        # below BASE the kernel is the direct dot, bit for bit
-        assert np.array_equal(got, direct_dot(weights[:window], buf, end))
+        # below BASE the kernel is the direct dot over every weight it
+        # is given, trailing zeros included, bit for bit
+        assert np.array_equal(got, direct_dot(weights, buf, end))
 
 
 @pytest.mark.parametrize("row_shape", [(), (3,), (3, 2)],
@@ -191,9 +191,7 @@ def test_history_kernel_weight_rows_match_naive_loop(window, n, row_shape,
     buf = rng.normal(size=(n + 1,) + row_shape)
     pending = (rng.normal(size=(n + 1, 2) + row_shape) if with_pending
                else np.zeros((n + 1, 2) + row_shape))
-    hist = HistoryKernel(weights, buf, pending.copy())
-    assert hist.window == window
-    got = stream(hist, n)
+    got = stream(HistoryKernel(weights, buf, pending.copy()), n)
     checked = {1, 2, n} | {e for e in (63, 64, 65, 127, 128, 129, 500, 1024,
                                        1025, 1100, 2048, 2049) if e <= n}
     for end, value in enumerate(got, start=1):
@@ -519,8 +517,6 @@ def test_history_kernel_needs_pending():
 
 
 def test_gl_history_alpha_one_keeps_one_lag():
-    assert gl_history(1.0, 50, np.zeros(51)).window == 1
-    assert gl_history(0.9, 50, np.zeros(51)).window == 50
     # the buffer is the kernel's own pending: each row is written after
     # the call, as every stepper does
     values = np.arange(8.0).reshape(4, 2)
