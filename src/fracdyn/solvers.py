@@ -231,11 +231,12 @@ class HistoryKernel:
     (n_blocks, dim, dim) batch of transfer-matrix deviations for the
     restart convention, so one call sums every block's history) and called
     once per step with ``end`` = 1, 2, ... <= len(buf) - 1, ``hist(end)``
-    writes sum_{k=1}^{min(end, window)} w_k * buf[end - k] + pending[end]
-    into its own C-contiguous array ``hist.sum`` and returns it, with
-    ``weights[k - 1]`` = w_k.  Rows below ``end`` must be final: the caller
-    finishes row ``end`` after the call and changes earlier rows only
-    through ``rescale``.  A restart at ``end`` = 1 takes a fresh kernel.
+    writes sum_k w_k * buf[end - k] + pending[end] over the lags k =
+    1 .. end into its own C-contiguous array ``hist.sum`` and returns it,
+    with ``weights[k - 1]`` = w_k.  Rows below ``end`` must be final: the
+    caller finishes row ``end`` after the call and changes earlier rows
+    only through ``rescale``.  A restart at ``end`` = 1 takes a fresh
+    kernel.
 
     ``weights`` of shape (K, n) holds K weight rows over the same buffer:
     ``sum`` then has shape (K,) + a row's shape, and its entry j is the
@@ -249,15 +250,14 @@ class HistoryKernel:
     them through flat views, one column per entry of a row, made once.
 
     Without ``soe`` the sum is one BLAS dot of the reversed weights
-    against ``buf[end - n:end]``, n = min(end, window), where trailing zero
-    weights are dropped, so ``window`` is the longest contributing lag
-    (one for GL at alpha = 1).
+    against ``buf[end - n:end]``, n = min(end, a weight row's length): the
+    lags past that length have weight 0.
 
     ``soe`` = (a, s) holds amplitudes a, (K, Q) or (Q,), on one rate grid
-    s, with w_k ~= sum_q a_q exp(-s_q (k - BASE)) for BASE <= k <=
-    len(buf) - 1 (what ``gl_history`` and ``abm_history`` pass at full
-    memory).  ``weights`` then holds w_1 .. w_{2 BASE - 1}, the only ones
-    read, and ``window`` is len(buf) - 1.  Lags below ``BASE`` are the
+    s, with w_k ~= sum_q a_q exp(-s_q (k - BASE)) for ``BASE`` <= k <= the
+    window, the longest lag the run reaches (what ``gl_history`` and
+    ``abm_history`` pass at full memory).  ``weights`` then holds w_1 ..
+    w_{2 BASE - 1}, the only ones read.  Lags below ``BASE`` are the
     direct dot; longer ones are the far part, Q decaying states
     y_q = sum_{j < E} exp(-s_q (E - 1 - j)) buf[j], E the last multiple of
     ``BASE`` reached, shared by the K rows.  At ``end`` = E one matmul of a
@@ -266,7 +266,12 @@ class HistoryKernel:
     - 1 (by the exact weights for the block's own lags) and the folded
     states: O((K BASE + Q) (BASE + Q) C) flops per ``BASE`` rows of C
     entries.  ``rescale`` touches the last ``BASE`` rows, the block's far
-    rows and the states, O((BASE + Q) C) per call.
+    rows and the states, O((BASE + Q) C) per call.  So once row E, a
+    multiple of ``BASE``, is written, no later call or ``rescale`` reads a
+    row below E - ``BASE``: the caller may slide rows E - ``BASE`` .. E +
+    ``BASE`` - 1 to the front of the buffer, zero the rest and go on at
+    ``end`` = ``BASE`` + 1, and the window, not the buffer, bounds the run
+    (``chaos``'s exact flow does this).
     """
 
     __slots__ = ("sum", "_buf", "_far", "_rows", "_cols", "_flat", "_near",
@@ -343,13 +348,15 @@ class HistoryKernel:
 
 def gl_history(alpha: float, window: int, buf) -> HistoryKernel:
     """GL kernel on ``buf``, its own ``pending``, with lag weights
-    c_1 .. c_window.  At full memory, window = len(buf) - 1 >= ``BASE``
-    with alpha < 1, it sums the lags from ``BASE`` on as the decaying
-    exponentials of ``gl_soe`` and builds c_1 .. c_{2 BASE - 1} only;
-    otherwise by the direct dot."""
-    # at alpha = 1, c_k = 0 exactly for k >= 2
+    c_1 .. c_window.  At full memory, where the window reaches the
+    buffer's first row (window >= len(buf) - 1, and >= ``BASE``) with
+    alpha < 1, it sums the lags from ``BASE`` on as the decaying
+    exponentials of ``gl_soe(alpha, window)`` and builds c_1 ..
+    c_{2 BASE - 1} only; otherwise by the direct dot.  At alpha = 1,
+    where c_k = 0 exactly for k >= 2, it builds c_1 alone: the classical
+    Euler step."""
     soe, lags = None, window if alpha < 1.0 else 1
-    if alpha < 1.0 and BASE <= window == len(buf) - 1:
+    if alpha < 1.0 and BASE <= window >= len(buf) - 1:
         soe, lags = gl_soe(alpha, window), 2 * BASE - 1
     return HistoryKernel(gl_weights(alpha, lags + 1)[1:], buf, buf, soe)
 
@@ -381,16 +388,26 @@ def _abm_weights(alpha, lags, window):
 
     Each power difference is k^p times expm1 and log1p of -1/k, which keep
     the leading digits that k^p - (k - 1)^p and the like cancel: b and a
-    to a few ulp, and w0(m), which still cancels its O(m^alpha) terms, to
-    about m ulp.  k = 1, where log1p(-1/k) is -inf, is set apart.
+    to a few ulp.  w0(m) = m^beta (expm1(beta log1p(-u)) + beta u), u =
+    1/m, still cancels its O(u) terms, which costs up to 4e-13 relative
+    below m = 64; from there on w0 is the binomial series m^(alpha - 1)
+    sum_i t_i u^i, t_0 = alpha beta / 2, t_{i+1} = t_i (i + 1 - alpha) /
+    (i + 3), whose terms are all >= 0 and whose first 12 give it to a few
+    ulp (exactly 1 at alpha = 1).  k = 1, where log1p(-1/k) is -inf, is
+    set apart.
     """
     beta = alpha + 1.0
     k = np.arange(2.0, max(lags, window) + 1.0)
     log_lo = np.log1p(-1.0 / k)
     b = np.concatenate(([1.0], -np.expm1(alpha * log_lo) * k ** alpha))
-    m = k[:window - 1]
-    w0 = np.concatenate(([alpha], m ** beta * (
-        np.expm1(beta * log_lo[:window - 1]) + beta / m)))
+    lo = min(62, window - 1)                    # m = 2 .. 63
+    m, big = k[:lo], k[lo:window - 1]
+    i = np.arange(11.0)
+    t = 0.5 * alpha * beta * np.cumprod(
+        np.concatenate(([1.0], (i + 1.0 - alpha) / (i + 3.0))))
+    w0 = np.concatenate((
+        [alpha], m ** beta * (np.expm1(beta * log_lo[:lo]) + beta / m),
+        big ** (alpha - 1.0) * np.polynomial.polynomial.polyval(1.0 / big, t)))
     # a_k = k^beta ((1 + u)^beta + (1 - u)^beta - 2), u = 1/k, is
     # 2 k^beta (e^s cosh d - 1) with s = (beta / 2) log1p(-u^2) and
     # d = beta atanh(u)

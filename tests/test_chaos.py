@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -413,21 +414,53 @@ def naive_tangent_history(system, cfg, base, renorm_every, tangent_history):
     return np.array(history)
 
 
-@pytest.mark.parametrize("tangent_history", ["exact", "restart"])
-def test_lyapunov_long_stretch_matches_direct_sum(tangent_history):
+@pytest.mark.parametrize("tangent_history, renorm_every, rows", [
+    ("exact", 10, 4096), ("restart", 10, 4096), ("exact", 64, 4096),
+    ("exact", 10, 128), ("exact", 10, 448)],
+    ids=["exact", "restart", "exact-push-at-every-fold",
+         "exact-three-slides", "exact-slide-near-the-end"])
+def test_lyapunov_long_stretch_matches_direct_sum(tangent_history,
+                                                  renorm_every, rows,
+                                                  monkeypatch):
     # 500 steps: the exact tangent history reaches its far part, decaying
     # states updated once per BASE rows, and pushes every QR factor
-    # through them and the far sums they have put in the rows ahead
+    # through them and the far sums they have put in the rows ahead; with
+    # 64-step blocks every push lands on a step where the far part folds
+    # a block into its states; with ROWS = 128 the history slides to the
+    # front of its buffer three times, and with ROWS = 448 once, 52 steps
+    # before the end
+    monkeypatch.setattr(chaos, "ROWS", rows)
     system = make_system("lorenz")
     cfg = SolverConfig(alpha=0.95, h=0.01, t_end=5.0,
                        x0=system.params["default_x0"])
     base = solve(system, cfg)
-    got = lyapunov_spectrum(system, cfg, renorm_every=10,
+    got = lyapunov_spectrum(system, cfg, renorm_every=renorm_every,
                             tangent_history=tangent_history,
                             base_trajectory=base).history
-    ref = naive_tangent_history(system, cfg, base, 10, tangent_history)
+    ref = naive_tangent_history(system, cfg, base, renorm_every,
+                                tangent_history)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_exact_flow_holds_one_chunk_of_tangent_history():
+    # the tangent history holds ROWS + 2 BASE + 1 rows, not N + 1; beside
+    # it stand one chunk's Jacobians, the far part's block matrix and the
+    # stretches.  At 20 000 steps the traced peak is 1.30 MB (2.41 MB with
+    # the whole history held); the bound leaves a 20% margin
+    system = make_system("lorenz")
+    cfg = SolverConfig(alpha=0.995, h=0.005, t_end=100.0,
+                       x0=system.params["default_x0"])
+    assert cfg.n_steps == 20000
+    base = solve(system, cfg)
+    tracemalloc.start()
+    try:
+        lyapunov_spectrum(system, cfg, renorm_every=20,
+                          tangent_history="exact", base_trajectory=base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.56e6
 
 
 def test_lyapunov_alpha_one_restarts_history_at_every_block():

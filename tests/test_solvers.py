@@ -402,7 +402,7 @@ def test_abm_weights_match_mpmath(alpha):
     b = scales[0] * abm_weights(alpha, ms.tolist())[0]
     w0 = scales[1] * boundary_weights(alpha, ms.tolist())
     assert np.max(np.abs(pending[ms, 0, 0] / b - 1.0)) <= 1e-14
-    assert np.max(np.abs(pending[ms, 1, 0] / w0 - 1.0)) <= 1e-9
+    assert np.max(np.abs(pending[ms, 1, 0] / w0 - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
