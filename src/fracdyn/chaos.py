@@ -232,33 +232,36 @@ class _QRChain:
 
     Called once per block, in block order, with the block's end frame: QR
     of the observable rows, the collapse check, the positive-diagonal
-    convention, and the diagonal of R (the signed stretch factors).
+    convention, and the diagonal of R (the signed stretch factors), which
+    it writes into its row of ``stretches``, one (n_blocks, m) array.
     Returns the renormalized frame and the inverse triangular factor.
     ``history`` turns the stretches of the blocks past the transient into
     the running exponent estimates.
     """
 
-    def __init__(self, rows, skip_blocks, renorm_every, h):
+    def __init__(self, rows, n_blocks, skip_blocks, renorm_every, h):
         self.rows = np.array(rows)
         self.skip_blocks = skip_blocks
         self.renorm_every = renorm_every
         self.h = h
-        self.stretches = []
+        self.stretches = np.empty((n_blocks, len(rows)))
+        self.blocks = 0              # rows of ``stretches`` written
         self._below = np.tril_indices(len(rows), -1)
 
     def __call__(self, v, t):
         # mode "raw" skips forming Q; the upper triangle of its transposed
         # h is the R of mode "r", bit for bit, with reflectors below it
         r = np.linalg.qr(v[self.rows], mode="raw")[0].T
-        diag = r.diagonal().copy()
+        diag = self.stretches[self.blocks]
+        diag[:] = r.diagonal()
         # NaN fails the comparison as well
         if not all(1e-300 <= abs(d) < math.inf for d in diag.tolist()):
             raise NonConvergenceError(
                 f"tangent frame collapsed at t = {t:.6g}")
+        self.blocks += 1
         r[self._below] = 0.0
         r *= np.sign(diag)[:, None]  # positive diagonal convention
         rinv = np.linalg.inv(r)
-        self.stretches.append(diag)
         return v @ rinv, rinv
 
     @property
@@ -266,7 +269,7 @@ class _QRChain:
         """(n, m) running estimates: the summed log stretches of the first
         k blocks past the transient over their elapsed time, k = 1 .. n."""
         # cumsum adds block by block, as a running sum would
-        kept = np.array(self.stretches[self.skip_blocks:])
+        kept = self.stretches[self.skip_blocks:self.blocks]
         logs = np.cumsum(np.log(np.abs(kept)), axis=0)
         elapsed = np.arange(1, len(logs) + 1) * self.renorm_every * self.h
         return logs / elapsed[:, None]
@@ -393,7 +396,7 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
     holds O(max(ROWS, renorm_every) * dim^2) floats at a time; the exact
     convention holds ``ROWS`` steps' Jacobians and ``ROWS`` + 2 ``BASE`` +
     1 rows of (dim, m) tangent history, whatever N: a traced peak of
-    1.9 MB for case 1 (Lorenz, N = 10^5).  Either way ``system.jacobian``
+    1.4 MB for case 1 (Lorenz, N = 10^5).  Either way ``system.jacobian``
     is called once per chunk, on a batch.
 
     For systems with ``observables`` set, one tangent column is seeded per
@@ -446,7 +449,7 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
     skip_blocks = min(int(math.ceil(transient / (h * renorm_every))),
                       n_blocks - 1)
     transient_discarded = skip_blocks * renorm_every * h
-    chain = _QRChain(rows, skip_blocks, renorm_every, h)
+    chain = _QRChain(rows, n_blocks, skip_blocks, renorm_every, h)
     # at alpha = 1 the history is the one lag c_1 = -1, so a restart is
     # exact and both conventions take the restart path
     if tangent_history == "exact" and alpha != 1.0:

@@ -168,8 +168,12 @@ def _count_cells(pts, mins, spans, epsilon):
 
 def _distinct_rows(pts):
     """Number of distinct rows of ``pts``, counted as
-    ``np.unique(pts, axis=0)`` counts them (-0.0 equals 0.0), from one
-    lexsort pass."""
+    ``np.unique(pts, axis=0)`` counts them (-0.0 equals 0.0).  When the
+    sorted first column has no two equal neighbours, no two rows are
+    equal; otherwise one lexsort pass ranks the rows."""
+    first = np.sort(pts[:, 0])
+    if (first[1:] != first[:-1]).all():
+        return len(pts)
     ranked = pts[np.lexsort(pts.T)]
     return 1 + int(np.count_nonzero(
         reduce(np.logical_or, (ranked[1:] != ranked[:-1]).T)))

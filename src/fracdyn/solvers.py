@@ -16,23 +16,28 @@ layer accepts a windowed config, and trajectory files do not record it.
 Both reduce to their classical counterparts (Euler, Heun/trapezoid) at
 alpha = 1.
 
-Per-step cost is one call of the shared history kernel ``HistoryKernel``
-(for ABM, one call with two weight rows: the predictor and corrector sums).
-At full memory (no ``memory_window``; in ``chaos``, the exact-flow tangent
-history and restart blocks of ``BASE`` steps or more) it sums the last
-``BASE`` - 1 lags by a direct dot and the longer ones as Q decaying
-exponentials (``gl_soe``, ``abm_soe``; Q of about 130-210) updated once
-per ``BASE`` rows: O(N * Q * dim) flops over N steps.  A windowed run sums
-its window by the direct dot, O(N * window * dim).
+Per-step cost is one call of the shared history kernel ``HistoryKernel``,
+which makes one BLAS dot over lags 0 .. n (for ABM, one call with two
+weight rows: the predictor and corrector sums).  At full memory (no
+``memory_window``; in ``chaos``, the exact-flow tangent history and restart
+blocks of ``BASE`` steps or more) the dot spans lags 0 .. ``BASE`` - 1,
+and the longer lags are Q decaying exponentials (``gl_soe``, ``abm_soe``;
+Q of about 130-210) updated once per ``BASE`` rows by one matmul, which
+adds their far sums into the kernel's ``pending`` rows: O(N * Q * dim)
+flops over N steps.  A windowed run sums its window by the direct dot,
+O(N * window * dim).
 
 Memory: the GL stepper's deviation array is its kernel's ``pending``, so
-the far part adds its sums into its rows ahead of the step, and the step
-subtracts ``hist.sum`` into row m; the result is that array shifted by x0
-in place.  A full-memory GL solve over N steps then holds the (N + 1, dim)
-trajectory, its time grid, the first 2 ``BASE`` - 1 weights and the far
-part's (BASE + Q)^2 block matrix (at most 0.6 MB) and Q states: at
-N = 10^5 in 3-d, a traced peak of 3.7 MB for a 2.4 MB trajectory.  ABM
-keeps separate (N + 1, 2, dim) pending rows for x0 and f_0's terms.
+the far part adds its sums into its rows ahead of the step.  When the
+kernel is called for row m, that row holds its far sums, which the dot
+reads at lag 0 with c_0 = 1; the step then overwrites it with
+h^alpha f minus ``hist.sum``.  The result is that array shifted by x0 in
+place.  A full-memory GL solve over N steps then holds the (N + 1, dim)
+trajectory, its time grid, the first 2 ``BASE`` weights and the far part's
+(BASE + Q)^2 block matrix (at most 0.6 MB) and Q states: at N = 10^5 in
+3-d, a traced peak of 3.7 MB for a 2.4 MB trajectory.  ABM keeps separate
+(N + 1, 2, dim) pending rows for x0, f_0's terms and the far sums, and
+adds row m to ``hist.sum`` itself after each call.
 
 Both steppers check divergence once per block of ``BASE`` steps (and once
 for the final partial block): the first row of the block whose max|x|
@@ -231,46 +236,48 @@ class HistoryKernel:
     (n_blocks, dim, dim) batch of transfer-matrix deviations for the
     restart convention, so one call sums every block's history) and called
     once per step with ``end`` = 1, 2, ... <= len(buf) - 1, ``hist(end)``
-    writes sum_k w_k * buf[end - k] + pending[end] over the lags k =
-    1 .. end into its own C-contiguous array ``hist.sum`` and returns it,
-    with ``weights[k - 1]`` = w_k.  Rows below ``end`` must be final: the
-    caller finishes row ``end`` after the call and changes earlier rows
-    only through ``rescale``.  A restart at ``end`` = 1 takes a fresh
-    kernel.
+    writes sum_k w_k * buf[end - k] over the lags k = 0 .. end into its
+    own C-contiguous array ``hist.sum`` and returns it, with
+    ``weights[k]`` = w_k.  Rows below ``end`` must be final: the caller
+    finishes row ``end`` after the call and changes earlier rows only
+    through ``rescale``.  A restart at ``end`` = 1 takes a fresh kernel.
 
     ``weights`` of shape (K, n) holds K weight rows over the same buffer:
     ``sum`` then has shape (K,) + a row's shape, and its entry j is the
     sum with the weights ``weights[j]``, all K from one pass over ``buf``
     (ABM's predictor and corrector).  ``pending``, of shape (len(buf),) +
-    ``sum``'s shape, holds the far rows, which every call adds: the far
-    part adds into it, and any term it starts with (ABM's x0 and f_0
-    terms) costs nothing per step.  It is ``buf`` itself for the GL
-    steppers, whose rows from ``end`` on are zero until the caller writes
-    them.  ``buf`` and ``pending`` must be C-contiguous: the kernel reads
-    them through flat views, one column per entry of a row, made once.
+    ``sum``'s shape, is where the far part adds its sums; the kernel never
+    adds it to ``sum``.  The GL steppers pass ``buf`` itself, whose row
+    ``end`` is zero but for those far sums when the call reads it at lag
+    0 with w_0 = 1, so one dot sums both.  ABM passes separate rows, which
+    also carry its x0 and f_0 terms, with w_0 = 0, and adds
+    ``pending[end]`` after the call.  ``buf`` and ``pending`` must be
+    C-contiguous: the kernel reads them through flat views, one column
+    per entry of a row, made once.
 
     Without ``soe`` the sum is one BLAS dot of the reversed weights
-    against ``buf[end - n:end]``, n = min(end, a weight row's length): the
-    lags past that length have weight 0.
+    against ``buf[end + 1 - n:end + 1]``, n = min(end + 1, a weight row's
+    length): the lags past that length have weight 0.
 
     ``soe`` = (a, s) holds amplitudes a, (K, Q) or (Q,), on one rate grid
     s, with w_k ~= sum_q a_q exp(-s_q (k - BASE)) for ``BASE`` <= k <= the
     window, the longest lag the run reaches (what ``gl_history`` and
-    ``abm_history`` pass at full memory).  ``weights`` then holds w_1 ..
+    ``abm_history`` pass at full memory).  ``weights`` then holds w_0 ..
     w_{2 BASE - 1}, the only ones read.  Lags below ``BASE`` are the
     direct dot; longer ones are the far part, Q decaying states
     y_q = sum_{j < E} exp(-s_q (E - 1 - j)) buf[j], E the last multiple of
-    ``BASE`` reached, shared by the K rows.  At ``end`` = E one matmul of a
-    fixed (K BASE + Q, Q + BASE) matrix against the states and the block
-    ``buf[E - BASE:E]`` gives each row's far sums of outputs E .. E + BASE
-    - 1 (by the exact weights for the block's own lags) and the folded
-    states: O((K BASE + Q) (BASE + Q) C) flops per ``BASE`` rows of C
-    entries.  ``rescale`` touches the last ``BASE`` rows, the block's far
-    rows and the states, O((BASE + Q) C) per call.  So once row E, a
-    multiple of ``BASE``, is written, no later call or ``rescale`` reads a
-    row below E - ``BASE``: the caller may slide rows E - ``BASE`` .. E +
-    ``BASE`` - 1 to the front of the buffer, zero the rest and go on at
-    ``end`` = ``BASE`` + 1, and the window, not the buffer, bounds the run
+    ``BASE`` reached, shared by the K rows.  At ``end`` = E, before the
+    dot, one matmul of a fixed (K BASE + Q, Q + BASE) matrix against the
+    states and the block ``buf[E - BASE:E]`` gives each row's far sums of
+    outputs E .. E + BASE - 1 (by the exact weights for the block's own
+    lags), added into those rows of ``pending``, and the folded states:
+    O((K BASE + Q) (BASE + Q) C) flops per ``BASE`` rows of C entries.
+    ``rescale`` touches the last ``BASE`` rows, the block's far rows and
+    the states, O((BASE + Q) C) per call.  So once row E, a multiple of
+    ``BASE``, is written, no later call or ``rescale`` reads a row below
+    E - ``BASE``: the caller may slide rows E - ``BASE`` .. E + ``BASE`` -
+    1 to the front of the buffer, zero the rest and go on at ``end`` =
+    ``BASE`` + 1, and the window, not the buffer, bounds the run
     (``chaos``'s exact flow does this).
     """
 
@@ -280,7 +287,7 @@ class HistoryKernel:
     def __init__(self, weights, buf, pending, soe=None):
         w = np.asarray(weights, dtype=float)
         wk = np.atleast_2d(w)                       # (K, n)
-        self._near = w.shape[-1] if soe is None else BASE - 1
+        self._near = w.shape[-1] if soe is None else BASE
         self.sum = np.empty(w.shape[:-1] + buf.shape[1:])
         self._buf, self._far = buf, pending
         # (len, C) and (len, K, C): a row's entries as C columns
@@ -297,7 +304,7 @@ class HistoryKernel:
         """The far part's block matrix and its work rows: the Q states,
         then a copy of the block being folded in."""
         k, q, lag = len(wk), len(rates), np.arange(BASE)
-        exact = wk[:, BASE - 1:2 * BASE - 1]        # w_BASE .. w_{2 BASE - 1}
+        exact = wk[:, BASE:2 * BASE]                # w_BASE .. w_{2 BASE - 1}
         # rows: far sums of outputs E + i of each weight row, then the
         # folded states; columns: the states, then block rows E - BASE + r
         block = np.zeros((k * BASE + q, q + BASE))
@@ -313,15 +320,15 @@ class HistoryKernel:
                                   copy=False)
 
     def __call__(self, end):
-        near = self._near
-        if end >= near:
-            np.dot(self._rev, self._rows[end - near:end], out=self._flat)
-        else:
-            np.dot(self._rev[..., near - end:], self._rows[:end],
-                   out=self._flat)
+        # the far part adds into row ``end``, which the dot reads at lag 0
         if end % BASE == 0 and self._states is not None:
             self._run_soe(end)
-        self.sum += self._far[end]
+        near, stop = self._near, end + 1
+        if stop >= near:
+            np.dot(self._rev, self._rows[stop - near:stop], out=self._flat)
+        else:
+            np.dot(self._rev[..., near - stop:], self._rows[:stop],
+                   out=self._flat)
         return self.sum
 
     def _run_soe(self, end):
@@ -335,10 +342,10 @@ class HistoryKernel:
 
     def rescale(self, end, matrix):
         """Right-multiply by ``matrix`` every row a later call reads: the
-        stored rows back to the longest lag the direct dot still reads from
-        them and, with ``soe``, the far rows the far part has started and
-        the states."""
-        parts = [self._buf[max(0, end - self._near):end + 1]]
+        stored rows back to the oldest one a later dot or fold still reads
+        and, with ``soe``, the far rows the far part has started and the
+        states."""
+        parts = [self._buf[max(0, end + 1 - self._near):end + 1]]
         if self._states is not None:
             parts += [self._far[end + 1:end - end % BASE + BASE],
                       self._states]
@@ -348,28 +355,31 @@ class HistoryKernel:
 
 def gl_history(alpha: float, window: int, buf) -> HistoryKernel:
     """GL kernel on ``buf``, its own ``pending``, with lag weights
-    c_1 .. c_window.  At full memory, where the window reaches the
-    buffer's first row (window >= len(buf) - 1, and >= ``BASE``) with
-    alpha < 1, it sums the lags from ``BASE`` on as the decaying
-    exponentials of ``gl_soe(alpha, window)`` and builds c_1 ..
-    c_{2 BASE - 1} only; otherwise by the direct dot.  At alpha = 1,
-    where c_k = 0 exactly for k >= 2, it builds c_1 alone: the classical
-    Euler step."""
+    c_0 .. c_window: c_0 = 1 reads at lag 0 the row being written, which
+    holds only its far sums then, so one dot sums all lags.  At full
+    memory, where the window reaches the buffer's first row (window >=
+    len(buf) - 1, and >= ``BASE``) with alpha < 1, it sums the lags from
+    ``BASE`` on as the decaying exponentials of ``gl_soe(alpha, window)``
+    and builds c_0 .. c_{2 BASE - 1} only; otherwise by the direct dot.
+    At alpha = 1, where c_k = 0 exactly for k >= 2, it builds c_0 and c_1
+    alone: the classical Euler step."""
     soe, lags = None, window if alpha < 1.0 else 1
     if alpha < 1.0 and BASE <= window >= len(buf) - 1:
         soe, lags = gl_soe(alpha, window), 2 * BASE - 1
-    return HistoryKernel(gl_weights(alpha, lags + 1)[1:], buf, buf, soe)
+    return HistoryKernel(gl_weights(alpha, lags + 1), buf, buf, soe)
 
 
 def abm_history(alpha: float, h: float, window: int, buf, pending,
                 f0) -> HistoryKernel:
     """ABM kernel on ``buf`` = 0, f_1, f_2, ... with the weight rows
-    cp b_{k-1} and cc a_k, k = 1 .. window (see ``solve_abm``); writes
-    f_0 (cp b_{m-1}, cc w0(m)) into rows m = 1 .. window of ``pending``,
-    to which the caller adds x0.  At full memory, window = len(buf) - 1 >=
-    ``BASE``, it sums the lags from ``BASE`` on as the decaying
-    exponentials of ``abm_soe`` and builds lags 1 .. 2 ``BASE`` - 1 only;
-    otherwise by the direct dot."""
+    cp b_{k-1} and cc a_k, k = 1 .. window, and w_0 = 0 for both (see
+    ``solve_abm``); writes f_0 (cp b_{m-1}, cc w0(m)) into rows m = 1 ..
+    window of ``pending``.  The caller adds x0 to every row of
+    ``pending`` and row m to the kernel's sum after the call at m.  At
+    full memory, window = len(buf) - 1 >= ``BASE``, it sums the lags from
+    ``BASE`` on as the decaying exponentials of ``abm_soe``, which add
+    into ``pending``, and builds lags 0 .. 2 ``BASE`` - 1 only; otherwise
+    by the direct dot."""
     cp = h ** alpha / gamma(alpha + 1.0)
     cc = h ** alpha / gamma(alpha + 2.0)
     soe, lags = None, window
@@ -382,9 +392,9 @@ def abm_history(alpha: float, h: float, window: int, buf, pending,
 
 
 def _abm_weights(alpha, lags, window):
-    """ABM's unscaled weight rows b_{k-1} and a_k, k = 1 .. lags, (2, lags),
-    and f_0's weights b_{m-1} and w0(m), m = 1 .. window, (window, 2); see
-    ``solve_abm``.
+    """ABM's unscaled weight rows b_{k-1} and a_k, k = 1 .. lags, after a
+    weight 0 at lag 0, (2, lags + 1), and f_0's weights b_{m-1} and w0(m),
+    m = 1 .. window, (window, 2); see ``solve_abm``.
 
     Each power difference is k^p times expm1 and log1p of -1/k, which keep
     the leading digits that k^p - (k - 1)^p and the like cancel: b and a
@@ -417,7 +427,8 @@ def _abm_weights(alpha, lags, window):
     a = np.concatenate(([2.0 * expm1(alpha * log(2.0))], 2.0 * near ** beta
                         * (np.expm1(s) * np.cosh(d)
                            + 2.0 * np.sinh(0.5 * d) ** 2)))
-    return np.stack((b[:lags], a)), np.column_stack((b[:window], w0))
+    return (np.pad(np.stack((b[:lags], a)), ((0, 0), (1, 0))),
+            np.column_stack((b[:window], w0)))
 
 
 def _check_rows(x, first, t):
@@ -486,26 +497,27 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
     h, alpha = config.h, config.alpha
     ha = h ** alpha
     t, dev = _step_arrays(config, n_steps, (system.dim,))
-    # f(t_0, x_0), whose shape is checked here rather than broadcast
-    fx = _field_value(system, t[0], x0)
-    # at alpha = 1 only c_1 = -1 survives: the classical Euler step
+    # h^alpha f(t_0, x_0), whose shape is checked here rather than broadcast
+    hfx = ha * _field_value(system, t[0], x0)
+    # at alpha = 1 only c_0 = 1 and c_1 = -1 survive: the classical Euler step
     hist = gl_history(alpha, window, dev)
     f = system.field
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, n_steps + 1, BASE):
             stop = min(first + BASE, n_steps + 1)
             try:
-                for m in range(first, stop):
+                # row m's field value feeds step m + 1; the last row's
+                # feeds none, so it is written below without one
+                for m in range(first, min(stop, n_steps)):
                     d = dev[m]
-                    if m > 1:
-                        fx = np.asarray(f(t[m - 1], x_prev), dtype=float)
-                    # d_0 = 0, so lag m contributes nothing
-                    np.subtract(ha * fx, hist(m), out=d)
-                    x_prev = x0 + d
+                    np.subtract(hfx, hist(m), out=d)
+                    hfx = ha * np.asarray(f(t[m], x0 + d), dtype=float)
             except Exception:
                 # a diverged state written before the failure explains it
-                _check_rows(dev[first:m] + x0, first, t)
+                _check_rows(dev[first:m + 1] + x0, first, t)
                 raise
+            if stop > n_steps:
+                np.subtract(hfx, hist(n_steps), out=dev[n_steps])
             _check_rows(dev[first:stop] + x0, first, t)
     dev += x0
     return Trajectory(t=t, x=dev, alpha=alpha, h=h,
@@ -530,7 +542,9 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
     b_r = (r+1)^a - r^a, a_k = (k+1)^{a+1} - 2 k^{a+1} + (k-1)^{a+1} and
     f_0's boundary weight w0(m) = (m-1)^{a+1} - (m-1-a) m^a in place of
     a_m.  x0 and the f_0 terms are the kernel's ``pending`` rows, zero f_0
-    terms past the window.  The corrector is then
+    terms past the window; the far part adds its sums there too, and the
+    step adds row m to the kernel's sum after its call.  The corrector is
+    then
     x_m = base_m + cc * f(t_m, pred_m).
     """
     n_steps, window = _check_dims(system, config)
@@ -546,13 +560,15 @@ def solve_abm(system: SystemSpec, config: SolverConfig) -> Trajectory:
                        _field_value(system, t[0], x0))
     pending += x0
     # views of hist.sum, which every call refills
-    pred, base = hist.sum
+    total = hist.sum
+    pred, base = total
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, n_steps + 1, BASE):
             stop = min(first + BASE, n_steps + 1)
             try:
                 for m in range(first, stop):
                     hist(m)
+                    total += pending[m]
                     x[m] = cur = base + cc * np.asarray(f(t[m], pred),
                                                         dtype=float)
                     fx[m] = f(t[m], cur)

@@ -446,8 +446,9 @@ def test_lyapunov_long_stretch_matches_direct_sum(tangent_history,
 def test_exact_flow_holds_one_chunk_of_tangent_history():
     # the tangent history holds ROWS + 2 BASE + 1 rows, not N + 1; beside
     # it stand one chunk's Jacobians, the far part's block matrix and the
-    # stretches.  At 20 000 steps the traced peak is 1.30 MB (2.41 MB with
-    # the whole history held); the bound leaves a 20% margin
+    # (n_blocks, m) stretches.  At 20 000 steps the traced peak is 1.24 MB
+    # (2.41 MB with the whole history held, 1.30 MB with one small array
+    # of stretches per block); the bound leaves a 20% margin
     system = make_system("lorenz")
     cfg = SolverConfig(alpha=0.995, h=0.005, t_end=100.0,
                        x0=system.params["default_x0"])
@@ -460,7 +461,7 @@ def test_exact_flow_holds_one_chunk_of_tangent_history():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.56e6
+    assert peak <= 1.49e6
 
 
 def test_lyapunov_alpha_one_restarts_history_at_every_block():
@@ -482,7 +483,7 @@ class ReferenceQRChain:
     """``chaos._QRChain`` with R from QR in mode "r", and the log
     stretches summed block by block into running estimates."""
 
-    def __init__(self, rows, skip_blocks, renorm_every, h):
+    def __init__(self, rows, n_blocks, skip_blocks, renorm_every, h):
         self.rows = rows
         self.skip_blocks = skip_blocks
         self.renorm_every = renorm_every

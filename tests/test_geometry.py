@@ -177,6 +177,34 @@ def test_distinct_rows_count_as_np_unique_counts_them():
             np.unique(pts, axis=0).shape[0]
 
 
+def test_distinct_rows_sorts_one_column_before_it_lexsorts(monkeypatch):
+    # a sorted first column with no equal neighbours counts every row at
+    # once; a tie there, -0.0 beside 0.0 included, goes to the lexsort
+    rng = np.random.default_rng(8)
+    distinct = rng.normal(size=(500, 3))
+    tied = distinct.copy()
+    tied[7, 0] = tied[3, 0]                 # rows still distinct
+    signed = distinct.copy()
+    signed[[10, 20], 0] = [-0.0, 0.0]       # rows still distinct
+    merged = signed.copy()
+    merged[20] = [0.0, *merged[10, 1:]]     # rows 10 and 20: one row
+    clouds = [(distinct, False), (tied, True), (signed, True),
+              (merged, True), (np.concatenate([distinct, distinct[:9]]), True)]
+    counts = [np.unique(pts, axis=0).shape[0] for pts, _ in clouds]
+    assert counts == [500, 500, 500, 499, 500]
+    lexsort, calls = np.lexsort, []
+
+    def counting_lexsort(keys):
+        calls.append(len(keys))
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", counting_lexsort)
+    for (pts, ties), count in zip(clouds, counts):
+        calls.clear()
+        assert geometry._distinct_rows(pts) == count
+        assert bool(calls) == ties
+
+
 def test_box_dimension_counts_match_box_count():
     # the scale ladder shares its counter with box_count, also on the
     # closed-cell boundary path: half the points sit on grid lines

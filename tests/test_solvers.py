@@ -90,14 +90,15 @@ def test_gl_weights_validation():
 
 
 def naive_history(weights, buf, end, lags):
-    """sum_{k=1}^{lags} w_k buf[end - k] as a plain double loop; lags past
-    the weights or before buf[0] contribute nothing."""
+    """sum_{k=0}^{lags} w_k buf[end - k] as a plain double loop, with
+    ``weights[k]`` = w_k; lags past the weights or before buf[0]
+    contribute nothing."""
     acc = np.zeros(buf.shape[1:])
-    for k in range(1, lags + 1):
-        if k > len(weights) or end - k < 0:
+    for k in range(lags + 1):
+        if k >= len(weights) or end - k < 0:
             continue
         for idx in np.ndindex(*buf.shape[1:]):
-            acc[idx] += weights[k - 1] * buf[end - k][idx]
+            acc[idx] += weights[k] * buf[end - k][idx]
     return acc
 
 
@@ -119,19 +120,19 @@ def rows_of(buf):
 
 
 def direct_dot(weights, buf, end):
-    """The plain direct dot over lags 1 .. min(end, n) of the weights'
+    """The plain direct dot over lags 0 .. min(end, n - 1) of the weights'
     last axis (of length n), one sum per weight row."""
-    n = min(end, weights.shape[-1])
+    n = min(end + 1, weights.shape[-1])
     rev = np.ascontiguousarray(weights[..., :n][..., ::-1])
-    return (rev @ rows_of(buf)[end - n:end]).reshape(weights.shape[:-1]
-                                                     + buf.shape[1:])
+    return (rev @ rows_of(buf)[end + 1 - n:end + 1]).reshape(
+        weights.shape[:-1] + buf.shape[1:])
 
 
 def rounding_scale(weights, buf, end):
     """sum_k |w_k| |buf[end - k]|, the scale of the sum's rounding error."""
-    n = min(end, len(weights))
+    n = min(end + 1, len(weights))
     return (np.abs(weights[:n][::-1])
-            @ np.abs(rows_of(buf)[end - n:end])).reshape(buf.shape[1:])
+            @ np.abs(rows_of(buf)[end + 1 - n:end + 1])).reshape(buf.shape[1:])
 
 
 @pytest.mark.parametrize("row_shape", [(), (3,)])
@@ -142,7 +143,7 @@ def test_history_sum_matches_naive_loop(row_shape, window, trailing_zeros):
     weights = np.concatenate([rng.normal(size=window),
                               np.zeros(trailing_zeros)])
     if window:
-        weights[window - 1] = 0.5   # last nonzero weight sits at lag window
+        weights[window - 1] = 0.5   # last nonzero weight: lag window - 1
     buf = rng.normal(size=(13,) + row_shape)
     hist = HistoryKernel(weights, buf, zero_far(weights, buf))
     for end, got in enumerate(stream(hist, 12), start=1):
@@ -160,7 +161,7 @@ def test_history_sum_matches_naive_loop(row_shape, window, trailing_zeros):
 @pytest.mark.parametrize("window", [1, 63, 64, 65, 200, 1000])
 def test_history_kernel_matches_naive_loop(window, n, row_shape):
     rng = np.random.default_rng(window + 7 * n + len(row_shape))
-    weights = rng.normal(size=window)
+    weights = rng.normal(size=window + 1)       # lags 0 .. window
     buf = rng.normal(size=(n + 1,) + row_shape)
     got = stream(HistoryKernel(weights, buf, zero_far(weights, buf)), n)
     checked = {1, 2, n} | {e for e in (63, 64, 65, 127, 128, 129, 500, 1024,
@@ -184,42 +185,48 @@ def test_history_kernel_matches_naive_loop(window, n, row_shape):
 def test_history_kernel_weight_rows_match_naive_loop(window, n, row_shape,
                                                      with_pending):
     # two weight rows over one buffer, as ABM's predictor and corrector;
-    # the second stops short, so the rows' supports differ
+    # the second stops short, so the rows' supports differ.  Without a far
+    # part the kernel neither reads nor writes ``pending``
     rng = np.random.default_rng(window + 7 * n + len(row_shape) + 1)
-    weights = rng.normal(size=(2, window))
+    weights = rng.normal(size=(2, window + 1))  # lags 0 .. window
     weights[1, (window + 1) // 2:] = 0.0
     buf = rng.normal(size=(n + 1,) + row_shape)
     pending = (rng.normal(size=(n + 1, 2) + row_shape) if with_pending
                else np.zeros((n + 1, 2) + row_shape))
-    got = stream(HistoryKernel(weights, buf, pending.copy()), n)
+    far = pending.copy()
+    got = stream(HistoryKernel(weights, buf, far), n)
+    assert np.array_equal(far, pending)
     checked = {1, 2, n} | {e for e in (63, 64, 65, 127, 128, 129, 500, 1024,
                                        1025, 1100, 2048, 2049) if e <= n}
     for end, value in enumerate(got, start=1):
         assert value.shape == (2,) + row_shape
         for j in range(2):
-            scale = (rounding_scale(weights[j], buf, end)
-                     + np.abs(pending[end, j]))
-            ref = direct_dot(weights[j], buf, end) + pending[end, j]
+            scale = rounding_scale(weights[j], buf, end)
+            ref = direct_dot(weights[j], buf, end)
             assert np.all(np.abs(value[j] - ref) <= 1e-13 * scale)
             if end in checked:
                 naive = naive_history(weights[j], buf, end, end)
-                assert np.all(np.abs(value[j] - naive - pending[end, j])
-                              <= 1e-13 * scale)
+                assert np.all(np.abs(value[j] - naive) <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("weights_shape", [(5,), (2, 5)],
                          ids=["one-row", "two-rows"])
-def test_history_kernel_adds_pending_without_a_far_part(weights_shape):
-    # a kernel without ``soe`` has no far part; the pending row is added
-    # all the same, after the direct dot
+def test_history_kernel_leaves_pending_without_a_far_part(weights_shape):
+    # a kernel without ``soe`` has no far part, so its sum is the direct
+    # dot over lags 0 .. n alone: a pending row is the caller's to add, as
+    # ABM's stepper adds its own
     rng = np.random.default_rng(5)
     weights = rng.normal(size=weights_shape)
     buf = rng.normal(size=(40, 3))
     pending = rng.normal(size=(40,) + weights_shape[:-1] + (3,))
-    got = stream(HistoryKernel(weights, buf, pending.copy()), 39)
+    far = pending.copy()
+    got = stream(HistoryKernel(weights, buf, far), 39)
+    assert np.array_equal(far, pending)
     for end, value in enumerate(got, start=1):
-        assert np.array_equal(value,
-                              direct_dot(weights, buf, end) + pending[end])
+        for j, w in enumerate(np.atleast_2d(weights)):
+            naive = naive_history(w, buf, end, end)
+            assert np.all(np.abs(value.reshape(-1, 3)[j] - naive)
+                          <= 1e-13 * rounding_scale(w, buf, end))
 
 
 def test_history_kernel_pushes_through():
@@ -227,7 +234,7 @@ def test_history_kernel_pushes_through():
     # the kernel, which must rescale its pending far sums the same way
     rng = np.random.default_rng(3)
     dim, m, n, window = 3, 2, 1500, 300
-    weights = rng.normal(size=window)
+    weights = rng.normal(size=window + 1)
     buf = rng.normal(size=(n + 1, dim, m))
     ref = buf.copy()    # the same history, rescaled in full by hand
     hist = HistoryKernel(weights, buf, zero_far(weights, buf))
@@ -249,51 +256,55 @@ def test_history_kernel_pushes_through():
 def test_history_kernel_with_buf_as_pending_matches_naive_loop(window, n,
                                                                row_shape):
     # the GL layout: the buffer is its own pending, whose rows from ``end``
-    # on are zero until the caller writes row ``end`` after the call; bit
-    # for bit a kernel with separate far rows
+    # on are zero until the caller writes row ``end`` after the call, and
+    # w_0 = 1 reads that zero row at lag 0
     rng = np.random.default_rng(window + 7 * n + len(row_shape) + 2)
-    weights = rng.normal(size=window)
+    weights = np.concatenate(([1.0], rng.normal(size=window)))
     values = rng.normal(size=(n + 1,) + row_shape)
     buf = np.zeros_like(values)
     buf[0] = values[0]
     hist = HistoryKernel(weights, buf, buf)
-    apart = HistoryKernel(weights, values, zero_far(weights, values))
     checked = {1, 2, n} | {e for e in (63, 64, 65, 127, 128, 129, 500, 1024,
                                        1025, 1100, 2048, 2049) if e <= n}
     for end in range(1, n + 1):
         value = hist(end)
-        assert np.array_equal(value, apart(end))
-        scale = rounding_scale(weights, values, end)
-        assert np.all(np.abs(value - direct_dot(weights, values, end))
-                      <= 1e-13 * scale)
+        # without ``soe`` the kernel is the direct dot, bit for bit
+        assert np.array_equal(value, direct_dot(weights, buf, end))
         if end in checked:
-            naive = naive_history(weights, values, end, end)
+            naive = naive_history(weights, buf, end, end)
+            scale = rounding_scale(weights, buf, end)
             assert np.all(np.abs(value - naive) <= 1e-13 * scale)
         buf[end] = values[end]
 
 
 @pytest.mark.parametrize("window", [300, 1500], ids=["windowed", "full"])
 def test_history_kernel_with_buf_as_pending_pushes_through(window):
-    # the exact-flow layout: a push-through rescales the stored rows the
-    # direct dot still reads, bit for bit as it does with separate far
-    # rows
+    # the exact-flow layout, w_0 = 1: a push-through rescales the stored
+    # rows the direct dot still reads, as rescaling the whole history by
+    # hand would
     rng = np.random.default_rng(13)
     dim, m, n = 3, 2, 1500
-    weights = rng.normal(size=window)
+    weights = rng.normal(size=window + 1)
     weights *= 0.5 / np.abs(weights).sum()    # a stable recursion
+    weights[0] = 1.0
     drive = rng.normal(size=(n + 1, dim, m))
-    own, apart = np.zeros((2, n + 1, dim, m))
-    hist_own = HistoryKernel(weights, own, own)
-    hist_apart = HistoryKernel(weights, apart, zero_far(weights, apart))
+    own = np.zeros_like(drive)
+    ref = np.zeros_like(drive)  # the same history, rescaled in full by hand
+    hist = HistoryKernel(weights, own, own)
     rinv = np.eye(m) + np.triu(rng.normal(size=(m, m)), 1)
+    checked = {1, 2, 63, 64, 65, 500, 1024, 1025, n}
     for end in range(1, n + 1):
-        step = drive[end] - hist_own(end)
-        assert np.array_equal(step, drive[end] - hist_apart(end))
-        own[end] = apart[end] = step
+        value = hist(end)
+        scale = rounding_scale(weights, ref, end)
+        assert np.all(np.abs(value - direct_dot(weights, ref, end))
+                      <= 1e-13 * scale)
+        if end in checked:
+            naive = naive_history(weights, ref, end, end)
+            assert np.all(np.abs(value - naive) <= 1e-13 * scale)
+        own[end] = ref[end] = drive[end] - value
         if end % 70 == 0:
-            hist_own.rescale(end, rinv)
-            hist_apart.rescale(end, rinv)
-            assert np.array_equal(own[:end + 1], apart[:end + 1])
+            hist.rescale(end, rinv)
+            ref[:end + 1] = ref[:end + 1] @ rinv
 
 
 # the orders of the SOE weight test: the edges of (0, 1) and the
@@ -332,24 +343,27 @@ def test_soe_nodes_stay_finite_at_the_smallest_rates():
 @pytest.mark.parametrize("alpha", [0.1, 0.9])
 def test_full_memory_gl_kernel_matches_naive_loop(alpha, n, row_shape):
     # lags from BASE on as decaying states, updated once per BASE rows,
-    # with the stepper's layout: the buffer is its own pending
+    # with the stepper's layout: the buffer is its own pending, whose row
+    # ``end`` holds the far sums that c_0 = 1 reads at lag 0; ``ref`` is
+    # the same history with that row still zero
     rng = np.random.default_rng(n + len(row_shape))
-    weights = gl_weights(alpha, n + 1)[1:]
+    weights = gl_weights(alpha, n + 1)
     values = rng.normal(size=(n + 1,) + row_shape)
     buf = np.zeros_like(values)
     buf[0] = values[0]
+    ref = buf.copy()
     hist = gl_history(alpha, n, buf)
     checked = {1, 2, n} | {e for e in (63, 64, 65, 127, 128, 129, 500, 1024,
                                        1025, 1100, 2048, 2049) if e <= n}
     for end in range(1, n + 1):
         value = hist(end)
-        scale = rounding_scale(weights, values, end)
-        assert np.all(np.abs(value - direct_dot(weights, values, end))
+        scale = rounding_scale(weights, ref, end)
+        assert np.all(np.abs(value - direct_dot(weights, ref, end))
                       <= 1e-13 * scale)
         if end in checked:
-            naive = naive_history(weights, values, end, end)
+            naive = naive_history(weights, ref, end, end)
             assert np.all(np.abs(value - naive) <= 1e-13 * scale)
-        buf[end] = values[end]
+        buf[end] = ref[end] = values[end]
 
 
 def abm_weights(alpha, lags):
@@ -427,7 +441,8 @@ def test_abm_soe_weights_match_mpmath(alpha, n):
 def test_full_memory_abm_kernel_matches_naive_loop(alpha, n, row_shape):
     # both weight rows' lags from BASE on as decaying states they share,
     # with the stepper's layout: f_1 .. in the buffer over a zero row 0,
-    # and f_0's terms in the separate pending rows
+    # w_0 = 0, and f_0's terms and the far sums in the separate pending
+    # rows, which the stepper adds after each call
     rng = np.random.default_rng(n + len(row_shape) + 1)
     buf = rng.normal(size=(n + 1,) + row_shape)
     buf[0] = 0.0
@@ -437,11 +452,12 @@ def test_full_memory_abm_kernel_matches_naive_loop(alpha, n, row_shape):
     start = pending.copy()
     scales = np.array([[1.0 / math.gamma(alpha + 1.0)],
                        [1.0 / math.gamma(alpha + 2.0)]])
-    weights = scales * abm_weights(alpha, range(1, n + 1))
+    weights = np.pad(scales * abm_weights(alpha, range(1, n + 1)),
+                     ((0, 0), (1, 0)))
     checked = {1, 2, n} | {e for e in (63, 64, 65, 127, 128, 129, 500, 1024,
                                        1025, 1100, 2048, 2049) if e <= n}
     for end in range(1, n + 1):
-        value = hist(end)
+        value = hist(end) + pending[end]
         for j in range(2):
             scale = (rounding_scale(weights[j], buf, end)
                      + np.abs(start[end, j]))
@@ -460,7 +476,7 @@ def test_full_memory_gl_kernel_pushes_through():
     # the states, and leaves every older row as it was
     rng = np.random.default_rng(3)
     dim, m, n, alpha = 3, 2, 1500, 0.7
-    weights = gl_weights(alpha, n + 1)[1:]
+    weights = gl_weights(alpha, n + 1)
     drive = rng.normal(size=(n + 1, dim, m))
     buf = np.zeros_like(drive)
     ref = np.zeros_like(drive)  # the same history, rescaled in full by hand
@@ -489,7 +505,7 @@ def test_history_sum_accepts_flattened_tangent_rows():
     got = stream(HistoryKernel(weights, blocks, zero_far(weights, blocks)),
                  9)[-1]
     assert got.shape == (3, 2)
-    ref = sum(weights[k - 1] * blocks[9 - k] for k in range(1, 7))
+    ref = sum(weights[k] * blocks[9 - k] for k in range(6))
     assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
 
 
@@ -703,9 +719,10 @@ def two_step_gl(system, cfg):
 
 
 def two_step_abm(system, cfg):
-    """``solve_abm``'s update with fresh arrays: both history sums into a
-    new (2, dim) array, then the corrector into a new array; the kernel
-    and its pending rows come from ``abm_history``, as the stepper's do."""
+    """``solve_abm``'s update with fresh arrays: both history sums plus
+    their pending rows into a new (2, dim) array, then the corrector into
+    a new array; the kernel and its pending rows come from
+    ``abm_history``, as the stepper's do."""
     n, h, alpha, x0 = cfg.n_steps, cfg.h, cfg.alpha, cfg.x0
     window = n if cfg.memory_window is None else min(cfg.memory_window, n)
     cc = h ** alpha / math.gamma(alpha + 2.0)
@@ -718,7 +735,7 @@ def two_step_abm(system, cfg):
                        np.asarray(system.field(t[0], x0), dtype=float))
     pending += x0
     for m in range(1, n + 1):
-        pred, base = hist(m).copy()
+        pred, base = hist(m) + pending[m]
         x[m] = base + cc * np.asarray(system.field(t[m], pred), dtype=float)
         fx[m] = np.asarray(system.field(t[m], x[m]), dtype=float)
     return x
@@ -939,6 +956,43 @@ def test_field_failing_on_the_diverged_state_is_a_divergence(solver, step):
     with pytest.raises(DivergenceError) as exc:
         solver(SystemSpec(name="fails", dim=1, field=field), cfg)
     assert exc.value.step == step
+
+
+@pytest.mark.usefixtures("trust_region_1e6")
+@pytest.mark.parametrize("step", [BASE, BASE + 1, 200],
+                         ids=["block-end", "block-start", "last-row"])
+def test_gl_field_failing_on_a_new_row_is_a_divergence(step):
+    # GL evaluates f on each row right after writing it, inside that row's
+    # block: the row is checked before the field's error propagates, also
+    # as the first row of a block; the last row feeds no field call
+    h = 0.125
+
+    def field(t, x):
+        if abs(x.tolist()[0]) > 1e6:
+            raise OverflowError("field fails on the diverged state")
+        return np.array([1e8 if t > (step - 1.5) * h else 0.0])
+
+    cfg = SolverConfig(alpha=1.0, h=h, t_end=200 * h, x0=[1.0])
+    with pytest.raises(DivergenceError) as exc:
+        solve_gl(SystemSpec(name="fails", dim=1, field=field), cfg)
+    assert exc.value.step == step
+
+
+@pytest.mark.parametrize("window", [None, 5], ids=["full", "windowed"])
+@pytest.mark.parametrize("n_steps", [1, BASE - 1, BASE, BASE + 1, 3 * BASE])
+def test_gl_calls_the_field_once_per_step(n_steps, window):
+    # f at t_0 .. t_{N-1}, each once: the last state feeds no step
+    calls = []
+
+    def field(t, x):
+        calls.append(t)
+        return -x
+
+    cfg = SolverConfig(alpha=0.9, h=0.01, t_end=n_steps * 0.01, x0=[1.0],
+                       memory_window=window)
+    assert cfg.n_steps == n_steps
+    traj = solve_gl(SystemSpec(name="count", dim=1, field=field), cfg)
+    assert calls == traj.t[:-1].tolist()
 
 
 @pytest.mark.parametrize("solver", [solve_gl, solve_abm])
