@@ -240,13 +240,17 @@ class _QRChain:
     """
 
     def __init__(self, rows, n_blocks, skip_blocks, renorm_every, h):
-        self.rows = np.array(rows)
+        m = len(rows)
+        # leading coordinates (all of them, unless observables pick some)
+        # are a slice, whose view spares a copy the QR would copy again
+        self.rows = (slice(m) if list(rows) == list(range(m))
+                     else np.array(rows))
         self.skip_blocks = skip_blocks
         self.renorm_every = renorm_every
         self.h = h
-        self.stretches = np.empty((n_blocks, len(rows)))
+        self.stretches = np.empty((n_blocks, m))
         self.blocks = 0              # rows of ``stretches`` written
-        self._below = np.tril_indices(len(rows), -1)
+        self._upper = np.triu(np.ones((m, m)))
 
     def __call__(self, v, t):
         # mode "raw" skips forming Q; the upper triangle of its transposed
@@ -259,8 +263,9 @@ class _QRChain:
             raise NonConvergenceError(
                 f"tangent frame collapsed at t = {t:.6g}")
         self.blocks += 1
-        r[self._below] = 0.0
-        r *= np.sign(diag)[:, None]  # positive diagonal convention
+        # one multiply zeroes the reflectors and flips each row to the
+        # positive diagonal convention
+        r *= np.copysign(self._upper, diag[:, None])
         rinv = np.linalg.inv(r)
         return v @ rinv, rinv
 

@@ -2,9 +2,10 @@
 
 Subcommands
 -----------
-simulate      integrate a catalog system and write the trajectory CSV
+simulate      integrate a catalog system and write its trajectory
+              (.npz, or CSV text for any other suffix)
 lyapunov      exponent spectrum + stability report as a JSON document
-dimension     box-counting dimension of a trajectory CSV point cloud
+dimension     box-counting dimension of a trajectory's point cloud
 stability     equilibria, critical orders alpha*, saddle-focus condition
 mlf           evaluate the one/two-parameter Mittag-Leffler function
 list-systems  one line per catalog system with defaults
@@ -13,7 +14,7 @@ reproduce     run the full pipeline for a documented benchmark case
 Configuration precedence is flags > config document (--config JSON) >
 catalog defaults.  ``reproduce N`` passes case N's row of ``_CASES`` as the
 config document, so it writes exactly what ``simulate``, ``lyapunov``,
-``dimension --transient 0.2`` (on its own ``trajectory.csv``) and
+``dimension --transient 0.2`` (on its own ``trajectory.npz``) and
 ``stability`` write for the case's settings, plus ``comparison.txt``.
 
 Each equilibrium of the stability report is stable at order alpha iff
@@ -50,10 +51,12 @@ from .mlf import ml_two  # noqa: F401  (bench/run.py traces cli.ml_two)
 from .solvers import (
     SolverConfig,
     atomic_write,
-    read_trajectory_csv,
+    read_trajectory,
     solve,
-    write_trajectory_csv,
+    write_trajectory,
 )
+# bench/run.py traces cli.write_trajectory_csv, which only a CSV path calls
+from .solvers import write_trajectory_csv  # noqa: F401
 from .systems import BENCHMARK_NAMES, BenchmarkId, make_system
 
 __all__ = ["main", "build_parser"]
@@ -203,7 +206,7 @@ def _cmd_simulate(args):
     system = _build_system(args, doc)
     config = _solver_config(args, doc, system)
     traj = solve(system, config)
-    write_trajectory_csv(traj, args.out)
+    write_trajectory(traj, args.out)
     print(f"wrote {traj.t.size} rows for {system.name} "
           f"(alpha={config.alpha}, scheme={config.scheme}) to {args.out}")
     return 0
@@ -329,7 +332,7 @@ def _dimension_report(traj, input_name, cols, transient, **box_kwargs):
 
 
 def _cmd_dimension(args):
-    traj = read_trajectory_csv(args.input)
+    traj = read_trajectory(args.input)
     cols = _parse_columns(args.columns, traj.x.shape[1])
     box_kwargs = {k: getattr(args, k) for k in ("eps_max", "eps_min", "levels")
                   if getattr(args, k) is not None}
@@ -497,11 +500,11 @@ def _cmd_reproduce(args):
     traj = solve(system, config)
     result, stab_doc, report = _lyapunov_run(args, case, system, config, traj)
     cols = list(system.observables or range(system.dim))
-    dim_doc = _dimension_report(traj, "trajectory.csv", cols, 0.2)
+    dim_doc = _dimension_report(traj, "trajectory.npz", cols, 0.2)
     rows = _verdict_rows(case["claims"], result, report["classification"])
     # made after every report, so a case that fails leaves no directory
     os.makedirs(args.out_dir, exist_ok=True)
-    write_trajectory_csv(traj, out("trajectory.csv"))
+    write_trajectory(traj, out("trajectory.npz"))
     _write_json(out("lyapunov.json"), report)
     _write_json(out("dimension.json"), dim_doc)
     _write_json(out("stability.json"), stab_doc)
@@ -582,12 +585,14 @@ def build_parser():
     # flags are spelt in full: ``reproduce --out`` is not ``--out-dir``
     add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    sp = add_parser("simulate", help="integrate and write trajectory CSV")
+    sp = add_parser("simulate", help="integrate and write the trajectory")
     _add_system_flags(sp)
     _add_solver_flags(sp)
     sp.add_argument("--scheme", choices=["gl", "abm"],
                     help="integration scheme (default gl)")
-    sp.add_argument("--out", required=True, help="output CSV path")
+    sp.add_argument("--out", required=True,
+                    help="output path: a .npz path gets NumPy's binary zip, "
+                         "any other suffix CSV text; both are lossless")
     sp.set_defaults(func=_cmd_simulate)
 
     sp = add_parser(
@@ -615,11 +620,14 @@ def build_parser():
     sp.set_defaults(func=_cmd_lyapunov)
 
     sp = add_parser("dimension",
-                    help="box-counting dimension of a trajectory CSV")
-    sp.add_argument("--input", required=True, help="trajectory CSV path")
+                    help="box-counting dimension of a trajectory")
+    sp.add_argument("--input", required=True,
+                    help="trajectory path as simulate writes it: .npz, or "
+                         "CSV for any other suffix")
     sp.add_argument("--columns",
-                    help="1-based CSV columns to use (column 1 is time; "
-                         "default: all state columns)")
+                    help="1-based columns to use, in either format: column "
+                         "1 is time and column k + 2 state x_k (default: all "
+                         "state columns)")
     sp.add_argument("--transient", type=float, default=0.0,
                     help="fraction of leading rows to discard (default 0)")
     sp.add_argument("--eps-max", type=float, dest="eps_max",

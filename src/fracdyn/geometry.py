@@ -90,21 +90,58 @@ def box_count(points, epsilon: float) -> int:
     return _count_cells(pts, *_bounds(pts), epsilon)
 
 
-def _grid_coords(pts, mins, epsilon, upper):
+def _grid_coords(pts, mins, epsilon, upper, out=None):
     """Cell coordinates of points (one column, or rows of every column):
     the offset u in cell units, the nearest grid line, whether the point
-    sits on it, and the cell index clipped to [0, ``upper``]."""
-    u = (pts - mins) / epsilon
-    nearest = np.round(u)
-    on_line = np.abs(u - nearest) <= _SNAP_TOL * (1.0 + np.abs(u))
-    idx = np.floor(u)
-    np.clip(idx, 0.0, upper, out=idx)
-    return u, nearest, on_line, idx.astype(np.int64)
+    sits on it, and the cell index clipped to [0, ``upper``].
+
+    ``out`` is a ``_Work.grid`` tuple of the shape of ``pts`` to write
+    them into, a float scratch array last; without it every array is
+    allocated."""
+    if out is None:
+        out = _grid_arrays(pts.shape)
+    u, nearest, on_line, idx, scratch = out
+    np.subtract(pts, mins, out=u)
+    u /= epsilon
+    np.round(u, out=nearest)
+    # on a grid line: |u - nearest| <= _SNAP_TOL * (1 + |u|), with the
+    # bound held in idx's bytes until idx is written
+    bound = idx.view(np.float64)
+    np.abs(u, out=bound)
+    bound += 1.0
+    bound *= _SNAP_TOL
+    np.subtract(u, nearest, out=scratch)
+    np.abs(scratch, out=scratch)
+    np.less_equal(scratch, bound, out=on_line)
+    np.floor(u, out=scratch)
+    np.clip(scratch, 0.0, upper, out=scratch)
+    idx[...] = scratch
+    return u, nearest, on_line, idx
 
 
-def _count_cells(pts, mins, spans, epsilon):
+def _grid_arrays(shape):
+    """Uninitialised arrays for ``_grid_coords``'s ``out``."""
+    return (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
+            np.empty(shape, dtype=np.int64), np.empty(shape))
+
+
+class _Work:
+    """Work arrays for ``_count_cells`` on n points, one column at a time.
+
+    A scale ladder makes one and passes it to every scale, so no scale
+    allocates (n,) temporaries whose pages the allocator may have to map
+    and fault in afresh; what a count costs does not depend on what ran
+    before it."""
+
+    def __init__(self, n):
+        self.grid = _grid_arrays(n)
+        self.cell = np.empty(n, dtype=np.int64)
+        self.interior = np.empty(n, dtype=bool)
+
+
+def _count_cells(pts, mins, spans, epsilon, work=None):
     """``box_count`` on validated points with their per-axis minimum and
-    span, so a scale ladder takes those once."""
+    span and a ``_Work`` for them, so a scale ladder makes those once."""
     # past the index range these may reach inf, which the test refuses
     with np.errstate(over="ignore"):
         axis_cells = np.floor(spans / epsilon) + 1.0
@@ -118,31 +155,36 @@ def _count_cells(pts, mins, spans, epsilon):
     for k in range(pts.shape[1] - 1, 0, -1):
         strides[k - 1] = strides[k] * cells_per_axis[k]
     upper = cells_per_axis - 1
+    if work is None:
+        work = _Work(len(pts))
 
     # every point's cell key idx @ strides (Horner's rule, since numpy
     # runs an int64 matmul without BLAS) and whether it sits on a grid
-    # line, built one column at a time, so no temporary is (n, d)
-    cell = np.zeros(len(pts), dtype=np.int64)
-    interior = np.ones(len(pts), dtype=bool)
+    # line, built one column at a time in the work arrays
+    cell, interior = work.cell, work.interior
+    cell.fill(0)
+    interior.fill(True)
     for k, col in enumerate(pts.T):
         _, _, on_line, idx = _grid_coords(col, mins[k], epsilon,
-                                          float(upper[k]))
-        interior &= ~on_line
+                                          float(upper[k]), work.grid)
+        interior &= np.logical_not(on_line, out=on_line)
         cell *= cells_per_axis[k]
         cell += idx
-        # drop this column's arrays before the next column's are made
-        del _, on_line, idx
+    boundary = np.logical_not(interior, out=interior)
+    b_rows = np.flatnonzero(boundary)
     # the interior points' cells, sorted: a count of the distinct keys and
-    # a membership test by bisection, without a set of every key
-    filled = cell[interior]
-    filled.sort()
+    # a membership test by bisection, without a set of every key; the
+    # boundary rows' keys sort past every cell, whose keys are below
+    # _MAX_CELLS
+    cell[boundary] = _MAX_CELLS
+    cell.sort()
+    filled = cell[:len(cell) - b_rows.size]
     count = (int(np.count_nonzero(filled[1:] != filled[:-1])) + 1
              if filled.size else 0)
 
     # points on grid lines belong to every adjacent closed cell; assign
     # each to a cell other points already occupy where possible, sweeping
     # in lexicographic order so runs of aligned points share cells
-    b_rows = np.nonzero(~interior)[0]
     if b_rows.size:
         u, nearest, on_line, idx = _grid_coords(pts[b_rows], mins, epsilon,
                                                 upper.astype(float))
@@ -204,8 +246,10 @@ def box_dimension(points, eps_max: float = None, eps_min: float = None,
             f"levels must lie in [4, {MAX_LEVELS}], got {levels}")
 
     scales = np.geomspace(eps_max, eps_min, levels)
-    counts = np.array([_count_cells(pts, mins, spans, e) for e in scales],
-                      dtype=np.int64)
+    work = _Work(len(pts))
+    counts = np.array([_count_cells(pts, mins, spans, e, work)
+                       for e in scales], dtype=np.int64)
+    del work                 # before _distinct_rows sorts a column
     if np.all(counts == counts[0]):
         raise DegenerateFitError(
             "occupied-cell count is constant across all scales")

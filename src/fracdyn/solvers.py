@@ -51,6 +51,9 @@ rows already written are checked first, so a diverged state still ends in
 
 import os
 import tempfile
+import tokenize
+import zipfile
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import ceil, exp, expm1, gamma, isfinite, log, pi, sin
@@ -592,8 +595,9 @@ def solve(system: SystemSpec, config: SolverConfig) -> Trajectory:
 # trajectory serialization
 
 @contextmanager
-def atomic_open(path: str):
-    """Open a UTF-8 text temp file beside ``path`` for writing.
+def atomic_open(path: str, mode: str = "w"):
+    """Open a temp file beside ``path`` for writing: UTF-8 text with
+    ``mode`` "w", bytes with "wb".
 
     A clean exit from the ``with`` block moves it onto ``path`` with
     ``os.replace``; an exception deletes it and leaves ``path`` as it was.
@@ -605,7 +609,8 @@ def atomic_open(path: str):
     except OSError as err:
         raise OSError(err.errno, err.strerror, path) from None
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, mode,
+                       encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -697,4 +702,88 @@ def read_trajectory_csv(path: str) -> Trajectory:
         h=h,
         system_name=meta.get("system", ""),
         scheme=meta.get("scheme", ""),
+    )
+
+
+# the members of a trajectory .npz, in the order they are written, with
+# each one's number of dimensions and dtype character: float64 or text
+_NPZ_MEMBERS = {"t": (1, "d"), "x": (2, "d"), "alpha": (0, "d"),
+                "h": (0, "d"), "system": (0, "U"), "scheme": (0, "U")}
+
+
+# what numpy's and zipfile's readers raise on a malformed .npz: a bad zip
+# structure, CRC or member header, a cut-short member, a compression or
+# encryption they cannot read, or a seek past the data
+_NPZ_ERRORS = (ValueError, EOFError, OSError, RuntimeError, SyntaxError,
+               zipfile.BadZipFile, zlib.error, tokenize.TokenError)
+
+
+def _is_npz(path) -> bool:
+    return os.fspath(path).lower().endswith(".npz")
+
+
+def write_trajectory(traj: Trajectory, path: str) -> None:
+    """Write a trajectory losslessly and atomically, in the format that
+    ``path``'s suffix names.
+
+    A ``.npz`` path gets NumPy's zip of ``.npy`` members t, x, alpha, h,
+    system and scheme (``np.savez``, uncompressed), the bit-exact binary
+    form; any other path gets ``write_trajectory_csv``'s text.  Either
+    repeats byte for byte: zipfile stamps each member with the fixed date
+    1980-01-01.  ``read_trajectory`` reads both back into an identical
+    Trajectory.
+    """
+    if not _is_npz(path):
+        write_trajectory_csv(traj, path)
+        return
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, t=traj.t, x=traj.x, alpha=traj.alpha, h=traj.h,
+                 system=traj.system_name, scheme=traj.scheme)
+
+
+def read_trajectory(path: str) -> Trajectory:
+    """Read a trajectory written by ``write_trajectory``: a ``.npz`` path
+    as NumPy's zip, without unpickling, any other as a trajectory CSV.
+
+    A ``.npz`` that is not a zip of ``.npy`` arrays, lacks a member, holds
+    a pickled (object) member, or whose ``x`` is not 2-d with one row per
+    time raises ``ConfigError``."""
+    if not _is_npz(path):
+        return read_trajectory_csv(path)
+    # opened here, since np.load leaves a file it opened open when the zip
+    # is bad; an error opening it is an OSError, as for a CSV
+    with open(path, "rb") as fh:
+        try:
+            npz = np.load(fh, allow_pickle=False)
+            if isinstance(npz, np.ndarray):
+                raise ConfigError(f"{path!r} holds one .npy array, not a "
+                                  "zip of trajectory members")
+            missing = [name for name in _NPZ_MEMBERS if name not in npz]
+            if missing:
+                raise ConfigError(f"{path!r} has no member(s) "
+                                  + ", ".join(map(repr, missing)))
+            data = {name: npz[name] for name in _NPZ_MEMBERS}
+        except _NPZ_ERRORS as err:
+            raise ConfigError(f"{path!r} is not a trajectory .npz "
+                              f"({type(err).__name__}: {err})") from None
+    for name, (ndim, char) in _NPZ_MEMBERS.items():
+        value = data[name]
+        if (not isinstance(value, np.ndarray) or value.ndim != ndim
+                or value.dtype.char != char):
+            raise ConfigError(
+                f"{path!r} member {name!r} is not a {ndim}-d array of "
+                + ("text" if char == "U" else "float64"))
+    t, x = data["t"], data["x"]
+    if len(x) != len(t):
+        raise ConfigError(
+            f"{path!r} has {len(x)} rows of x for {len(t)} times")
+    if not len(t):
+        raise ConfigError(f"{path!r} has no rows")
+    return Trajectory(
+        t=t,
+        x=x,
+        alpha=float(data["alpha"]),
+        h=float(data["h"]),
+        system_name=str(data["system"]),
+        scheme=str(data["scheme"]),
     )

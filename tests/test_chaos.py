@@ -541,6 +541,51 @@ def test_qr_chain_matches_the_reference_chain_bit_for_bit(
     assert np.array_equal(got, ref)
 
 
+class ScatterQRChain(chaos._QRChain):
+    """``chaos._QRChain`` as it was before its masked multiply: it copies
+    the observable rows by fancy index, scatters zeros below R's diagonal
+    and multiplies by the signs of the diagonal."""
+
+    def __init__(self, rows, n_blocks, skip_blocks, renorm_every, h):
+        super().__init__(rows, n_blocks, skip_blocks, renorm_every, h)
+        self.rows = np.array(rows)
+        self._below = np.tril_indices(len(rows), -1)
+
+    def __call__(self, v, t):
+        r = np.linalg.qr(v[self.rows], mode="raw")[0].T
+        diag = self.stretches[self.blocks]
+        diag[:] = r.diagonal()
+        if not all(1e-300 <= abs(d) < math.inf for d in diag.tolist()):
+            raise NonConvergenceError(
+                f"tangent frame collapsed at t = {t:.6g}")
+        self.blocks += 1
+        r[self._below] = 0.0
+        r *= np.sign(diag)[:, None]
+        rinv = np.linalg.inv(r)
+        return v @ rinv, rinv
+
+
+@pytest.mark.parametrize("dim,rows", [
+    (3, [0, 1, 2]),        # every coordinate: the frame itself
+    (4, [0, 1]),           # a leading slice of the coordinates
+    (9, [0, 8]),           # Duffing's chain: x and the last chain state
+])
+def test_qr_chain_matches_the_scatter_chain_bit_for_bit(dim, rows):
+    # seeded frames, each block's pushed on by a random near-identity map
+    # as a tangent flow would; stretches, inverse factors and frames agree
+    rng = np.random.default_rng(7)
+    n_blocks = 400
+    maps = np.eye(dim) + 0.3 * rng.standard_normal((n_blocks, dim, dim))
+    chain = chaos._QRChain(rows, n_blocks, 0, 10, 0.01)
+    ref = ScatterQRChain(rows, n_blocks, 0, 10, 0.01)
+    v = w = np.eye(dim)[:, rows]
+    for b, phi in enumerate(maps):
+        (v, rinv), (w, ref_rinv) = chain(phi @ v, b), ref(phi @ w, b)
+        assert np.array_equal(rinv, ref_rinv) and np.array_equal(v, w)
+    assert np.array_equal(chain.stretches, ref.stretches)
+    assert np.array_equal(chain.history, ref.history)
+
+
 def assert_restart_matches_direct_sum(system, cfg, renorm_every):
     base = solve(system, cfg)
     got = lyapunov_spectrum(system, cfg, renorm_every=renorm_every,

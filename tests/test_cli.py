@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 import fracdyn
-from fracdyn import cli
+from fracdyn import cli, solvers
 from fracdyn.cli import (_CASES, _CONFIG_KEYS, _dimension_report,
                          _format_table, _verdict_rows, _write_json, main)
-from fracdyn.solvers import read_trajectory_csv
+from fracdyn.solvers import read_trajectory, read_trajectory_csv
 
 ARTIFACTS = ("comparison.txt", "dimension.json", "lyapunov.json",
-             "stability.json", "trajectory.csv")
+             "stability.json", "trajectory.npz")
 
 
 def run(argv):
@@ -216,9 +216,9 @@ def case2_dir(tmp_path_factory):
 # duffing's 9-d chain exercises the observable columns 2 and 10
 CASE2 = ["--system", "duffing", "--h", "0.01", "--t-end", "20"]
 SINGLE_COMMANDS = {
-    "trajectory.csv": ["simulate", *CASE2],
+    "trajectory.npz": ["simulate", *CASE2],
     "lyapunov.json": ["lyapunov", *CASE2, "--renorm-every", "10"],
-    "dimension.json": ["dimension", "--input", "trajectory.csv",
+    "dimension.json": ["dimension", "--input", "trajectory.npz",
                        "--columns", "2,10", "--transient", "0.2"],
     "stability.json": ["stability", "--system", "duffing"],
 }
@@ -231,6 +231,33 @@ def test_reproduce_artifact_is_what_its_command_writes(case2_dir, artifact,
     out = tmp_path / artifact
     assert run(SINGLE_COMMANDS[artifact] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (case2_dir / artifact).read_bytes()
+
+
+def test_reproduce_writes_a_binary_trajectory(tmp_path, monkeypatch):
+    def no_text(t, x):
+        raise AssertionError("reproduce formatted CSV rows")
+
+    monkeypatch.setattr(solvers, "_csv_chunks", no_text)
+    assert run(["reproduce", "2", "--t-end", "5",
+                "--out-dir", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(ARTIFACTS)
+    traj = read_trajectory(str(tmp_path / "trajectory.npz"))
+    assert traj.x.shape == (501, 9) and traj.system_name == "duffing"
+
+
+def test_dimension_reads_npz_and_csv_alike(lorenz_csv, tmp_path):
+    npz = tmp_path / "lorenz.npz"
+    solvers.write_trajectory(read_trajectory(str(lorenz_csv)), str(npz))
+    reports = {}
+    for path in (lorenz_csv, npz):
+        out = tmp_path / f"{path.suffix[1:]}.json"
+        assert run(["dimension", "--input", str(path), "--columns", "2,4",
+                    "--transient", "0.2", "--out", str(out)]) == 0
+        reports[path.suffix] = json.loads(out.read_text())
+        assert reports[path.suffix].pop("input") == str(path)
+    assert reports[".npz"] == reports[".csv"]
+    assert ((tmp_path / "npz.plot.txt").read_bytes()
+            == (tmp_path / "csv.plot.txt").read_bytes())
 
 
 @pytest.mark.parametrize("rows", [
@@ -466,6 +493,7 @@ TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
     (["simulate", "--config", "doc.json"],
      {"doc.json": json.dumps({"system": "duffing",
                               "alpha": [0.9, 0.9 / np.sqrt(2.0)]})}),
+    (["dimension", "--input", "traj.npz"], {"traj.npz": TRAJECTORY}),
 ], ids=["columns-a", "columns-empty", "csv-no-header", "x0-text",
         "x0-short", "config-x0-scalar", "config-not-json", "config-h-text",
         "config-x0-text", "config-alpha-text", "config-param-text", "config-transient-text",
@@ -476,7 +504,7 @@ TRAJECTORY = "# alpha=0.9\n# h=0.1\nt,x0,x1\n0,1,2\n0.1,2,3\n"
         "csv-not-utf8-past-8kb", "config-lyapunov-scheme-abm",
         "config-array", "config-params-array", "columns-past-dim",
         "transient-discards-every-row", "csv-short-rows",
-        "config-duffing-incommensurable-orders"])
+        "config-duffing-incommensurable-orders", "npz-not-a-zip"])
 def test_bad_input_is_a_config_error(argv, files, tmp_path, monkeypatch,
                                      capsys):
     monkeypatch.chdir(tmp_path)

@@ -217,6 +217,22 @@ def test_box_dimension_counts_match_box_count():
                            [box_count(pts, e) for e in res.scales])
 
 
+def test_count_cells_work_arrays_carry_nothing_between_scales():
+    # a ladder reuses one set of work arrays; counts in any scale order,
+    # repeats included, match counts on fresh arrays, with a third of the
+    # points on grid lines of the dyadic scales
+    rng = np.random.default_rng(12)
+    pts = rng.random((3000, 3))
+    pts[::3] = np.round(pts[::3] * 32) / 32
+    mins, spans = geometry._bounds(pts)
+    work = geometry._Work(len(pts))
+    scales = [1 / 8, 1 / 64, 0.3, 1 / 16, 0.05, 1 / 8, 1 / 256, 1 / 64]
+    assert ([geometry._count_cells(pts, mins, spans, e, work)
+             for e in scales]
+            == [geometry._count_cells(pts, mins, spans, e) for e in scales]
+            == [box_count(pts, e) for e in scales])
+
+
 def test_box_dimension_holds_little_beside_its_cloud():
     # cell keys and grid-line masks are built one column at a time, and
     # only the boundary rows get their full coordinates: the traced peak

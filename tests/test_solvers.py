@@ -4,8 +4,10 @@ import io
 import math
 import os
 import re
+import time
 import tracemalloc
 import warnings
+import zipfile
 from fractions import Fraction
 
 import mpmath
@@ -30,9 +32,12 @@ from fracdyn.solvers import (
     gl_history,
     gl_soe,
     gl_weights,
+    read_trajectory,
     read_trajectory_csv,
+    solve,
     solve_abm,
     solve_gl,
+    write_trajectory,
     write_trajectory_csv,
 )
 from fracdyn.systems import BenchmarkId, commensurate_order, make_system
@@ -1210,3 +1215,134 @@ def test_csv_without_data_rows_is_a_config_error(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="no data rows"):
             read_trajectory_csv(str(path))
+
+
+# -- trajectory .npz -----------------------------------------------------
+
+
+def assert_same_trajectory(back, traj):
+    assert np.array_equal(back.t, traj.t) and back.t.dtype == traj.t.dtype
+    assert np.array_equal(back.x, traj.x) and back.x.dtype == traj.x.dtype
+    assert (back.alpha, back.h, back.system_name, back.scheme) == (
+        traj.alpha, traj.h, traj.system_name, traj.scheme)
+
+
+@pytest.mark.parametrize("scheme", ["gl", "abm"])
+@pytest.mark.parametrize("name,t_end", [
+    ("relax", 2.0), ("lorenz", 1.0), ("duffing", 1.0)])  # dim 1, 3 and 9
+def test_npz_roundtrip_is_bit_for_bit(name, t_end, scheme, tmp_path):
+    system = RELAX if name == "relax" else make_system(name)
+    x0 = [1.0] if name == "relax" else system.params["default_x0"]
+    traj = solve(system, SolverConfig(alpha=0.9, h=0.01, t_end=t_end,
+                                      x0=x0, scheme=scheme))
+    path = tmp_path / "traj.npz"
+    write_trajectory(traj, str(path))
+    assert zipfile.is_zipfile(path)
+    assert_same_trajectory(read_trajectory(str(path)), traj)
+    # any other suffix is the CSV, which reads back the same
+    write_trajectory(traj, str(tmp_path / "traj.csv"))
+    assert (tmp_path / "traj.csv").read_bytes().startswith(b"# system=")
+    assert_same_trajectory(read_trajectory(str(tmp_path / "traj.csv")),
+                           traj)
+
+
+def test_npz_writes_repeat_byte_for_byte(tmp_path, monkeypatch):
+    traj = solve_abm(ROTATE, SolverConfig(alpha=0.9, h=1e-2, t_end=1.0,
+                                          x0=[1.0, 0.0]))
+    first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+    write_trajectory(traj, str(first))
+    # the members carry a fixed date, not the clock's
+    monkeypatch.setattr(time, "time", lambda: 2.0e9)
+    write_trajectory(traj, str(second))
+    assert first.read_bytes() == second.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["a.npz", "b.npz"]
+
+
+def test_npz_write_failure_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.npz"
+    write_trajectory(solve_gl(RELAX, SolverConfig(
+        alpha=0.9, h=0.1, t_end=1.0, x0=[1.0])), str(path))
+    first = path.read_bytes()
+    savez = np.savez
+
+    def write_then_fail(fh, **members):
+        savez(fh, **members)
+        raise OSError("disk full")
+
+    # the failure comes after a whole zip reached the temporary file
+    monkeypatch.setattr(np, "savez", write_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_trajectory(solve_gl(RELAX, SolverConfig(
+            alpha=0.9, h=0.1, t_end=2.0, x0=[1.0])), str(path))
+    assert path.read_bytes() == first
+    assert os.listdir(tmp_path) == ["out.npz"]
+
+
+def npz_bytes(**members):
+    buf = io.BytesIO()
+    np.savez(buf, **members)
+    return buf.getvalue()
+
+
+GOOD_MEMBERS = {"t": np.arange(3) * 0.1, "x": np.ones((3, 2)),
+                "alpha": 0.9, "h": 0.1, "system": "rotate", "scheme": "gl"}
+
+
+def with_members(**changes):
+    members = {**GOOD_MEMBERS, **changes}
+    return npz_bytes(**{k: v for k, v in members.items() if v is not None})
+
+
+def npy_bytes():
+    buf = io.BytesIO()
+    np.save(buf, np.ones((3, 2)))
+    return buf.getvalue()
+
+
+def non_npy_member():
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name in GOOD_MEMBERS:
+            zf.writestr(name + ".npy", b"not an array")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"t,x0\n0,1\n", "is not a trajectory .npz"),
+    (b"", "is not a trajectory .npz"),
+    (b"PK\x03\x04 cut short", "is not a trajectory .npz"),
+    (with_members()[:200], "is not a trajectory .npz"),
+    (npy_bytes(), "holds one .npy array"),
+    (with_members(scheme=None), "has no member(s) 'scheme'"),
+    (with_members(t=None, h=None), "has no member(s) 't', 'h'"),
+    (with_members(x=np.array([[1.0], "a", None], dtype=object)),
+     "Object arrays cannot be loaded"),
+    (with_members(system=np.array("rotate", dtype=object)),
+     "Object arrays cannot be loaded"),
+    (non_npy_member(), "member 't' is not a 1-d array of float64"),
+    (with_members(x=np.ones(3)), "member 'x' is not a 2-d array"),
+    (with_members(x=np.ones((3, 2, 1))), "member 'x' is not a 2-d array"),
+    (with_members(x=np.ones((4, 2))), "has 4 rows of x for 3 times"),
+    (with_members(t=np.ones((3, 1))), "member 't' is not a 1-d array"),
+    (with_members(t=np.array(["a", "b", "c"])),
+     "member 't' is not a 1-d array of float64"),
+    (with_members(x=np.ones((3, 2), dtype=int)),
+     "member 'x' is not a 2-d array of float64"),
+    (with_members(h=np.float32(0.1)),
+     "member 'h' is not a 0-d array of float64"),
+    (with_members(alpha=np.array([0.9])),
+     "member 'alpha' is not a 0-d array of float64"),
+    (with_members(system=3), "member 'system' is not a 0-d array of text"),
+    (with_members(t=np.empty(0), x=np.empty((0, 2))), "has no rows"),
+], ids=["csv-text", "empty", "zip-cut-short", "npz-cut-short", "npy",
+        "no-scheme", "no-t-no-h", "object-x", "object-system", "not-npy",
+        "x-1d", "x-3d", "x-rows", "t-2d", "t-text", "x-int", "h-float32",
+        "alpha-1d",
+        "system-number", "no-rows"])
+def test_malformed_npz_is_a_config_error(data, message, tmp_path):
+    path = tmp_path / "bad.npz"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            read_trajectory(str(path))
