@@ -15,6 +15,10 @@ ladder of scales and fits log N against log(1/eps) by least squares over
 the contiguous sub-range (length >= 4) with the best correlation, skipping
 saturated scales where the count approaches the number of distinct points.
 The fitted slope estimates the fractal dimension of the sampled set.
+
+The count builds every point's cell key in passes over ``_CHUNK_ROWS``
+rows, one column at a time, so beside the cloud it holds a key and a
+grid-line flag per point (9 bytes) and one pass's temporaries.
 """
 
 import itertools
@@ -42,11 +46,20 @@ _SATURATION_FRACTION = 0.9
 
 # the longest scale ladder box_dimension fits.  Its window search fits
 # O(levels^2) windows and a finer ladder only shortens the best one: on
-# case 1's 80 001 points, 0.18 s and slope 1.86 at 12 levels, 0.93 s at
-# 64, 2.4 s and slope 1.39 at 128; 10^8 levels would need an 800 MB ladder
+# case 1's 80 001 points, 0.03 s and slope 1.87 at 12 levels, 0.19 s at
+# 64, 0.44-0.50 s and slope 1.68 at 128; 10^8 levels would need an 800 MB
+# ladder
 MAX_LEVELS = 64
 
 _MAX_CELLS = np.iinfo(np.int64).max
+
+# rows per pass of _count_cells' cell-key loop.  A pass's float
+# temporaries, one column of 8192 rows, take 64 KiB, below glibc's 128 KiB
+# mmap threshold, so the allocator hands every pass the same heap pages
+# rather than mapping and faulting in fresh ones.  A ladder on case 1's
+# 80 001 points (fresh processes, 2-core host) took 30-48 ms in passes of
+# 8192 rows, 37-62 ms in passes of 16 384 and 52-87 ms in one pass
+_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -90,58 +103,20 @@ def box_count(points, epsilon: float) -> int:
     return _count_cells(pts, *_bounds(pts), epsilon)
 
 
-def _grid_coords(pts, mins, epsilon, upper, out=None):
+def _grid_coords(pts, mins, epsilon, upper):
     """Cell coordinates of points (one column, or rows of every column):
     the offset u in cell units, the nearest grid line, whether the point
-    sits on it, and the cell index clipped to [0, ``upper``].
-
-    ``out`` is a ``_Work.grid`` tuple of the shape of ``pts`` to write
-    them into, a float scratch array last; without it every array is
-    allocated."""
-    if out is None:
-        out = _grid_arrays(pts.shape)
-    u, nearest, on_line, idx, scratch = out
-    np.subtract(pts, mins, out=u)
-    u /= epsilon
-    np.round(u, out=nearest)
-    # on a grid line: |u - nearest| <= _SNAP_TOL * (1 + |u|), with the
-    # bound held in idx's bytes until idx is written
-    bound = idx.view(np.float64)
-    np.abs(u, out=bound)
-    bound += 1.0
-    bound *= _SNAP_TOL
-    np.subtract(u, nearest, out=scratch)
-    np.abs(scratch, out=scratch)
-    np.less_equal(scratch, bound, out=on_line)
-    np.floor(u, out=scratch)
-    np.clip(scratch, 0.0, upper, out=scratch)
-    idx[...] = scratch
+    sits on it, and the cell index clipped to [0, ``upper``]."""
+    u = (pts - mins) / epsilon
+    nearest = np.round(u)
+    on_line = np.abs(u - nearest) <= _SNAP_TOL * (1.0 + np.abs(u))
+    idx = np.clip(np.floor(u), 0.0, upper).astype(np.int64)
     return u, nearest, on_line, idx
 
 
-def _grid_arrays(shape):
-    """Uninitialised arrays for ``_grid_coords``'s ``out``."""
-    return (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
-            np.empty(shape, dtype=np.int64), np.empty(shape))
-
-
-class _Work:
-    """Work arrays for ``_count_cells`` on n points, one column at a time.
-
-    A scale ladder makes one and passes it to every scale, so no scale
-    allocates (n,) temporaries whose pages the allocator may have to map
-    and fault in afresh; what a count costs does not depend on what ran
-    before it."""
-
-    def __init__(self, n):
-        self.grid = _grid_arrays(n)
-        self.cell = np.empty(n, dtype=np.int64)
-        self.interior = np.empty(n, dtype=bool)
-
-
-def _count_cells(pts, mins, spans, epsilon, work=None):
+def _count_cells(pts, mins, spans, epsilon):
     """``box_count`` on validated points with their per-axis minimum and
-    span and a ``_Work`` for them, so a scale ladder makes those once."""
+    span, so a scale ladder finds those once."""
     # past the index range these may reach inf, which the test refuses
     with np.errstate(over="ignore"):
         axis_cells = np.floor(spans / epsilon) + 1.0
@@ -155,22 +130,21 @@ def _count_cells(pts, mins, spans, epsilon, work=None):
     for k in range(pts.shape[1] - 1, 0, -1):
         strides[k - 1] = strides[k] * cells_per_axis[k]
     upper = cells_per_axis - 1
-    if work is None:
-        work = _Work(len(pts))
 
     # every point's cell key idx @ strides (Horner's rule, since numpy
     # runs an int64 matmul without BLAS) and whether it sits on a grid
-    # line, built one column at a time in the work arrays
-    cell, interior = work.cell, work.interior
-    cell.fill(0)
-    interior.fill(True)
-    for k, col in enumerate(pts.T):
-        _, _, on_line, idx = _grid_coords(col, mins[k], epsilon,
-                                          float(upper[k]), work.grid)
-        interior &= np.logical_not(on_line, out=on_line)
-        cell *= cells_per_axis[k]
-        cell += idx
-    boundary = np.logical_not(interior, out=interior)
+    # line, built one column of _CHUNK_ROWS rows at a time
+    cell = np.zeros(len(pts), dtype=np.int64)
+    boundary = np.zeros(len(pts), dtype=bool)
+    for start in range(0, len(pts), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        key, on_any = cell[rows], boundary[rows]
+        for k, col in enumerate(pts[rows].T):
+            _, _, on_line, idx = _grid_coords(col, mins[k], epsilon,
+                                              float(upper[k]))
+            on_any |= on_line
+            key *= cells_per_axis[k]
+            key += idx
     b_rows = np.flatnonzero(boundary)
     # the interior points' cells, sorted: a count of the distinct keys and
     # a membership test by bisection, without a set of every key; the
@@ -246,10 +220,8 @@ def box_dimension(points, eps_max: float = None, eps_min: float = None,
             f"levels must lie in [4, {MAX_LEVELS}], got {levels}")
 
     scales = np.geomspace(eps_max, eps_min, levels)
-    work = _Work(len(pts))
-    counts = np.array([_count_cells(pts, mins, spans, e, work)
-                       for e in scales], dtype=np.int64)
-    del work                 # before _distinct_rows sorts a column
+    counts = np.array([_count_cells(pts, mins, spans, e) for e in scales],
+                      dtype=np.int64)
     if np.all(counts == counts[0]):
         raise DegenerateFitError(
             "occupied-cell count is constant across all scales")

@@ -445,7 +445,18 @@ def ml_route(alpha, beta, z):
     _validate(alpha, beta, z)
     alpha, beta = float(alpha), float(beta)
     if z == 0:
-        return complex(1.0 / math.gamma(beta)), "zero"
+        try:
+            return complex(1.0 / math.gamma(beta)), "zero"
+        except OverflowError:
+            # past Gamma's double range (beta > 171.62) 1/Gamma(beta) is a
+            # subnormal up to beta ~ 178.4 and 0 beyond.  Nine steps of
+            # Gamma(b + 1) = b Gamma(b) bring Gamma back into range, and
+            # one division rounds into the subnormals: within 5e-324 of
+            # mpmath's rgamma, where exp(-lgamma(beta)) is 6e-322 off
+            if beta >= 180.0:
+                return 0j, "zero"
+            steps = math.prod(beta - j for j in range(1, 10))
+            return complex(1.0 / math.gamma(beta - 9.0) / steps), "zero"
     zr = complex(z)
     if alpha == 1.0 and beta == 1.0:
         try:

@@ -727,18 +727,28 @@ def write_trajectory(traj: Trajectory, path: str) -> None:
     ``path``'s suffix names.
 
     A ``.npz`` path gets NumPy's zip of ``.npy`` members t, x, alpha, h,
-    system and scheme (``np.savez``, uncompressed), the bit-exact binary
-    form; any other path gets ``write_trajectory_csv``'s text.  Either
-    repeats byte for byte: zipfile stamps each member with the fixed date
-    1980-01-01.  ``read_trajectory`` reads both back into an identical
-    Trajectory.
+    system and scheme, the bit-exact binary form: the bytes ``np.savez``
+    writes (stored members, zip64 forced) for C-ordered arrays, each
+    member's data written from its own buffer, where ``np.savez`` copies
+    it through ``tobytes``.  Any other path gets
+    ``write_trajectory_csv``'s text.
+    Either repeats byte for byte: zipfile stamps each member with the
+    fixed date 1980-01-01.  ``read_trajectory`` reads both back into an
+    identical Trajectory.
     """
     if not _is_npz(path):
         write_trajectory_csv(traj, path)
         return
-    with atomic_open(path, "wb") as fh:
-        np.savez(fh, t=traj.t, x=traj.x, alpha=traj.alpha, h=traj.h,
-                 system=traj.system_name, scheme=traj.scheme)
+    members = {"t": traj.t, "x": traj.x, "alpha": traj.alpha, "h": traj.h,
+               "system": traj.system_name, "scheme": traj.scheme}
+    with atomic_open(path, "wb") as fh, zipfile.ZipFile(
+            fh, "w", zipfile.ZIP_STORED, allowZip64=True) as npz:
+        for name, value in members.items():
+            arr = np.asanyarray(value, order="C")
+            with npz.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(arr))
+                member.write(memoryview(arr).cast("B"))
 
 
 def read_trajectory(path: str) -> Trajectory:

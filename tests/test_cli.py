@@ -110,6 +110,8 @@ def alpha_dict_doc(tmp_path_factory):
     (["dimension", "--input", "{headless_csv}", "--out", "d.json"], 1),
     # Duffing's orders as an object, not a number or a pair
     (["simulate", "--config", "{alpha_dict_doc}", "--out", "unused.csv"], 1),
+    # 1/Gamma(200) is below the smallest subnormal: 0.0
+    (["mlf", "--alpha", "0.5", "--beta", "200", "--z", "0"], 0),
 ])
 def test_exit_codes(argv, code, tmp_path, monkeypatch, lorenz_csv,
                     stateless_csv, headless_csv, alpha_dict_doc):

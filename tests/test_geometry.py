@@ -1,5 +1,6 @@
 """Tests for box-counting cell counts and dimension fits."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -217,35 +218,69 @@ def test_box_dimension_counts_match_box_count():
                            [box_count(pts, e) for e in res.scales])
 
 
-def test_count_cells_work_arrays_carry_nothing_between_scales():
-    # a ladder reuses one set of work arrays; counts in any scale order,
-    # repeats included, match counts on fresh arrays, with a third of the
-    # points on grid lines of the dyadic scales
+def reference_count(pts, eps):
+    """``box_count`` in one pass over every row: the interior points'
+    cells as a set of index tuples, then the points on grid lines swept in
+    lexicographic order, each joining an occupied adjacent closed cell
+    where there is one and taking its last candidate cell otherwise."""
+    mins = pts.min(axis=0)
+    upper = np.floor((pts.max(axis=0) - mins) / eps)
+    u = (pts - mins) / eps
+    nearest = np.round(u)
+    on_line = np.abs(u - nearest) <= geometry._SNAP_TOL * (1.0 + np.abs(u))
+    idx = np.clip(np.floor(u), 0.0, upper).astype(np.int64)
+    occupied = {tuple(row) for row in idx[~on_line.any(axis=1)].tolist()}
+    added = set()
+    for row in np.lexsort(u.T[::-1]):
+        if not on_line[row].any():
+            continue
+        cells = [(int(i),) for i in idx[row]]
+        for ax in np.flatnonzero(on_line[row]):
+            line = nearest[row, ax]
+            cells[ax] = tuple(sorted({int(np.clip(line - 1, 0, upper[ax])),
+                                      int(np.clip(line, 0, upper[ax]))}))
+        candidates = list(itertools.product(*cells))
+        if not any(c in occupied or c in added for c in candidates):
+            added.add(candidates[-1])
+    return len(occupied) + len(added)
+
+
+CHUNK = geometry._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_chunked_count_matches_a_one_pass_count(n):
+    # clouds of one chunk less a row, one chunk, one chunk and a row, and
+    # three chunks and five rows, with a third of the points on grid lines
+    # of the dyadic scales, so boundary rows fall in every chunk
     rng = np.random.default_rng(12)
-    pts = rng.random((3000, 3))
+    pts = rng.random((n, 3))
     pts[::3] = np.round(pts[::3] * 32) / 32
+    pts[:2] = [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]       # the grid's corners
     mins, spans = geometry._bounds(pts)
-    work = geometry._Work(len(pts))
-    scales = [1 / 8, 1 / 64, 0.3, 1 / 16, 0.05, 1 / 8, 1 / 256, 1 / 64]
-    assert ([geometry._count_cells(pts, mins, spans, e, work)
-             for e in scales]
-            == [geometry._count_cells(pts, mins, spans, e) for e in scales]
-            == [box_count(pts, e) for e in scales])
+    scales = [1 / 4, 1 / 16, 1 / 64]
+    assert ([geometry._count_cells(pts, mins, spans, e) for e in scales]
+            == [box_count(pts, e) for e in scales]
+            == [reference_count(pts, e) for e in scales])
 
 
 def test_box_dimension_holds_little_beside_its_cloud():
-    # cell keys and grid-line masks are built one column at a time, and
-    # only the boundary rows get their full coordinates: the traced peak
-    # of a 3-d cloud was 4.5 times the cloud's bytes, and is 2.1 now
-    pts = np.random.default_rng(4).normal(size=(20000, 3))
-    tracemalloc.start()
-    try:
-        with pytest.warns(UserWarning, match="saturated"):
-            box_dimension(pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.0 * pts.nbytes
+    # cell keys and grid-line masks are built in passes over _CHUNK_ROWS
+    # rows, one column at a time, and only the boundary rows get their
+    # full coordinates: the traced peak of a 3-d cloud was 4.5 times the
+    # cloud's bytes, then 1.8 with (n,) work arrays, and 0.62 on a cloud of
+    # ten chunks in passes of fixed rows
+    rng = np.random.default_rng(4)
+    for n, bound in ((20000, 3.0), (10 * CHUNK + 1, 0.8)):
+        pts = rng.normal(size=(n, 3))
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match="saturated"):
+                box_dimension(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * pts.nbytes
 
 
 def test_box_dimension_levels_are_bounded():

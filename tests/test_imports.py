@@ -1,4 +1,5 @@
-"""Every name a fracdyn module imports is read somewhere in that module."""
+"""Every name a fracdyn module imports, and every private name it
+defines, is read somewhere in that module."""
 
 import ast
 import pathlib
@@ -37,6 +38,28 @@ def unused_imports(source):
     return sorted(imported - read)
 
 
+def unread_private_names(source):
+    """Module-level ``_name``s that ``source`` defines by a def, a class or
+    an assignment and that no line of it reads; dunder names are kept."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            defined.update(name.id for target in targets
+                           for name in ast.walk(target)
+                           if isinstance(name, ast.Name))
+    private = {name for name in defined
+               if name.startswith("_") and not name.endswith("__")}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(private - read)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -47,3 +70,19 @@ def test_check_finds_an_unused_import():
               "from .errors import ConfigError\n__all__ = ['ConfigError']\n"
               "print(pi)\n")
     assert unused_imports(source) == ["gcd", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_reads_every_private_name(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_an_unread_private_name():
+    source = ("_TOL = 1e-12\n_A, (_B, c) = 1, (2, 3)\n__version__ = '1'\n"
+              "_cache: dict = {}\n\n"
+              "def _used(x):\n    return x * _TOL + _B\n\n"
+              "def _orphan(x):\n    return _used(x)\n\n"
+              "class _Work:\n    pass\n\n"
+              "def public():\n    _local = 1\n    return _local\n")
+    assert unread_private_names(source) == ["_A", "_Work", "_cache",
+                                            "_orphan"]

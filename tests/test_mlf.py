@@ -93,6 +93,20 @@ def test_value_at_zero():
     assert ml_two(0.7, 2.5, 0.0) == pytest.approx(1.0 / math.gamma(2.5), rel=1e-14)
 
 
+def test_value_at_zero_past_the_gamma_range():
+    # Gamma(beta) overflows a double past beta = 171.62, where 1/Gamma(beta)
+    # is a subnormal, and is below the smallest subnormal from beta ~ 178.4
+    for beta in (171.7, 172.0, 175.0, 178.0):
+        ref = float(mpmath.rgamma(beta))
+        assert 0.0 < ref < sys.float_info.min
+        assert abs(ml_two(0.5, beta, 0.0) - ref) <= 1e-323
+        assert mlf.ml_route(0.5, beta, 0.0)[1] == "zero"
+    for beta in (178.5, 200.0, 1e6, 1e300):
+        assert ml_two(0.5, beta, 0.0) == 0.0
+    # away from the origin the value was 0.0 already
+    assert ml_two(0.5, 200.0, 1.0) == 0.0
+
+
 def test_spot_value():
     # fixed reference computed once with the series oracle at 80 digits
     assert ml_two(0.8, 0.8, -0.5) == pytest.approx(0.4579314981011144, rel=1e-12)

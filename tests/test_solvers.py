@@ -1,5 +1,6 @@
 """Tests for the history-sum and predictor-corrector fractional solvers."""
 
+import dataclasses
 import io
 import math
 import os
@@ -27,6 +28,7 @@ from fracdyn.solvers import (
     HistoryKernel,
     SolverConfig,
     SystemSpec,
+    Trajectory,
     abm_history,
     abm_soe,
     gl_history,
@@ -1236,7 +1238,12 @@ def test_npz_roundtrip_is_bit_for_bit(name, t_end, scheme, tmp_path):
     traj = solve(system, SolverConfig(alpha=0.9, h=0.01, t_end=t_end,
                                       x0=x0, scheme=scheme))
     path = tmp_path / "traj.npz"
-    write_trajectory(traj, str(path))
+    # the bytes np.savez writes, whatever the memory order of x
+    savez = npz_bytes(t=traj.t, x=traj.x, alpha=traj.alpha, h=traj.h,
+                      system=traj.system_name, scheme=traj.scheme)
+    for x in (traj.x, np.asfortranarray(traj.x)):
+        write_trajectory(dataclasses.replace(traj, x=x), str(path))
+        assert path.read_bytes() == savez
     assert zipfile.is_zipfile(path)
     assert_same_trajectory(read_trajectory(str(path)), traj)
     # any other suffix is the CSV, which reads back the same
@@ -1258,19 +1265,35 @@ def test_npz_writes_repeat_byte_for_byte(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["a.npz", "b.npz"]
 
 
+def test_npz_write_copies_no_member(tmp_path):
+    # each member's data goes to the zip from the array's own buffer, where
+    # np.savez copies all of x (2.4 MB here) through tobytes
+    rng = np.random.default_rng(3)
+    traj = Trajectory(t=np.arange(100001) * 1e-3, x=rng.random((100001, 3)),
+                      alpha=0.9, h=1e-3, system_name="lorenz", scheme="gl")
+    tracemalloc.start()
+    try:
+        write_trajectory(traj, str(tmp_path / "traj.npz"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.05 * traj.x.nbytes
+
+
 def test_npz_write_failure_keeps_old_file(tmp_path, monkeypatch):
     path = tmp_path / "out.npz"
     write_trajectory(solve_gl(RELAX, SolverConfig(
         alpha=0.9, h=0.1, t_end=1.0, x0=[1.0])), str(path))
     first = path.read_bytes()
-    savez = np.savez
+    close = zipfile.ZipFile.close
 
-    def write_then_fail(fh, **members):
-        savez(fh, **members)
-        raise OSError("disk full")
+    def close_then_fail(self):
+        if self.fp is not None:        # once, not again on collection
+            close(self)
+            raise OSError("disk full")
 
     # the failure comes after a whole zip reached the temporary file
-    monkeypatch.setattr(np, "savez", write_then_fail)
+    monkeypatch.setattr(zipfile.ZipFile, "close", close_then_fail)
     with pytest.raises(OSError, match="disk full"):
         write_trajectory(solve_gl(RELAX, SolverConfig(
             alpha=0.9, h=0.1, t_end=2.0, x0=[1.0])), str(path))
