@@ -303,11 +303,13 @@ def _exact_flow(system, config, traj, renorm_every, n_blocks, v0, chain):
     after the first, the rows the kernel still reads (the last ``BASE``
     written and the far rows ahead of them) slide to its front.  ``ROWS``
     is a multiple of ``BASE``, so a row keeps its place in the far part's
-    blocks."""
+    blocks.  Each step is ``solve_gl``'s: it adds the forcing J v_prev,
+    unscaled, into the row being written (which holds its far sums over
+    h^alpha), calls the ``gl_history`` kernel, whose lag-0 weight is
+    h^alpha, and copies its sum back as the frame's new deviation."""
     span = n_blocks * renorm_every
     dev = np.zeros((min(span, ROWS + 2 * BASE) + 1,) + v0.shape)
-    hist = gl_history(config.alpha, span, dev)
-    ha = config.h ** config.alpha
+    hist = gl_history(config.alpha, config.h, span, dev)
     v_base = v_prev = v0
     row = 0                          # row of dev holding v_prev's deviation
     for first in range(0, span, ROWS):
@@ -323,7 +325,8 @@ def _exact_flow(system, config, traj, renorm_every, n_blocks, v0, chain):
         for step, jac in enumerate(jacs, start=first + 1):
             row += 1
             d = dev[row]
-            np.subtract(ha * (jac @ v_prev), hist(row), out=d)
+            d += jac @ v_prev
+            d[...] = hist(row)
             v_prev = v_base + d
             if step % renorm_every == 0:
                 v_prev, rinv = chain(v_prev, traj.t[step])
@@ -342,25 +345,27 @@ def _restart_blocks(system, config, traj, renorm_every, n_blocks, v0, chain):
     D_j = h^alpha J_{j-1} Phi_{j-1} - sum_k c_k D_{j-k} and
     Phi_j = I + D_j.  The blocks of a chunk of about ``ROWS`` steps step
     together: row j of the history buffer holds D_j of every block, so one
-    ``HistoryKernel`` call per j sums all their histories, and the step
-    subtracts that sum into row j, as ``solve_gl`` does.  Only the QR chain
-    over the blocks stays sequential.
+    ``HistoryKernel`` call per j sums all their histories.  As in
+    ``solve_gl``, the step adds the forcing J_{j-1} Phi_{j-1} into row j
+    and copies the ``gl_history`` kernel's sum (h^alpha times that row,
+    less the history) back.  Only the QR chain over the blocks stays
+    sequential.
     """
     dim, R = system.dim, renorm_every
-    ha = config.h ** config.alpha
     eye = np.eye(dim)
     per_chunk = max(1, ROWS // R)
     v = v0
     for first in range(0, n_blocks, per_chunk):
         count = min(per_chunk, n_blocks - first)
         dev = np.zeros((R + 1, count, dim, dim))
-        hist = gl_history(config.alpha, R, dev)
+        hist = gl_history(config.alpha, config.h, R, dev)
         start = first * R
-        hj = ha * _jacobians(system, traj, slice(start, start + count * R))
+        jacs = _jacobians(system, traj, slice(start, start + count * R))
         # (R, count, dim, dim): row j holds step j of every block
-        hj = hj.reshape(count, R, dim, dim).swapaxes(0, 1)
+        jacs = jacs.reshape(count, R, dim, dim).swapaxes(0, 1)
         for j in range(1, R + 1):
-            np.subtract(hj[j - 1] @ (eye + dev[j - 1]), hist(j), out=dev[j])
+            dev[j] += jacs[j - 1] @ (eye + dev[j - 1])
+            dev[j] = hist(j)
         phi = eye + dev[R]
         for b in range(count):
             v, _ = chain(phi[b] @ v, traj.t[start + (b + 1) * R])

@@ -57,7 +57,8 @@ from .solvers import (
 )
 # bench/run.py traces cli.write_trajectory_csv, which only a CSV path calls
 from .solvers import write_trajectory_csv  # noqa: F401
-from .systems import BENCHMARK_NAMES, BenchmarkId, make_system
+from .systems import (BENCHMARK_NAMES, BenchmarkId, make_system,
+                      observable_columns)
 
 __all__ = ["main", "build_parser"]
 
@@ -290,9 +291,12 @@ def _cmd_lyapunov(args):
     return 0
 
 
-def _parse_columns(text, dim):
+def _parse_columns(text, traj):
+    """0-based state columns from ``--columns`` text; without it, the
+    observable columns of ``traj``'s system."""
+    dim = traj.x.shape[1]
     if text is None:
-        return list(range(dim))
+        return observable_columns(traj.system_name, dim)
     cols = []
     for piece in text.split(","):
         idx = _number(int, piece, "--columns")
@@ -333,7 +337,7 @@ def _dimension_report(traj, input_name, cols, transient, **box_kwargs):
 
 def _cmd_dimension(args):
     traj = read_trajectory(args.input)
-    cols = _parse_columns(args.columns, traj.x.shape[1])
+    cols = _parse_columns(args.columns, traj)
     box_kwargs = {k: getattr(args, k) for k in ("eps_max", "eps_min", "levels")
                   if getattr(args, k) is not None}
     report = _dimension_report(traj, args.input, cols, args.transient,
@@ -499,7 +503,7 @@ def _cmd_reproduce(args):
     config = _solver_config(args, case, system)
     traj = solve(system, config)
     result, stab_doc, report = _lyapunov_run(args, case, system, config, traj)
-    cols = list(system.observables or range(system.dim))
+    cols = observable_columns(system.name, system.dim)
     dim_doc = _dimension_report(traj, "trajectory.npz", cols, 0.2)
     rows = _verdict_rows(case["claims"], result, report["classification"])
     # made after every report, so a case that fails leaves no directory
@@ -626,8 +630,9 @@ def build_parser():
                          "CSV for any other suffix")
     sp.add_argument("--columns",
                     help="1-based columns to use, in either format: column "
-                         "1 is time and column k + 2 state x_k (default: all "
-                         "state columns)")
+                         "1 is time and column k + 2 state x_k (default: the "
+                         "system's observables: all state columns, or a "
+                         "chain's first and last, 2 and dim + 1)")
     sp.add_argument("--transient", type=float, default=0.0,
                     help="fraction of leading rows to discard (default 0)")
     sp.add_argument("--eps-max", type=float, dest="eps_max",

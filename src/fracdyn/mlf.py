@@ -4,7 +4,9 @@ These are the solution kernels of linear fractional relaxation and serve as
 the accuracy oracle for the fractional solvers.  Evaluation routes, tried in
 this order:
 
-1. ``zero``: z = 0 is the exact value 1/Gamma(b);
+1. ``zero``: z = 0 is the exact value 1/Gamma(b), and for b >= 180 and
+   |z| <= (b e^(-1/b))^a / 2 the value is below half the smallest
+   subnormal, so 0 (log-convexity of Gamma bounds it by 2/Gamma(b));
 2. ``exp``: a = b = 1 is the closed form e^z;
 3. ``asymptotic``: the large-|z| expansion for 0 < a < 1 and |z| > 1,
    accepted when its term envelope falls from the first term (for a large
@@ -37,6 +39,11 @@ from .errors import NonConvergenceError
 _REL_TOL = 1e-12
 
 _MAX_TERMS_MP = 400_000
+
+# from this beta on, 2 / Gamma(beta) (<= 1.8e-327) is below half the
+# smallest subnormal, so the value rounds to 0 wherever 2 / Gamma(beta)
+# bounds it
+_BETA_NEGLIGIBLE = 180.0
 
 
 def _validate(alpha, beta, z):
@@ -190,6 +197,12 @@ def _series_mp(alpha, beta, z):
             # product alpha*k is ~1e-16 off, which the peak terms amplify
             aa = mpmath.mpf(alpha)
             bb = mpmath.mpf(beta)
+            if bb + aa == bb:
+                # every gamma argument would be beta: no term ever shrinks
+                raise NonConvergenceError(
+                    f"series for E_{{{alpha},{beta}}}({z!r}): beta + "
+                    f"alpha k rounds to beta at {dps} digits; argument "
+                    "outside the supported regime")
             s = mpmath.mpf(0)
             zk = mpmath.mpf(1)
             stop = mpmath.mpf(10) ** (-(dps - 6))
@@ -444,17 +457,21 @@ def ml_route(alpha, beta, z):
     """
     _validate(alpha, beta, z)
     alpha, beta = float(alpha), float(beta)
+    if beta >= _BETA_NEGLIGIBLE and (z == 0 or math.log(abs(z)) <= alpha * (
+            math.log(beta) - 1.0 / beta) - math.log(2.0)):
+        # log Gamma is convex and psi(beta) > log(beta) - 1/beta, so
+        # Gamma(beta + a k) >= Gamma(beta) (beta e^(-1/beta))^(a k): the
+        # k-th term is at most 2^-k / Gamma(beta), and |E| <= 2 / Gamma(beta)
+        return 0j, "zero"
     if z == 0:
         try:
             return complex(1.0 / math.gamma(beta)), "zero"
         except OverflowError:
             # past Gamma's double range (beta > 171.62) 1/Gamma(beta) is a
-            # subnormal up to beta ~ 178.4 and 0 beyond.  Nine steps of
-            # Gamma(b + 1) = b Gamma(b) bring Gamma back into range, and
-            # one division rounds into the subnormals: within 5e-324 of
-            # mpmath's rgamma, where exp(-lgamma(beta)) is 6e-322 off
-            if beta >= 180.0:
-                return 0j, "zero"
+            # subnormal up to beta ~ 178.4.  Nine steps of Gamma(b + 1) =
+            # b Gamma(b) bring Gamma back into range, and one division
+            # rounds into the subnormals: within 5e-324 of mpmath's
+            # rgamma, where exp(-lgamma(beta)) is 6e-322 off
             steps = math.prod(beta - j for j in range(1, 10))
             return complex(1.0 / math.gamma(beta - 9.0) / steps), "zero"
     zr = complex(z)

@@ -18,24 +18,29 @@ alpha = 1.
 
 Per-step cost is one call of the shared history kernel ``HistoryKernel``,
 which makes one BLAS dot over lags 0 .. n (for ABM, one call with two
-weight rows: the predictor and corrector sums).  At full memory (no
-``memory_window``; in ``chaos``, the exact-flow tangent history and restart
-blocks of ``BASE`` steps or more) the dot spans lags 0 .. ``BASE`` - 1,
-and the longer lags are Q decaying exponentials (``gl_soe``, ``abm_soe``;
-Q of about 130-210) updated once per ``BASE`` rows by one matmul, which
-adds their far sums into the kernel's ``pending`` rows: O(N * Q * dim)
-flops over N steps.  A windowed run sums its window by the direct dot,
+weight rows: the predictor and corrector sums).  Around its field call a
+GL step makes three small array operations besides: it adds the field
+value into the row being written, copies the kernel's sum into that row
+and adds x0 for the next field call (3.1-3.4 us a step on Lorenz at
+N = 10^5 on a 2-core host, most of it Python call overhead).  At full
+memory (no ``memory_window``; in ``chaos``, the exact-flow tangent
+history and restart blocks of ``BASE`` steps or more) the dot spans lags
+0 .. ``BASE`` - 1, and the longer lags are Q decaying exponentials
+(``gl_soe``, ``abm_soe``; Q of about 130-210) updated once per ``BASE``
+rows by one matmul, which adds their far sums into the kernel's
+``pending`` rows: O(N * Q * dim) flops over N steps.  A windowed run sums its window by the direct dot,
 O(N * window * dim).
 
 Memory: the GL stepper's deviation array is its kernel's ``pending``, so
-the far part adds its sums into its rows ahead of the step.  When the
-kernel is called for row m, that row holds its far sums, which the dot
-reads at lag 0 with c_0 = 1; the step then overwrites it with
-h^alpha f minus ``hist.sum``.  The result is that array shifted by x0 in
-place.  A full-memory GL solve over N steps then holds the (N + 1, dim)
-trajectory, its time grid, the first 2 ``BASE`` weights and the far part's
-(BASE + Q)^2 block matrix (at most 0.6 MB) and Q states: at N = 10^5 in
-3-d, a traced peak of 3.7 MB for a 2.4 MB trajectory.  ABM keeps separate
+the far part adds its sums, divided by the lag-0 weight h^alpha, into its
+rows ahead of the step.  The step adds f into row m, and the kernel's dot
+reads that row at lag 0 times h^alpha: h^alpha f and the far sums come
+with the near lags out of one dot, which the step copies back into the
+row.  The result is that array shifted by x0 in place.  A full-memory GL
+solve over N steps then holds the (N + 1, dim) trajectory, its time grid,
+the first 2 ``BASE`` weights and the far part's (BASE + Q)^2 block matrix
+(at most 0.6 MB) and Q states: at N = 10^5 in 3-d, a traced peak of
+3.7 MB for a 2.4 MB trajectory.  ABM keeps separate
 (N + 1, 2, dim) pending rows for x0, f_0's terms and the far sums, and
 adds row m to ``hist.sum`` itself after each call.
 
@@ -69,7 +74,8 @@ class SystemSpec:
     """A first-order (in D^alpha) autonomous-or-forced vector field.
 
     ``field(t, x)`` is called on one state: x of shape (dim,), t a float,
-    returning the (dim,) derivative.  ``jacobian(t, x)`` serves batches: x
+    returning the (dim,) derivative.  It must not write into x, which may
+    be a view of a stepper's buffer.  ``jacobian(t, x)`` serves batches: x
     of shape (..., dim) and t of shape (...), returning (..., dim, dim),
     or anything that broadcasts to it (a constant (dim, dim) matrix for a
     linear field).  The tangent steppers of ``chaos`` call it once per
@@ -250,13 +256,14 @@ class HistoryKernel:
     sum with the weights ``weights[j]``, all K from one pass over ``buf``
     (ABM's predictor and corrector).  ``pending``, of shape (len(buf),) +
     ``sum``'s shape, is where the far part adds its sums; the kernel never
-    adds it to ``sum``.  The GL steppers pass ``buf`` itself, whose row
-    ``end`` is zero but for those far sums when the call reads it at lag
-    0 with w_0 = 1, so one dot sums both.  ABM passes separate rows, which
-    also carry its x0 and f_0 terms, with w_0 = 0, and adds
-    ``pending[end]`` after the call.  ``buf`` and ``pending`` must be
-    C-contiguous: the kernel reads them through flat views, one column
-    per entry of a row, made once.
+    adds it to ``sum``.  The GL steppers pass ``buf`` itself, and the far
+    part then adds its sums divided by w_0 (h^alpha): the caller adds its
+    forcing into row ``end`` before the call, which reads that row at lag
+    0, so one dot gives w_0 times the forcing, the far sums and the near
+    lags.  ABM passes separate rows, which also carry its x0 and f_0
+    terms, with w_0 = 0, and adds ``pending[end]`` after the call.  ``buf``
+    and ``pending`` must be C-contiguous: the kernel reads them through
+    flat views, one column per entry of a row, made once.
 
     Without ``soe`` the sum is one BLAS dot of the reversed weights
     against ``buf[end + 1 - n:end + 1]``, n = min(end + 1, a weight row's
@@ -317,6 +324,9 @@ class HistoryKernel:
         far[..., q:] = np.tril(exact[:, lag[:, None] - lag])   # BASE+i-r
         block[k * BASE:, :q] = np.diag(np.exp(-BASE * rates))
         block[k * BASE:, q:] = np.exp(-np.outer(rates, BASE - 1 - lag))
+        if self._far is self._buf:
+            # the dot reads a far row at lag 0, times w_0
+            far /= wk[0, 0]
         self._block = block
         self._z = np.zeros((q + BASE, self._rows.shape[1]))
         self._states = np.reshape(self._z[:q], (q,) + self._buf.shape[1:],
@@ -356,20 +366,27 @@ class HistoryKernel:
             rows[...] = rows @ matrix
 
 
-def gl_history(alpha: float, window: int, buf) -> HistoryKernel:
-    """GL kernel on ``buf``, its own ``pending``, with lag weights
-    c_0 .. c_window: c_0 = 1 reads at lag 0 the row being written, which
-    holds only its far sums then, so one dot sums all lags.  At full
-    memory, where the window reaches the buffer's first row (window >=
+def gl_history(alpha: float, h: float, window: int, buf) -> HistoryKernel:
+    """GL kernel on ``buf``, its own ``pending``, with the lag weights
+    w_0 = h^alpha and w_k = -c_k, k = 1 .. window: one GL step.
+
+    The caller adds its forcing (f, or a tangent flow's ``jac @ v``) into
+    row m, which already holds its far sums over h^alpha, calls the kernel
+    at m and copies ``hist.sum`` into that row: one dot gives h^alpha
+    times the row plus the history, all lags at once.  At full memory,
+    where the window reaches the buffer's first row (window >=
     len(buf) - 1, and >= ``BASE``) with alpha < 1, it sums the lags from
     ``BASE`` on as the decaying exponentials of ``gl_soe(alpha, window)``
-    and builds c_0 .. c_{2 BASE - 1} only; otherwise by the direct dot.
-    At alpha = 1, where c_k = 0 exactly for k >= 2, it builds c_0 and c_1
-    alone: the classical Euler step."""
+    and builds w_0 .. w_{2 BASE - 1} only; otherwise by the direct dot.
+    At alpha = 1, where c_k = 0 exactly for k >= 2, it builds w_0 and
+    w_1 = 1 alone: the classical Euler step."""
     soe, lags = None, window if alpha < 1.0 else 1
     if alpha < 1.0 and BASE <= window >= len(buf) - 1:
-        soe, lags = gl_soe(alpha, window), 2 * BASE - 1
-    return HistoryKernel(gl_weights(alpha, lags + 1), buf, buf, soe)
+        amps, rates = gl_soe(alpha, window)
+        soe, lags = (-amps, rates), 2 * BASE - 1
+    weights = -gl_weights(alpha, lags + 1)
+    weights[0] = h ** alpha
+    return HistoryKernel(weights, buf, buf, soe)
 
 
 def abm_history(alpha: float, h: float, window: int, buf, pending,
@@ -491,6 +508,16 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
 
         d_m = h^alpha * f(t_{m-1}, x_{m-1}) - sum_{k=1}^{min(m-1,L)} c_k d_{m-k}
 
+    The deviations are the ``gl_history`` kernel's buffer, whose lag-0
+    weight is h^alpha and whose lag-k weight is -c_k.  Before step m its
+    row m holds the far sums over h^alpha, which the far part adds a block
+    ahead.  Step m adds f(t_{m-1}, x_{m-1}) into that row, makes one kernel
+    call, copies ``hist.sum`` back (d_m) and adds x0 for the next field
+    call; the deviations become the trajectory by one shift in place.
+    Deviations, not states, keep a constant solution exact: a zero field
+    gives x0 in every bit, where a buffer of states would carry x0 through
+    every lag's weight and round it.
+
     With ``memory_window`` L the tail of the convolution is dropped
     (short-memory principle), for the oracle's error study only; None
     keeps the exact full-memory sum.
@@ -498,29 +525,30 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
     n_steps, window = _check_dims(system, config)
     x0 = config.x0
     h, alpha = config.h, config.alpha
-    ha = h ** alpha
     t, dev = _step_arrays(config, n_steps, (system.dim,))
-    # h^alpha f(t_0, x_0), whose shape is checked here rather than broadcast
-    hfx = ha * _field_value(system, t[0], x0)
-    # at alpha = 1 only c_0 = 1 and c_1 = -1 survive: the classical Euler step
-    hist = gl_history(alpha, window, dev)
+    hist = gl_history(alpha, h, window, dev)
     f = system.field
     with np.errstate(over="ignore", invalid="ignore"):
+        # step 1, whose field value has its shape checked rather than
+        # broadcast
+        dev[1] += _field_value(system, t[0], x0)
+        dev[1] = hist(1)
+        x = x0 + dev[1]
         for first in range(1, n_steps + 1, BASE):
             stop = min(first + BASE, n_steps + 1)
+            lo = max(first, 2)
             try:
-                # row m's field value feeds step m + 1; the last row's
-                # feeds none, so it is written below without one
-                for m in range(first, min(stop, n_steps)):
-                    d = dev[m]
-                    np.subtract(hfx, hist(m), out=d)
-                    hfx = ha * np.asarray(f(t[m], x0 + d), dtype=float)
+                # each row of the block with the time of its field value
+                for m, t_prev, row in zip(range(lo, stop),
+                                        t[lo - 1:stop - 1].tolist(),
+                                        dev[lo:stop]):
+                    row += f(t_prev, x)
+                    row[...] = hist(m)
+                    x = x0 + row
             except Exception:
                 # a diverged state written before the failure explains it
-                _check_rows(dev[first:m + 1] + x0, first, t)
+                _check_rows(dev[first:m] + x0, first, t)
                 raise
-            if stop > n_steps:
-                np.subtract(hfx, hist(n_steps), out=dev[n_steps])
             _check_rows(dev[first:stop] + x0, first, t)
     dev += x0
     return Trajectory(t=t, x=dev, alpha=alpha, h=h,

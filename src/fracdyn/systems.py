@@ -249,6 +249,12 @@ def commensurate_order(orders) -> float:
     return q
 
 
+def _chain_observables(n):
+    """The observables of an n-stage chain: its first stage, the scalar
+    itself, and its last."""
+    return (0, n - 1)
+
+
 def _duffing(p, alpha, x0):
     """Duffing's scalar equation as its commensurate chain.
 
@@ -286,18 +292,21 @@ def _duffing(p, alpha, x0):
     x0_chain = np.zeros(n)
     x0_chain[0] = x0[0]
     system = SystemSpec("duffing", n, field, jacobian,
-                        params={"base_order": q}, observables=(0, n - 1))
+                        params={"base_order": q},
+                        observables=_chain_observables(n))
     return system, tuple(x0_chain), q
 
 
 class _System(NamedTuple):
     """One catalog record; ``build(params, alpha, x0)`` returns the
-    SystemSpec with its x0 and its order."""
+    SystemSpec with its x0 and its order, and a chain's ``observables(n)``
+    the observables it marks at n stages."""
 
     build: Callable
     params: dict
     orders: tuple  # leading order first
     x0: tuple
+    observables: Optional[Callable] = None
 
 
 _CATALOG = {
@@ -308,7 +317,7 @@ _CATALOG = {
     "duffing": _System(_duffing, {"delta": 0.2, "gamma": 1.0,
                                   "cubic_coeff": 5.0, "forcing_amp": 0.3,
                                   "forcing_freq": 1.2},
-                       (0.9, 0.8), (0.1,)),
+                       (0.9, 0.8), (0.1,), _chain_observables),
     "chen": _System(_chen, {"a": 35.0, "b": 3.0, "c": 28.0},
                     (0.9,), (-9.0, -5.0, 14.0)),
     "rossler": _System(_rossler, {"a": 0.2, "b": 0.2, "c": 5.7},
@@ -336,6 +345,18 @@ def make_system(bid: BenchmarkId) -> SystemSpec:
     params = {**bid.params, **system.params, "default_x0": x0,
               "default_alpha": alpha}
     return replace(system, name=bid.name, params=params)
+
+
+def observable_columns(name: str, dim: int) -> list:
+    """The 0-based state columns that carry the physical coordinates of a
+    ``dim``-state trajectory of system ``name``: the observables that
+    ``make_system`` marks on a chain of that many stages (Duffing's x and
+    its highest stage), or all ``dim`` for any other system, a name outside
+    the catalog included."""
+    entry = _CATALOG.get(name)
+    if entry is None or entry.observables is None:
+        return list(range(dim))
+    return list(entry.observables(dim))
 
 
 @dataclass(frozen=True)

@@ -235,6 +235,19 @@ def test_reproduce_artifact_is_what_its_command_writes(case2_dir, artifact,
     assert out.read_bytes() == (case2_dir / artifact).read_bytes()
 
 
+def test_dimension_defaults_to_the_chain_observables(case2_dir, tmp_path,
+                                                    monkeypatch):
+    # without --columns a Duffing trajectory is counted on its observables,
+    # columns 2 and 10, as reproduce 2 counts it; all nine chain states
+    # would overflow the int64 cell index
+    monkeypatch.chdir(case2_dir)
+    out = tmp_path / "dimension.json"
+    assert run(["dimension", "--input", "trajectory.npz", "--transient",
+                "0.2", "--out", str(out)]) == 0
+    assert out.read_bytes() == (case2_dir / "dimension.json").read_bytes()
+    assert json.loads(out.read_text())["columns"] == [2, 10]
+
+
 def test_reproduce_writes_a_binary_trajectory(tmp_path, monkeypatch):
     def no_text(t, x):
         raise AssertionError("reproduce formatted CSV rows")

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from contour_oracle import (GRIDS, grid_points, load_table,
                             ml_contour_oracle)
 from fracdyn import ml_one, ml_two, mlf
+from fracdyn.errors import NonConvergenceError
 
 
 def series_cost(alpha, beta, z):
@@ -105,6 +106,43 @@ def test_value_at_zero_past_the_gamma_range():
         assert ml_two(0.5, beta, 0.0) == 0.0
     # away from the origin the value was 0.0 already
     assert ml_two(0.5, 200.0, 1.0) == 0.0
+
+
+def test_huge_beta_is_zero_at_once(monkeypatch):
+    # E_{0.5,1e300}(1) spent half a minute in the series and E_{0.5,1e308}(1)
+    # overflowed in the contour; 2 / Gamma(beta) bounds both, far below the
+    # smallest subnormal, so no route past the first one runs
+    def no_route(*args):
+        raise AssertionError(f"a numerical route ran for {args}")
+
+    for name in ("_asymptotic", "_contour", "_series_mp"):
+        monkeypatch.setattr(mlf, name, no_route)
+    for beta in (1e300, 1e308):
+        assert mlf.ml_route(0.5, beta, 1.0) == (0j, "zero")
+        assert ml_two(0.5, beta, 1.0) == 0.0
+        assert ml_two(0.5, beta, -3 + 4j) == 0j
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_large_beta_bound_holds_at_its_edge(alpha):
+    # at beta = 180 and |z| = (beta e^(-1/beta))^alpha / 2, the edge of the
+    # zero rule, the sum of the terms' magnitudes is still below half the
+    # smallest subnormal
+    beta = 180.0
+    edge = 0.5 * (beta * math.exp(-1.0 / beta)) ** alpha
+    with mpmath.workdps(30):
+        bound = sum(mpmath.mpf(edge) ** k * mpmath.rgamma(beta + alpha * k)
+                    for k in range(200))
+        assert bound < mpmath.mpf(2) ** -1075
+    for z in (edge, -edge, complex(0.6 * edge, 0.8 * edge)):
+        assert mlf.ml_route(alpha, beta, z) == (0j, "zero")
+
+
+def test_series_refuses_when_beta_absorbs_alpha_k():
+    # at 25 digits 1e300 + 0.5 k rounds to 1e300 for every k the series
+    # could reach: no term would ever shrink
+    with pytest.raises(NonConvergenceError, match="rounds to beta"):
+        mlf._series_mp(0.5, 1e300, 1.0)
 
 
 def test_spot_value():

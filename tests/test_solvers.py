@@ -344,6 +344,14 @@ def test_soe_nodes_stay_finite_at_the_smallest_rates():
     assert np.all(amps < 0.0)
 
 
+def gl_row(alpha, h, n):
+    """``gl_history``'s weight row over lags 0 .. n - 1: w_0 = h^alpha,
+    w_k = -c_k."""
+    weights = -gl_weights(alpha, n)
+    weights[0] = h ** alpha
+    return weights
+
+
 @pytest.mark.parametrize("row_shape", [(), (3,), (3, 2)],
                          ids=["scalar", "state", "tangent"])
 @pytest.mark.parametrize("n", [777, 2100])
@@ -351,18 +359,22 @@ def test_soe_nodes_stay_finite_at_the_smallest_rates():
 def test_full_memory_gl_kernel_matches_naive_loop(alpha, n, row_shape):
     # lags from BASE on as decaying states, updated once per BASE rows,
     # with the stepper's layout: the buffer is its own pending, whose row
-    # ``end`` holds the far sums that c_0 = 1 reads at lag 0; ``ref`` is
-    # the same history with that row still zero
+    # ``end`` holds the far sums over w_0 = h^alpha != 1 when the caller
+    # adds its forcing there and the dot reads it at lag 0; ``ref`` is
+    # the same history with only the forcing in that row
     rng = np.random.default_rng(n + len(row_shape))
-    weights = gl_weights(alpha, n + 1)
+    weights = gl_row(alpha, 0.01, n + 1)
+    forcing = rng.normal(size=(n + 1,) + row_shape)
     values = rng.normal(size=(n + 1,) + row_shape)
     buf = np.zeros_like(values)
     buf[0] = values[0]
     ref = buf.copy()
-    hist = gl_history(alpha, n, buf)
+    hist = gl_history(alpha, 0.01, n, buf)
     checked = {1, 2, n} | {e for e in (63, 64, 65, 127, 128, 129, 500, 1024,
                                        1025, 1100, 2048, 2049) if e <= n}
     for end in range(1, n + 1):
+        buf[end] += forcing[end]
+        ref[end] = forcing[end]
         value = hist(end)
         scale = rounding_scale(weights, ref, end)
         assert np.all(np.abs(value - direct_dot(weights, ref, end))
@@ -478,29 +490,65 @@ def test_full_memory_abm_kernel_matches_naive_loop(alpha, n, row_shape):
 
 
 def test_full_memory_gl_kernel_pushes_through():
-    # test_history_kernel_pushes_through on a GL kernel at full memory: the
-    # push-through rescales the last BASE rows, the block's far rows and
-    # the states, and leaves every older row as it was
+    # test_history_kernel_pushes_through on a GL kernel at full memory,
+    # w_0 = h^alpha != 1, in the exact flow's layout: the forcing added
+    # into the row being written, the sum copied over it.  The
+    # push-through rescales the last BASE rows, the block's far rows (its
+    # far sums over w_0) and the states, and leaves every older row as it
+    # was
     rng = np.random.default_rng(3)
-    dim, m, n, alpha = 3, 2, 1500, 0.7
-    weights = gl_weights(alpha, n + 1)
+    dim, m, n, alpha, h = 3, 2, 1500, 0.7, 0.01
+    weights = gl_row(alpha, h, n + 1)
     drive = rng.normal(size=(n + 1, dim, m))
     buf = np.zeros_like(drive)
     ref = np.zeros_like(drive)  # the same history, rescaled in full by hand
-    hist = gl_history(alpha, n, buf)
+    hist = gl_history(alpha, h, n, buf)
     rinv = np.eye(m) + np.triu(rng.normal(size=(m, m)), 1)
     for end in range(1, n + 1):
+        buf[end] += drive[end]
+        ref[end] = drive[end]
         value = hist(end)
         assert value.shape == (dim, m)
         assert np.all(np.abs(value - direct_dot(weights, ref, end))
                       <= 1e-13 * rounding_scale(weights, ref, end))
-        buf[end] = ref[end] = drive[end]
+        buf[end] = ref[end] = value
         if end % 70 == 0:
             keep = max(0, end - 2 * BASE)
             old = buf[:keep].copy()
             hist.rescale(end, rinv)
             ref[:end + 1] = ref[:end + 1] @ rinv
             assert np.array_equal(buf[:keep], old)
+
+
+def test_full_memory_gl_kernel_slides_with_its_far_rows():
+    # the exact flow's slide with w_0 = h^alpha != 1: after row E, a
+    # multiple of BASE, rows E - BASE .. E + BASE - 1 (the far rows ahead
+    # holding their sums over w_0) move to the front of a short buffer and
+    # the run goes on at BASE + 1, pushing factors through as it goes; it
+    # gives the bits of one kernel over the whole history
+    rng = np.random.default_rng(17)
+    dim, m, n, alpha, h, rows = 3, 2, 1500, 0.9, 0.005, 4 * BASE
+    drive = rng.normal(size=(n + 1, dim, m))
+    whole = np.zeros_like(drive)
+    short = np.zeros((rows + 2 * BASE + 1, dim, m))
+    full, slid = (gl_history(alpha, h, n, buf) for buf in (whole, short))
+    rinv = np.eye(m) + np.triu(rng.normal(size=(m, m)), 1)
+    row = 0
+    for end in range(1, n + 1):
+        if end > 1 and (end - 1) % rows == 0:
+            shift = row - BASE
+            short[:-shift] = short[shift:]
+            short[-shift:] = 0.0
+            row = BASE
+        row += 1
+        whole[end] += drive[end]
+        short[row] += drive[end]
+        whole[end] = full(end)
+        short[row] = slid(row)
+        assert np.array_equal(short[row], whole[end])
+        if end % 50 == 0:
+            full.rescale(end, rinv)
+            slid.rescale(row, rinv)
 
 
 def test_history_sum_accepts_flattened_tangent_rows():
@@ -540,16 +588,18 @@ def test_history_kernel_needs_pending():
 
 
 def test_gl_history_alpha_one_keeps_one_lag():
-    # the buffer is the kernel's own pending: each row is written after
-    # the call, as every stepper does
+    # w_0 = h and w_1 = 1 alone: the Euler step d_m = h f + d_{m-1}.  The
+    # buffer is the kernel's own pending: each row gets its forcing before
+    # the call and the sum after it, as every stepper does
     values = np.arange(8.0).reshape(4, 2)
     buf = np.zeros_like(values)
     buf[0] = values[0]
-    hist = gl_history(1.0, 50, buf)
+    hist = gl_history(1.0, 0.5, 50, buf)
     for end in range(1, 4):
+        buf[end] += 10.0 * end
         got = hist(end).copy()
+        assert_allclose(got, 5.0 * end + buf[end - 1], rtol=0, atol=0)
         buf[end] = values[end]
-    assert_allclose(got, -buf[2], rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("alpha", [0.9, 1.0])
@@ -690,6 +740,9 @@ ACCURACY_CASES = {
     "lorenz": (LORENZ, dict(alpha=0.995, h=0.005, t_end=10.0,
                             x0=LORENZ.params["default_x0"])),
     "relax": (RELAX, dict(alpha=0.5, h=0.001, t_end=3.0, x0=[1.0])),
+    # the longest memory of the catalog's range: the far sums carry most
+    # of each step
+    "relax-0.3": (RELAX, dict(alpha=0.3, h=0.001, t_end=3.0, x0=[1.0])),
 }
 
 
@@ -708,21 +761,66 @@ def test_full_memory_matches_direct_sum(case, scheme):
 
 
 def two_step_gl(system, cfg):
-    """``solve_gl``'s update in two steps: the step into a new array, then
-    the history sum subtracted from it."""
+    """``solve_gl``'s update with fresh arrays: the row plus the field
+    value into a new array, copied into the row, then a copy of the
+    kernel's sum; the kernel comes from ``gl_history``, as the stepper's
+    does."""
     n, h, alpha, x0 = cfg.n_steps, cfg.h, cfg.alpha, cfg.x0
     window = n if cfg.memory_window is None else min(cfg.memory_window, n)
     t = cfg.t0 + h * np.arange(n + 1)
     dev = np.zeros((n + 1, system.dim))
-    hist = gl_history(alpha, window, dev)
+    hist = gl_history(alpha, h, window, dev)
     x_prev = x0.copy()
     for m in range(1, n + 1):
-        d = h ** alpha * np.asarray(system.field(t[m - 1], x_prev),
-                                    dtype=float)
-        d -= hist(m)
-        dev[m] = d
-        x_prev = x0 + d
+        dev[m] = dev[m] + np.asarray(system.field(t[m - 1], x_prev),
+                                     dtype=float)
+        dev[m] = hist(m).copy()
+        x_prev = x0 + dev[m]
     return dev + x0
+
+
+def subtracted_gl(system, cfg):
+    """The GL update as the deviation recurrence
+    d_m = h^alpha f(t_{m-1}, x_{m-1}) - sum_k c_k d_{m-k}: a kernel of
+    weights c_0 = 1 .. c_L, whose row being written holds only its far
+    sums when c_0 reads it, subtracted from h^alpha f."""
+    n, h, alpha, x0 = cfg.n_steps, cfg.h, cfg.alpha, cfg.x0
+    window = n if cfg.memory_window is None else min(cfg.memory_window, n)
+    soe, lags = None, window if alpha < 1.0 else 1
+    if alpha < 1.0 and BASE <= window == n:
+        soe, lags = gl_soe(alpha, window), 2 * BASE - 1
+    t = cfg.t0 + h * np.arange(n + 1)
+    dev = np.zeros((n + 1, system.dim))
+    hist = HistoryKernel(gl_weights(alpha, lags + 1), dev, dev, soe)
+    x_prev = x0
+    for m in range(1, n + 1):
+        dev[m] = (h ** alpha * np.asarray(system.field(t[m - 1], x_prev),
+                                          dtype=float) - hist(m))
+        x_prev = x0 + dev[m]
+    return dev + x0
+
+
+@pytest.mark.parametrize("window", [None, 200, 50])
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 0.9, 1.0])
+def test_gl_step_matches_the_subtracted_recurrence_on_relaxation(alpha,
+                                                                 window):
+    # the lag-0 weight h^alpha scales the field value and the far sums in
+    # the row; subtracting the history from h^alpha f is the same
+    # recurrence to rounding
+    cfg = SolverConfig(alpha=alpha, h=0.001, t_end=1.0, x0=[1.0],
+                       memory_window=window)
+    got, ref = solve_gl(RELAX, cfg).x, subtracted_gl(RELAX, cfg)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_gl_step_matches_the_subtracted_recurrence_on_lorenz():
+    # 1000 steps, past the far part's first folds, before chaos amplifies
+    # rounding
+    cfg = SolverConfig(alpha=0.995, h=0.005, t_end=5.0,
+                       x0=LORENZ.params["default_x0"])
+    assert cfg.n_steps == 1000
+    got, ref = solve_gl(LORENZ, cfg).x, subtracted_gl(LORENZ, cfg)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def two_step_abm(system, cfg):

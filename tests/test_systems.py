@@ -14,6 +14,7 @@ from fracdyn.systems import (
     find_equilibria,
     jacobian_eigenvalues,
     make_system,
+    observable_columns,
 )
 
 
@@ -284,6 +285,20 @@ def test_duffing_chain_layout():
         assert x0.shape == (dim,)
         assert x0[0] == 0.1
         assert np.all(x0[1:] == 0.0)
+
+
+def test_observable_columns_of_a_stored_trajectory():
+    # a stored trajectory keeps only its system's name and width: a chain's
+    # columns are the observables make_system marks at that many stages,
+    # every other system's are all of them
+    for alpha in ((0.9, 0.8), (1.0, 0.8), (0.75, 0.5)):
+        sys_ = make_system(BenchmarkId("duffing", alpha=alpha))
+        assert observable_columns("duffing", sys_.dim) == list(
+            sys_.observables)
+    for name in ("lorenz", "chen", "rossler", "chua"):
+        assert observable_columns(name, 3) == [0, 1, 2]
+    assert observable_columns("", 4) == [0, 1, 2, 3]
+    assert observable_columns("not-a-system", 2) == [0, 1]
 
 
 def test_duffing_orders_without_a_common_base_are_refused():
