@@ -235,19 +235,15 @@ class _QRChain:
     convention, and the diagonal of R (the signed stretch factors), which
     it writes into its row of ``stretches``, one (n_blocks, m) array.
     Returns the renormalized frame and the inverse triangular factor.
-    ``history`` turns the stretches of the blocks past the transient into
-    the running exponent estimates.
+    The caller turns the stretches into exponent estimates.
     """
 
-    def __init__(self, rows, n_blocks, skip_blocks, renorm_every, h):
+    def __init__(self, rows, n_blocks):
         m = len(rows)
         # leading coordinates (all of them, unless observables pick some)
         # are a slice, whose view spares a copy the QR would copy again
         self.rows = (slice(m) if list(rows) == list(range(m))
                      else np.array(rows))
-        self.skip_blocks = skip_blocks
-        self.renorm_every = renorm_every
-        self.h = h
         self.stretches = np.empty((n_blocks, m))
         self.blocks = 0              # rows of ``stretches`` written
         self._upper = np.triu(np.ones((m, m)))
@@ -268,16 +264,6 @@ class _QRChain:
         r *= np.copysign(self._upper, diag[:, None])
         rinv = np.linalg.inv(r)
         return v @ rinv, rinv
-
-    @property
-    def history(self):
-        """(n, m) running estimates: the summed log stretches of the first
-        k blocks past the transient over their elapsed time, k = 1 .. n."""
-        # cumsum adds block by block, as a running sum would
-        kept = self.stretches[self.skip_blocks:self.blocks]
-        logs = np.cumsum(np.log(np.abs(kept)), axis=0)
-        elapsed = np.arange(1, len(logs) + 1) * self.renorm_every * self.h
-        return logs / elapsed[:, None]
 
 
 def _jacobians(system, traj, steps):
@@ -459,7 +445,7 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
     skip_blocks = min(int(math.ceil(transient / (h * renorm_every))),
                       n_blocks - 1)
     transient_discarded = skip_blocks * renorm_every * h
-    chain = _QRChain(rows, n_blocks, skip_blocks, renorm_every, h)
+    chain = _QRChain(rows, n_blocks)
     # at alpha = 1 the history is the one lag c_1 = -1, so a restart is
     # exact and both conventions take the restart path
     if tangent_history == "exact" and alpha != 1.0:
@@ -468,7 +454,11 @@ def lyapunov_spectrum(system: SystemSpec, config: SolverConfig,
         _restart_blocks(system, config, traj, renorm_every, n_blocks, v0,
                         chain)
 
-    history = chain.history
+    # running estimates: the summed log stretches of the first k blocks
+    # past the transient over their elapsed time; cumsum adds block by
+    # block, as a running sum would
+    logs = np.cumsum(np.log(np.abs(chain.stretches[skip_blocks:])), axis=0)
+    history = logs / (np.arange(1, len(logs) + 1) * renorm_every * h)[:, None]
     exponents = np.sort(history[-1])[::-1]
     last = max(2, len(history) // 4)
     lam1 = history[:, np.argmax(history[-1])]

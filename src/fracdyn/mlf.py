@@ -4,9 +4,11 @@ These are the solution kernels of linear fractional relaxation and serve as
 the accuracy oracle for the fractional solvers.  Evaluation routes, tried in
 this order:
 
-1. ``zero``: z = 0 is the exact value 1/Gamma(b), and for b >= 180 and
-   |z| <= (b e^(-1/b))^a / 2 the value is below half the smallest
-   subnormal, so 0 (log-convexity of Gamma bounds it by 2/Gamma(b));
+1. ``zero``: z = 0 is the exact value 1/Gamma(b), and for b >= 180 the
+   value is 0 wherever a bound of ``_negligible`` puts it below half the
+   smallest subnormal.  For a huge b (1e300), which the other routes
+   cannot evaluate, that leaves |z|^(1/a) > b, where every asymptotic term
+   is zero and the exponential part is zero or past the double range;
 2. ``exp``: a = b = 1 is the closed form e^z;
 3. ``asymptotic``: the large-|z| expansion for 0 < a < 1 and |z| > 1,
    accepted when its term envelope falls from the first term (for a large
@@ -135,7 +137,14 @@ def _asymptotic(alpha, beta, z):
     for k in range(1, 220):
         x = beta - alpha * k
         if x >= 0.5:
-            log_env = -k * log_az - math.lgamma(x)
+            try:
+                log_env = -k * log_az - math.lgamma(x)
+            except OverflowError:
+                # Gamma(x) > e^(1.7e308) zeroes every term; the zero rule
+                # leaves |z| > beta^alpha > Gamma(x) / Gamma(x - alpha)
+                # here, so the envelope falls at every k
+                log_err = -math.inf
+                break
             sin_fac = 1.0
         else:
             log_env = -k * log_az + math.lgamma(1.0 - x) - _LOG_PI
@@ -425,6 +434,26 @@ def _contour(alpha, beta, z):
     return complex(value.real) if zc.imag == 0.0 else value
 
 
+def _negligible(alpha, beta, z):
+    """True when a bound puts |E_{alpha,beta}(z)|, beta >= 180, below half
+    the smallest subnormal.  With s = alpha k, log Gamma's convexity,
+    psi(beta) > log(beta) - 1/beta and psi' > 1/x bound the k-th term by
+    2^-k / Gamma(beta) for |z| <= (beta e^(-1/beta))^alpha / 2, so |E| <=
+    2 / Gamma(beta); and for |z| <= beta^alpha by e^(1 - s^2 / (4 beta)) /
+    Gamma(beta) while s <= beta and e^(-s/5) / Gamma(beta) past it, so |E|
+    <= 3 beta / (alpha Gamma(beta)), where (beta - 1/2) log(beta) - beta
+    bounds log Gamma(beta) from below.  For real z < 0 and alpha <= 1, E is
+    completely monotone in -z (Schneider, Expo. Math. 14, 1996), so 0 <= E
+    <= 1 / Gamma(beta)."""
+    if z == 0 or (z.imag == 0.0 and z.real < 0.0 and alpha <= 1.0):
+        return True
+    log_az, log_beta = math.log(abs(z)), math.log(beta)
+    return log_az <= alpha * (log_beta - 1.0 / beta) - math.log(2.0) or (
+        log_az <= alpha * log_beta
+        and math.log(3.0 / alpha) + log_beta + beta - (beta - 0.5) * log_beta
+        < math.log(math.ulp(0.0)) - math.log(2.0))
+
+
 def ml_two(alpha, beta, z):
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
@@ -457,11 +486,7 @@ def ml_route(alpha, beta, z):
     """
     _validate(alpha, beta, z)
     alpha, beta = float(alpha), float(beta)
-    if beta >= _BETA_NEGLIGIBLE and (z == 0 or math.log(abs(z)) <= alpha * (
-            math.log(beta) - 1.0 / beta) - math.log(2.0)):
-        # log Gamma is convex and psi(beta) > log(beta) - 1/beta, so
-        # Gamma(beta + a k) >= Gamma(beta) (beta e^(-1/beta))^(a k): the
-        # k-th term is at most 2^-k / Gamma(beta), and |E| <= 2 / Gamma(beta)
+    if beta >= _BETA_NEGLIGIBLE and _negligible(alpha, beta, complex(z)):
         return 0j, "zero"
     if z == 0:
         try:

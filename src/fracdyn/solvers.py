@@ -61,6 +61,7 @@ import zipfile
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from math import ceil, exp, expm1, gamma, isfinite, log, pi, sin
 from typing import Callable, Optional
 
@@ -513,7 +514,10 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
     row m holds the far sums over h^alpha, which the far part adds a block
     ahead.  Step m adds f(t_{m-1}, x_{m-1}) into that row, makes one kernel
     call, copies ``hist.sum`` back (d_m) and adds x0 for the next field
-    call; the deviations become the trajectory by one shift in place.
+    call; the deviations become the trajectory by one shift in place.  One
+    loop takes every step, block by block; the first block's field values
+    go through ``_field_value``, so a field of the wrong shape raises
+    ``ConfigError`` there rather than being broadcast.
     Deviations, not states, keep a constant solution exact: a zero field
     gives x0 in every bit, where a buffer of states would carry x0 through
     every lag's weight and round it.
@@ -527,21 +531,18 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
     h, alpha = config.h, config.alpha
     t, dev = _step_arrays(config, n_steps, (system.dim,))
     hist = gl_history(alpha, h, window, dev)
-    f = system.field
+    x = x0
     with np.errstate(over="ignore", invalid="ignore"):
-        # step 1, whose field value has its shape checked rather than
-        # broadcast
-        dev[1] += _field_value(system, t[0], x0)
-        dev[1] = hist(1)
-        x = x0 + dev[1]
         for first in range(1, n_steps + 1, BASE):
             stop = min(first + BASE, n_steps + 1)
-            lo = max(first, 2)
+            # the first block's field values have their shape checked
+            # rather than broadcast
+            f = system.field if first > 1 else partial(_field_value, system)
             try:
                 # each row of the block with the time of its field value
-                for m, t_prev, row in zip(range(lo, stop),
-                                        t[lo - 1:stop - 1].tolist(),
-                                        dev[lo:stop]):
+                for m, t_prev, row in zip(range(first, stop),
+                                          t[first - 1:stop - 1].tolist(),
+                                          dev[first:stop]):
                     row += f(t_prev, x)
                     row[...] = hist(m)
                     x = x0 + row
@@ -653,29 +654,12 @@ def atomic_write(path: str, text: str) -> None:
         fh.write(text)
 
 
-# data rows formatted per string operation and write of the CSV writer
-CSV_ROWS = 4096
-
-
-def _csv_chunks(t, x):
-    """The data rows of a trajectory CSV as text, ``CSV_ROWS`` at a time.
-
-    Each chunk is one ``%`` over its rows: t and the state as ``%.17g``,
-    comma-separated, one row per line.
-    """
-    line = ",".join(["%.17g"] * (1 + x.shape[1])) + "\n"
-    for start in range(0, len(t), CSV_ROWS):
-        rows = np.column_stack((t[start:start + CSV_ROWS],
-                                x[start:start + CSV_ROWS]))
-        yield (line * len(rows)) % tuple(rows.ravel().tolist())
-
-
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     """Write a trajectory as CSV, losslessly (%.17g) and atomically.
 
     Metadata rides in '#'-prefixed header lines so a written file can be
-    read back into an identical Trajectory.  The rows are formatted and
-    written ``CSV_ROWS`` at a time.
+    read back into an identical Trajectory.  The rows are t and the state,
+    each value ``%.17g``, comma-separated, written by ``np.savetxt``.
     """
     dim = traj.x.shape[1]
     with atomic_open(path) as fh:
@@ -684,8 +668,8 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
         fh.write(f"# alpha={traj.alpha!r}\n")
         fh.write(f"# h={traj.h!r}\n")
         fh.write("t," + ",".join(f"x{i}" for i in range(dim)) + "\n")
-        for text in _csv_chunks(traj.t, traj.x):
-            fh.write(text)
+        np.savetxt(fh, np.column_stack((traj.t, traj.x)), fmt="%.17g",
+                   delimiter=",")
 
 
 def read_trajectory_csv(path: str) -> Trajectory:

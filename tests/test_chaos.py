@@ -480,17 +480,12 @@ def test_lyapunov_alpha_one_restarts_history_at_every_block():
 
 
 class ReferenceQRChain:
-    """``chaos._QRChain`` with R from QR in mode "r", and the log
-    stretches summed block by block into running estimates."""
+    """``chaos._QRChain`` with R from QR in mode "r", recording each
+    block's stretches in a list."""
 
-    def __init__(self, rows, n_blocks, skip_blocks, renorm_every, h):
+    def __init__(self, rows, n_blocks):
         self.rows = rows
-        self.skip_blocks = skip_blocks
-        self.renorm_every = renorm_every
-        self.h = h
-        self.block = 0
-        self.logs = np.zeros(len(rows))
-        self.estimates = []
+        self.diags = []
 
     def __call__(self, v, t):
         r = np.linalg.qr(v[self.rows], mode="r")
@@ -500,17 +495,12 @@ class ReferenceQRChain:
                 f"tangent frame collapsed at t = {t:.6g}")
         r *= np.sign(diag)[:, None]
         rinv = np.linalg.inv(r)
-        if self.block >= self.skip_blocks:
-            self.logs += np.log(np.abs(diag))
-            elapsed = ((self.block - self.skip_blocks + 1)
-                       * self.renorm_every * self.h)
-            self.estimates.append(self.logs / elapsed)
-        self.block += 1
+        self.diags.append(diag)
         return v @ rinv, rinv
 
     @property
-    def history(self):
-        return np.array(self.estimates)
+    def stretches(self):
+        return np.array(self.diags)
 
 
 @pytest.mark.parametrize("tangent_history", chaos.TANGENT_HISTORIES)
@@ -519,12 +509,19 @@ class ReferenceQRChain:
     ("duffing", 0.1, None)])
 def test_qr_chain_matches_the_reference_chain_bit_for_bit(
         name, alpha, transient, tangent_history, monkeypatch):
-    # the chain keeps mode "raw"'s R and sums the stored stretches at the
-    # end; both give the reference's bits, before and past the transient
+    # the chain keeps mode "raw"'s R, and the spectrum sums the stored
+    # stretches at the end; both give the bits of the reference's
+    # stretches summed block by block into running estimates, before and
+    # past the transient
     system = make_system(name)
     cfg = SolverConfig(alpha=alpha, h=0.005, t_end=6.0,
                        x0=system.params["default_x0"])
     base = solve(system, cfg)
+    chains = []
+
+    def reference_chain(rows, n_blocks):
+        chains.append(ReferenceQRChain(rows, n_blocks))
+        return chains[-1]
 
     def history():
         return lyapunov_spectrum(system, cfg, renorm_every=10,
@@ -533,12 +530,20 @@ def test_qr_chain_matches_the_reference_chain_bit_for_bit(
                                  base_trajectory=base).history
 
     got = history()
-    monkeypatch.setattr(chaos, "_QRChain", ReferenceQRChain)
-    ref = history()
-    assert got.shape == ref.shape
+    monkeypatch.setattr(chaos, "_QRChain", reference_chain)
+    history()
+    stretches = chains[0].stretches
+    assert len(stretches) == 120
+    skip = len(stretches) - len(got)
+    logs = np.zeros(stretches.shape[1])
+    ref = []
+    for block, diag in enumerate(stretches[skip:], start=1):
+        logs = logs + np.log(np.abs(diag))
+        ref.append(logs / (block * 10 * cfg.h))
     # 120 blocks: all kept, or the first ones cut as transient
-    assert (len(got) == 120) == (transient == 0.0)
-    assert np.array_equal(got, ref)
+    assert (skip == 0) == (transient == 0.0)
+    assert got.shape == (len(ref), stretches.shape[1])
+    assert np.array_equal(got, np.array(ref))
 
 
 class ScatterQRChain(chaos._QRChain):
@@ -546,8 +551,8 @@ class ScatterQRChain(chaos._QRChain):
     the observable rows by fancy index, scatters zeros below R's diagonal
     and multiplies by the signs of the diagonal."""
 
-    def __init__(self, rows, n_blocks, skip_blocks, renorm_every, h):
-        super().__init__(rows, n_blocks, skip_blocks, renorm_every, h)
+    def __init__(self, rows, n_blocks):
+        super().__init__(rows, n_blocks)
         self.rows = np.array(rows)
         self._below = np.tril_indices(len(rows), -1)
 
@@ -576,14 +581,13 @@ def test_qr_chain_matches_the_scatter_chain_bit_for_bit(dim, rows):
     rng = np.random.default_rng(7)
     n_blocks = 400
     maps = np.eye(dim) + 0.3 * rng.standard_normal((n_blocks, dim, dim))
-    chain = chaos._QRChain(rows, n_blocks, 0, 10, 0.01)
-    ref = ScatterQRChain(rows, n_blocks, 0, 10, 0.01)
+    chain = chaos._QRChain(rows, n_blocks)
+    ref = ScatterQRChain(rows, n_blocks)
     v = w = np.eye(dim)[:, rows]
     for b, phi in enumerate(maps):
         (v, rinv), (w, ref_rinv) = chain(phi @ v, b), ref(phi @ w, b)
         assert np.array_equal(rinv, ref_rinv) and np.array_equal(v, w)
     assert np.array_equal(chain.stretches, ref.stretches)
-    assert np.array_equal(chain.history, ref.history)
 
 
 def assert_restart_matches_direct_sum(system, cfg, renorm_every):

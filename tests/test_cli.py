@@ -112,6 +112,8 @@ def alpha_dict_doc(tmp_path_factory):
     (["simulate", "--config", "{alpha_dict_doc}", "--out", "unused.csv"], 1),
     # 1/Gamma(200) is below the smallest subnormal: 0.0
     (["mlf", "--alpha", "0.5", "--beta", "200", "--z", "0"], 0),
+    # so is E_{0.5,1e308}(-1e200), where log Gamma(beta) overflows
+    (["mlf", "--alpha", "0.5", "--beta", "1e308", "--z=-1e200"], 0),
 ])
 def test_exit_codes(argv, code, tmp_path, monkeypatch, lorenz_csv,
                     stateless_csv, headless_csv, alpha_dict_doc):
@@ -249,10 +251,10 @@ def test_dimension_defaults_to_the_chain_observables(case2_dir, tmp_path,
 
 
 def test_reproduce_writes_a_binary_trajectory(tmp_path, monkeypatch):
-    def no_text(t, x):
-        raise AssertionError("reproduce formatted CSV rows")
+    def no_text(traj, path):
+        raise AssertionError("reproduce wrote a CSV trajectory")
 
-    monkeypatch.setattr(solvers, "_csv_chunks", no_text)
+    monkeypatch.setattr(solvers, "write_trajectory_csv", no_text)
     assert run(["reproduce", "2", "--t-end", "5",
                 "--out-dir", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(ARTIFACTS)

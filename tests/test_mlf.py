@@ -12,6 +12,7 @@ oracle.  Its values are frozen in ``contour_oracle.json`` (written by
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -121,6 +122,24 @@ def test_huge_beta_is_zero_at_once(monkeypatch):
         assert mlf.ml_route(0.5, beta, 1.0) == (0j, "zero")
         assert ml_two(0.5, beta, 1.0) == 0.0
         assert ml_two(0.5, beta, -3 + 4j) == 0j
+
+
+def test_huge_beta_is_zero_or_past_the_double_range():
+    # log Gamma overflowed on these, or a float power did on (0.9, 1e300,
+    # -1e290); each value is below the smallest subnormal, save
+    # E_{0.5,1e308}(1e200), whose exponential part e^(z^2) with z^2 =
+    # 1e400 leaves the double range
+    for alpha, beta, z in [(0.5, 1e308, 1e200), (0.5, 1e308, -1e200),
+                           (0.5, 1e308, 1e200j), (1.0, 1e308, 1e308),
+                           (1.0, 1e308, -1e308), (0.5, 1e307, -1e160),
+                           (0.9, 1e300, -1e290)]:
+        if z == 1e200:
+            with pytest.raises(OverflowError, match=re.escape(
+                    "E_{0.5,1e+308}(1e+200) exceeds the double range")):
+                ml_two(alpha, beta, z)
+        else:
+            value = ml_two(alpha, beta, z)
+            assert value == 0.0 and type(value) is type(z)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])

@@ -9,6 +9,7 @@ import time
 import tracemalloc
 import warnings
 import zipfile
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
@@ -942,6 +943,20 @@ def test_field_of_the_wrong_shape_is_a_config_error(solver, value):
         solver(flat, cfg)
 
 
+@pytest.mark.parametrize("value", [1.0, [1.0]], ids=["scalar", "one-entry"])
+def test_gl_field_of_the_wrong_shape_from_step_3_is_a_config_error(value):
+    # the first block's field values have their shape checked, not only
+    # the first one: numpy would broadcast these over the state
+    def field(t, x):
+        return np.array(value) if t > 0.015 else -x
+
+    cfg = SolverConfig(alpha=0.9, h=0.01, t_end=1.0, x0=[1.0, 2.0])
+    with pytest.raises(ConfigError, match=re.escape(
+            f"field of system 'late' returned shape {np.shape(value)}; "
+            "expected (2,)")):
+        solve_gl(SystemSpec(name="late", dim=2, field=field), cfg)
+
+
 def test_full_memory_solve_holds_little_beside_its_trajectory():
     # the history's far sums live in the trajectory's own rows, the result
     # is that array shifted in place, the far part holds Q states and one
@@ -1275,13 +1290,35 @@ def test_csv_streamed_write_matches_in_memory_text(tmp_path, window):
     assert path.read_bytes() == string_buffer_csv(traj)
 
 
-def test_csv_write_of_several_chunks_matches_in_memory_text(tmp_path):
-    cfg = SolverConfig(alpha=0.9, h=1e-3, t_end=9.0, x0=[1.0, 0.0])
-    traj = solve_gl(ROTATE, cfg)
-    assert len(traj.t) > 2 * solvers.CSV_ROWS
-    path = tmp_path / "traj.csv"
+def test_csv_bytes_of_extreme_values(tmp_path):
+    # %.17g round-trips every double: -0.0, the smallest subnormal, a value
+    # near the largest double and 1/3 each come back as written
+    traj = Trajectory(t=np.array([0.0, 0.5]),
+                      x=np.array([[-0.0, 5e-324], [1e308, 1.0 / 3.0]]),
+                      alpha=0.9, h=0.5, system_name="edge", scheme="gl")
+    path = tmp_path / "edge.csv"
     write_trajectory_csv(traj, str(path))
-    assert path.read_bytes() == string_buffer_csv(traj)
+    assert path.read_bytes() == (
+        b"# system=edge\n# scheme=gl\n# alpha=0.9\n# h=0.5\n"
+        b"t,x0,x1\n"
+        b"0,-0,4.9406564584124654e-324\n"
+        b"0.5,1e+308,0.33333333333333331\n")
+    back = read_trajectory_csv(str(path))
+    assert np.array_equal(back.x, traj.x) and np.signbit(back.x[0, 0])
+
+
+class FailingFile:
+    """A text file whose write fails after ``count`` writes have reached
+    the file it wraps."""
+
+    def __init__(self, fh, count):
+        self.fh, self.count, self.written = fh, count, []
+
+    def write(self, text):
+        if len(self.written) == self.count:
+            raise OSError("disk full")
+        self.written.append(text)
+        return self.fh.write(text)
 
 
 def test_csv_write_failure_keeps_old_file(tmp_path, monkeypatch):
@@ -1289,17 +1326,23 @@ def test_csv_write_failure_keeps_old_file(tmp_path, monkeypatch):
     path = tmp_path / "out.csv"
     write_trajectory_csv(solve_gl(RELAX, cfg), str(path))
     first = path.read_bytes()
-    chunks = solvers._csv_chunks
+    real_open = solvers.atomic_open
+    files = []
 
-    def first_chunk_then_fail(t, x):
-        yield next(chunks(t, x))
-        raise OSError("disk full")
+    @contextmanager
+    def failing_open(path, mode="w"):
+        # five header lines, then two data rows, then the failure
+        with real_open(path, mode) as fh:
+            files.append(FailingFile(fh, 7))
+            yield files[-1]
 
-    # the failure comes after a chunk of rows reached the temporary file
-    monkeypatch.setattr(solvers, "CSV_ROWS", 4)
-    monkeypatch.setattr(solvers, "_csv_chunks", first_chunk_then_fail)
-    with pytest.raises(OSError, match="disk full"):
+    monkeypatch.setattr(solvers, "atomic_open", failing_open)
+    with pytest.raises(OSError, match="disk full") as exc:
         write_trajectory_csv(solve_gl(RELAX, cfg), str(path))
+    # the failure comes inside np.savetxt, after rows reached the temp file
+    assert "savetxt" in [entry.name for entry in exc.traceback]
+    assert "".join(files[0].written[5:]) == "".join(
+        first.decode().splitlines(keepends=True)[5:7])
     assert path.read_bytes() == first
     assert os.listdir(tmp_path) == ["out.csv"]
 
