@@ -419,26 +419,22 @@ def _abm_weights(alpha, lags, window):
 
     Each power difference is k^p times expm1 and log1p of -1/k, which keep
     the leading digits that k^p - (k - 1)^p and the like cancel: b and a
-    to a few ulp.  w0(m) = m^beta (expm1(beta log1p(-u)) + beta u), u =
-    1/m, still cancels its O(u) terms, which costs up to 4e-13 relative
-    below m = 64; from there on w0 is the binomial series m^(alpha - 1)
-    sum_i t_i u^i, t_0 = alpha beta / 2, t_{i+1} = t_i (i + 1 - alpha) /
-    (i + 3), whose terms are all >= 0 and whose first 12 give it to a few
-    ulp (exactly 1 at alpha = 1).  k = 1, where log1p(-1/k) is -inf, is
-    set apart.
+    to a few ulp.  w0(m), m >= 2, is the binomial series m^(alpha - 1)
+    sum_i t_i u^i in u = 1/m <= 1/2, t_0 = alpha beta / 2, t_{i+1} = t_i
+    (i + 1 - alpha) / (i + 3): its terms are all >= 0, each at most half
+    the one before, so its first 56 give w0 to a few ulp (exactly 1 at
+    alpha = 1).  k = 1, where log1p(-1/k) is -inf, is set apart.
     """
     beta = alpha + 1.0
     k = np.arange(2.0, max(lags, window) + 1.0)
     log_lo = np.log1p(-1.0 / k)
     b = np.concatenate(([1.0], -np.expm1(alpha * log_lo) * k ** alpha))
-    lo = min(62, window - 1)                    # m = 2 .. 63
-    m, big = k[:lo], k[lo:window - 1]
-    i = np.arange(11.0)
+    m = k[:window - 1]
+    i = np.arange(55.0)
     t = 0.5 * alpha * beta * np.cumprod(
         np.concatenate(([1.0], (i + 1.0 - alpha) / (i + 3.0))))
-    w0 = np.concatenate((
-        [alpha], m ** beta * (np.expm1(beta * log_lo[:lo]) + beta / m),
-        big ** (alpha - 1.0) * np.polynomial.polynomial.polyval(1.0 / big, t)))
+    w0 = np.concatenate(([alpha], m ** (alpha - 1.0)
+                         * np.polynomial.polynomial.polyval(1.0 / m, t)))
     # a_k = k^beta ((1 + u)^beta + (1 - u)^beta - 2), u = 1/k, is
     # 2 k^beta (e^s cosh d - 1) with s = (beta / 2) log1p(-u^2) and
     # d = beta atanh(u)

@@ -436,7 +436,7 @@ def test_abm_weights_match_mpmath(alpha):
     b = scales[0] * abm_weights(alpha, ms.tolist())[0]
     w0 = scales[1] * boundary_weights(alpha, ms.tolist())
     assert np.max(np.abs(pending[ms, 0, 0] / b - 1.0)) <= 1e-14
-    assert np.max(np.abs(pending[ms, 1, 0] / w0 - 1.0)) <= 1e-12
+    assert np.max(np.abs(pending[ms, 1, 0] / w0 - 1.0)) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
@@ -945,8 +945,8 @@ def test_field_of_the_wrong_shape_is_a_config_error(solver, value):
 
 @pytest.mark.parametrize("value", [1.0, [1.0]], ids=["scalar", "one-entry"])
 def test_gl_field_of_the_wrong_shape_from_step_3_is_a_config_error(value):
-    # the first block's field values have their shape checked, not only
-    # the first one: numpy would broadcast these over the state
+    # every field value of the first block has its shape checked: numpy
+    # would broadcast these over the state
     def field(t, x):
         return np.array(value) if t > 0.015 else -x
 
