@@ -510,10 +510,9 @@ def solve_gl(system: SystemSpec, config: SolverConfig) -> Trajectory:
     row m holds the far sums over h^alpha, which the far part adds a block
     ahead.  Step m adds f(t_{m-1}, x_{m-1}) into that row, makes one kernel
     call, copies ``hist.sum`` back (d_m) and adds x0 for the next field
-    call; the deviations become the trajectory by one shift in place.  One
-    loop takes every step, block by block; the first block's field values
-    go through ``_field_value``, so a field of the wrong shape raises
-    ``ConfigError`` there rather than being broadcast.
+    call; the deviations become the trajectory by one shift in place.  A
+    field value of the wrong shape in the first block raises
+    ``ConfigError``.
     Deviations, not states, keep a constant solution exact: a zero field
     gives x0 in every bit, where a buffer of states would carry x0 through
     every lag's weight and round it.

@@ -125,10 +125,9 @@ def test_huge_beta_is_zero_at_once(monkeypatch):
 
 
 def test_huge_beta_is_zero_or_past_the_double_range():
-    # log Gamma overflowed on these, or a float power did on (0.9, 1e300,
-    # -1e290); each value is below the smallest subnormal, save
-    # E_{0.5,1e308}(1e200), whose exponential part e^(z^2) with z^2 =
-    # 1e400 leaves the double range
+    # log Gamma(beta) or |z|^(1/alpha) overflows on these; each value is
+    # below the smallest subnormal, save E_{0.5,1e308}(1e200), whose
+    # exponential part e^(z^2) with z^2 = 1e400 leaves the double range
     for alpha, beta, z in [(0.5, 1e308, 1e200), (0.5, 1e308, -1e200),
                            (0.5, 1e308, 1e200j), (1.0, 1e308, 1e308),
                            (1.0, 1e308, -1e308), (0.5, 1e307, -1e160),
